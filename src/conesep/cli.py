@@ -10,17 +10,15 @@ Documents are JSON on stdout with shortest round-trip float rendering.
 Exit codes: 0 separated / certificate found, 1 not separated / absent,
 2 inconclusive (tolerance dead-band, failed cross-check, or failed sample
 verification), 3 input or usage error.  Several instance files may be given
-to most subcommands; they are evaluated concurrently (CONESEP_THREADS caps
-the pool) and emitted one JSON document per line, with the worst exit code
-winning.
+to most subcommands; they are evaluated in order and emitted one JSON
+document per line, with the worst exit code winning.  Every subcommand
+rejects a non-Euclidean instance.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,27 +47,11 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 
-def _threads() -> int:
-    raw = os.environ.get("CONESEP_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n if n > 0 else (os.cpu_count() or 1))
-
-
 def _pair(text: str) -> tuple[str, str]:
     parts = text.split(",")
     if len(parts) != 2 or not all(p.strip() for p in parts):
         raise argparse.ArgumentTypeError("expected two cone names: C,K")
     return parts[0].strip(), parts[1].strip()
-
-
-def _require_euclidean(inst: Instance) -> None:
-    if inst.norm is not Norm.EUCLIDEAN:
-        raise InstanceError(
-            "the distance engine supports only the euclidean norm"
-        )
 
 
 def _option(cli_value, file_value):
@@ -100,7 +82,6 @@ def _one_sided_doc(cert, C, K, samples: int, rng) -> tuple[dict, bool]:
 
 
 def cmd_separate(inst: Instance, args) -> tuple[dict, int]:
-    _require_euclidean(inst)
     name_c, name_k = args.pair
     C, K = inst.region(name_c), inst.region(name_k)
     tol = _option(args.tol, inst.options.tol)
@@ -163,7 +144,6 @@ def _base_cert_doc(cert) -> dict:
 
 
 def cmd_base(inst: Instance, args) -> tuple[dict, int]:
-    _require_euclidean(inst)
     region = inst.region(args.cone)
     tol = _option(args.tol, inst.options.tol)
     wb = is_well_based(region, tol=tol)
@@ -178,7 +158,6 @@ def cmd_base(inst: Instance, args) -> tuple[dict, int]:
 
 
 def cmd_interpolate(inst: Instance, args) -> tuple[dict, int]:
-    _require_euclidean(inst)
     inner = inst.region(args.inner)
     outer = inst.region(args.outer).single_cone()
     tol = _option(args.tol, inst.options.tol)
@@ -214,7 +193,6 @@ def cmd_interpolate(inst: Instance, args) -> tuple[dict, int]:
 def cmd_check(inst: Instance, args) -> tuple[dict, int]:
     from .separation import boundary_equivalence_report
 
-    _require_euclidean(inst)
     name_c, name_k = args.pair
     tol = _option(args.tol, inst.options.tol)
     report = boundary_equivalence_report(
@@ -236,7 +214,6 @@ def cmd_check(inst: Instance, args) -> tuple[dict, int]:
 
 
 def cmd_oracle(inst: Instance, args) -> tuple[dict, int]:
-    _require_euclidean(inst)
     name_c, name_k = args.pair
     resolution = _option(args.resolution, inst.options.resolution)
     res = oracle_separation(
@@ -275,6 +252,10 @@ _COMMANDS = {
 def _evaluate(path: str, args) -> tuple[dict, int]:
     try:
         inst = load_instance(path)
+        if inst.norm is not Norm.EUCLIDEAN:
+            raise InstanceError(
+                "the distance engine supports only the euclidean norm"
+            )
         doc, code = _COMMANDS[args.command](inst, args)
     except Inconclusive as exc:
         doc, code = {"verdict": "inconclusive", "error": str(exc)}, EXIT_INCONCLUSIVE
@@ -317,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("nonsym", "sym", "bidir"),
                    default="nonsym")
     p.add_argument("--pair", type=_pair, required=True, metavar="C,K")
-    p.add_argument("--alpha-policy", choices=("midpoint",), default="midpoint")
 
     p = sub.add_parser("base", help="well-basedness / convex base certificates")
     _add_common(p)
@@ -354,8 +334,7 @@ def main(argv=None) -> int:
         doc, code = _evaluate(paths[0], args)
         print(json.dumps(doc, indent=2, sort_keys=True))
         return code
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(lambda p: _evaluate(p, args), paths))
+    results = [_evaluate(p, args) for p in paths]
     for doc, _ in results:
         print(json.dumps(doc, sort_keys=True))
     return max(code for _, code in results)

@@ -166,18 +166,11 @@ def load_instance(path: str) -> Instance:
 
 
 def _region_doc(region: ConeRegion, kind: str) -> dict:
-    from .regions import _BoundaryLeaf, _ComplementLeaf, _PieceLeaf
-
     pieces = []
     for leaf in region.leaves:
-        if isinstance(leaf, (_ComplementLeaf, _BoundaryLeaf)):
-            cone = leaf.cone
-        else:
-            assert isinstance(leaf, _PieceLeaf)
-            cone = leaf.cone
-        piece = {"generators": cone.generators.T.tolist()}
-        if cone.facet_normals is not None:
-            piece["facets"] = cone.facet_normals.T.tolist()
+        piece = {"generators": leaf.cone.generators.T.tolist()}
+        if leaf.cone.facet_normals is not None:
+            piece["facets"] = leaf.cone.facet_normals.T.tolist()
         pieces.append(piece)
     return {"kind": kind, "pieces": pieces}
 

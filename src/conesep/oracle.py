@@ -16,7 +16,7 @@ import numpy as np
 from . import geometry
 from .errors import DimensionMismatch, ZeroDirection
 from .geometry import PolyCone
-from .regions import ConeRegion, _BoundaryLeaf, _ComplementLeaf, _PieceLeaf
+from .regions import ConeRegion
 
 # Worst sample-to-minimizer angle in units of the nominal grid spacing:
 # measured ~0.5 steps (d=2, arc endpoints are exact anchors) and ~0.76x the
@@ -98,13 +98,12 @@ def _piece_cloud(cone: PolyCone, resolution: float,
 
 
 def _leaf_cloud(leaf, resolution: float, rng, tol: float) -> np.ndarray:
-    if isinstance(leaf, _PieceLeaf):
-        return _piece_cloud(leaf.cone, resolution, rng, tol)
-    if isinstance(leaf, _BoundaryLeaf):
+    """Piece by piece when the leaf has convex pieces; otherwise a sphere
+    grid filtered by the leaf's own membership test."""
+    if leaf.pieces:
         return np.concatenate(
             [_piece_cloud(p, resolution, rng, tol) for p in leaf.pieces], axis=0
         )
-    assert isinstance(leaf, _ComplementLeaf)
     d = leaf.dim
     if d > 3:
         n = max(4096, _fib_count(resolution) // 8)
@@ -131,8 +130,10 @@ def _piece_count_cloud(cone: PolyCone, per: int, rng: np.random.Generator,
     return pts[geometry.contains_batch(cone, pts, tol)]
 
 
-def _complement_count_cloud(leaf, per: int, rng: np.random.Generator,
+def _membership_count_cloud(leaf, per: int, rng: np.random.Generator,
                             tol: float) -> np.ndarray:
+    """Random sphere points kept by the leaf's membership test, plus its
+    anchors: the count= cloud of a leaf without convex pieces."""
     out = [leaf.anchor_points()]
     got = 0
     for _ in range(16):
@@ -143,19 +144,6 @@ def _complement_count_cloud(leaf, per: int, rng: np.random.Generator,
         if got >= per:
             break
     return np.concatenate(out, axis=0)
-
-
-def _max_rank(region: ConeRegion) -> int:
-    r = 0
-    for leaf in region.leaves:
-        if isinstance(leaf, _PieceLeaf):
-            r = max(r, geometry._span_basis(leaf.cone).shape[1])
-        elif isinstance(leaf, _BoundaryLeaf):
-            for p in leaf.pieces:
-                r = max(r, geometry._span_basis(p).shape[1])
-        else:
-            r = max(r, leaf.dim)
-    return r
 
 
 def sample_norm_base(region: ConeRegion, resolution: float | None = None,
@@ -181,8 +169,7 @@ def sample_norm_base(region: ConeRegion, resolution: float | None = None,
         pts = _dedupe_rows(pts)
         return SampleCloud(points=pts, resolution=resolution, count=len(pts))
 
-    r = _max_rank(region)
-    if r <= 1:
+    if max(leaf.rank() for leaf in region.leaves) <= 1:
         pts = _dedupe_rows(
             np.concatenate([_leaf_cloud(leaf, 1.0, rng, tol) for leaf in region.leaves], axis=0)
         )
@@ -192,15 +179,13 @@ def sample_norm_base(region: ConeRegion, resolution: float | None = None,
     per = -(-count // len(leaves))
     parts = []
     for leaf in leaves:
-        if isinstance(leaf, _PieceLeaf):
-            parts.append(_piece_count_cloud(leaf.cone, per, local_rng, tol))
-        elif isinstance(leaf, _BoundaryLeaf):
+        if leaf.pieces:
             pp = -(-per // len(leaf.pieces))
             parts.extend(
                 _piece_count_cloud(p, pp, local_rng, tol) for p in leaf.pieces
             )
         else:
-            parts.append(_complement_count_cloud(leaf, per, local_rng, tol))
+            parts.append(_membership_count_cloud(leaf, per, local_rng, tol))
     pts = _dedupe_rows(np.concatenate(parts, axis=0))
     if len(pts) > count:
         idx = np.unique(np.linspace(0, len(pts) - 1, count).round().astype(int))

@@ -35,15 +35,34 @@ class LmoResult:
     witness: np.ndarray
 
 
-class _PieceLeaf:
-    __slots__ = ("cone",)
+class _Leaf:
+    """The protocol every leaf kind shares; no other module tells them apart.
 
-    def __init__(self, cone: PolyCone):
-        self.cone = cone
+    ``cone`` is the cone the leaf is built from.  ``pieces`` are convex
+    cones whose union is the base closure; a leaf without pieces has as its
+    base closure the unit sphere outside the interior of ``cone``.
+    """
+
+    __slots__ = ("cone", "pieces")
 
     @property
     def dim(self) -> int:
         return self.cone.dim
+
+    def rank(self) -> int:
+        """Largest span dimension of a piece; the ambient dimension for a
+        leaf without pieces."""
+        return max(
+            (geometry._span_basis(p).shape[1] for p in self.pieces), default=self.dim
+        )
+
+
+class _PieceLeaf(_Leaf):
+    __slots__ = ()
+
+    def __init__(self, cone: PolyCone):
+        self.cone = cone
+        self.pieces = (cone,)
 
     def lmo(self, f: np.ndarray) -> LmoResult:
         return _lmo_piece(self.cone, f)
@@ -58,18 +77,12 @@ class _PieceLeaf:
         return self.cone.generators.mean(axis=1)
 
 
-class _BoundaryLeaf:
-    __slots__ = ("cone", "pieces", "degenerate")
+class _BoundaryLeaf(_Leaf):
+    __slots__ = ()
 
     def __init__(self, cone: PolyCone):
-        dec = geometry.facets(cone)
         self.cone = cone
-        self.pieces = dec.pieces
-        self.degenerate = dec.degenerate
-
-    @property
-    def dim(self) -> int:
-        return self.cone.dim
+        self.pieces = geometry.facets(cone).pieces
 
     def lmo(self, f: np.ndarray) -> LmoResult:
         return min(
@@ -89,8 +102,8 @@ class _BoundaryLeaf:
         return self.anchor_points().mean(axis=0)
 
 
-class _ComplementLeaf:
-    __slots__ = ("cone", "facet_pieces")
+class _ComplementLeaf(_Leaf):
+    __slots__ = ("facets",)
 
     def __init__(self, cone: PolyCone):
         if not geometry.solidity(cone):
@@ -99,13 +112,9 @@ class _ComplementLeaf:
             raise NotSolid("complement regions need a solid excluded cone")
         if geometry.is_whole_space(cone):
             raise TrivialRegion("cannot take the complement of the whole space")
-        dec = geometry.facets(cone)
         self.cone = cone
-        self.facet_pieces = dec.pieces
-
-    @property
-    def dim(self) -> int:
-        return self.cone.dim
+        self.pieces = ()
+        self.facets = geometry.facets(cone).pieces
 
     def lmo(self, f: np.ndarray) -> LmoResult:
         # The closure of the base is (sphere minus interior of K): the free
@@ -116,7 +125,7 @@ class _ComplementLeaf:
         if not geometry.strictly_interior(self.cone, u):
             return LmoResult(-fn, u)
         return min(
-            (_lmo_piece(p, f) for p in self.facet_pieces), key=lambda r: r.value
+            (_lmo_piece(p, f) for p in self.facets), key=lambda r: r.value
         )
 
     def contains_unit_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
@@ -125,7 +134,7 @@ class _ComplementLeaf:
         return (X @ N.T).min(axis=1) <= tol * scale
 
     def anchor_points(self) -> np.ndarray:
-        return np.concatenate([p.generators.T for p in self.facet_pieces], axis=0)
+        return np.concatenate([p.generators.T for p in self.facets], axis=0)
 
     def centroid(self) -> np.ndarray:
         return -self.cone.generators.mean(axis=1)
@@ -220,11 +229,12 @@ def _lmo_piece(cone: PolyCone, f: np.ndarray) -> LmoResult:
     f lies in the dual cone and the minimum is attained at a unit extreme
     ray, hence at a stored generator (triangle inequality argument).
     """
-    proj = kernels.project_onto_cone(cone.generators, -f)
-    pn = proj.norm
+    # kernels.project_onto_cone would also form the Moreau residuals, which
+    # this hot path never reads
+    p = cone.generators @ kernels.nnls(cone.generators, -f).coeffs
+    pn = float(np.linalg.norm(p))
     if pn > PROJ_ZERO_TOL * max(1.0, float(np.linalg.norm(f))):
-        w = proj.point / pn
-        return LmoResult(-pn, w)
+        return LmoResult(-pn, p / pn)
     vals = f @ cone.generators
     j = int(np.argmin(vals))
     return LmoResult(float(vals[j]), cone.generators[:, j].copy())

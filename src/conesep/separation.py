@@ -378,24 +378,15 @@ def separate_convex_bidirectional(C: ConeRegion, K: ConeRegion,
 
 
 def boundary_region(region: ConeRegion) -> ConeRegion:
-    """Region whose pieces are the boundaries of the input's pieces.
+    """Region whose pieces are the boundaries of the input's leaf cones.
 
     A non-solid cone is its own boundary; the boundary of a complement
-    region is the boundary of the underlying cone; boundary leaves pass
-    through unchanged.
+    region is the boundary of the underlying cone; boundary leaves map to
+    themselves.
     """
-    from .regions import _BoundaryLeaf, _ComplementLeaf, _PieceLeaf
-
-    parts: list[ConeRegion] = []
-    for leaf in region.leaves:
-        if isinstance(leaf, _PieceLeaf):
-            parts.append(ConeRegion.boundary(leaf.cone))
-        elif isinstance(leaf, _ComplementLeaf):
-            parts.append(ConeRegion.boundary(leaf.cone))
-        else:
-            assert isinstance(leaf, _BoundaryLeaf)
-            parts.append(ConeRegion((leaf,)))
-    return ConeRegion.union(*parts)
+    return ConeRegion.union(
+        *(ConeRegion.boundary(leaf.cone) for leaf in region.leaves)
+    )
 
 
 def cones_meet_only_at_origin(C: ConeRegion, K: ConeRegion,
@@ -470,7 +461,9 @@ def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
 
     meet = cones_meet_only_at_origin(C, K, tol=tol)
     c1, d1 = gap(body(C, False), body(K, True))
-    c2, d2 = gap(body(C, False), body(K, True))
+    # Closed polyhedral cones are their own closures, so the closure form
+    # is the same solve as the full form.
+    c2, d2 = c1, d1
     s3, d3 = gap(body(bd_c, False), body(bd_k, True))
     s4, d4 = gap(body(bd_c, False), body(K, True))
     s5, d5 = gap(body(C, False), body(bd_k, True))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DimensionNot2D
-from .regions import ConeRegion, _BoundaryLeaf, _ComplementLeaf, _PieceLeaf
+from .regions import ConeRegion
 from .separation import SeparationCertificate, bp_boundary_rays_2d
 
 REGION_COLORS = ("#1f6fb4", "#d1402e", "#8a5bb8", "#8c6d4f")
@@ -135,9 +135,10 @@ def _draw_piece(canvas: _Canvas, cone, color: str) -> None:
 
 def _draw_region(canvas: _Canvas, region: ConeRegion, color: str) -> None:
     for leaf in region.leaves:
-        if isinstance(leaf, _PieceLeaf):
-            _draw_piece(canvas, leaf.cone, color)
-        elif isinstance(leaf, _ComplementLeaf):
+        for piece in leaf.pieces:
+            _draw_piece(canvas, piece, color)
+        if not leaf.pieces:
+            # the sector left over by the excluded cone
             a0, span = _solid_sector_interval(leaf.cone)
             start = a0 + span
             canvas.poly([(0.0, 0.0)] + _arc_points(start, _TAU - span, 1.0),
@@ -145,12 +146,6 @@ def _draw_region(canvas: _Canvas, region: ConeRegion, color: str) -> None:
             canvas.line((0.0, 0.0), (math.cos(a0), math.sin(a0)), color, 2.2)
             canvas.line((0.0, 0.0), (math.cos(start), math.sin(start)),
                         color, 2.2)
-        else:
-            assert isinstance(leaf, _BoundaryLeaf)
-            for piece in leaf.pieces:
-                for g in piece.generators.T:
-                    canvas.line((0.0, 0.0), (float(g[0]), float(g[1])),
-                                color, 3.0)
 
 
 def _hull_2d(points: np.ndarray) -> np.ndarray:

@@ -134,6 +134,21 @@ def test_non_euclidean_rejected(capsys, tmp_path):
     assert doc["error"] == "the distance engine supports only the euclidean norm"
 
 
+def test_render_rejects_non_euclidean(capsys, tmp_path):
+    path = _write(tmp_path, "l1.json", {
+        "dim": 2, "norm": "l1",
+        "cones": {
+            "C": {"pieces": [{"generators": [[0, 1]]}]},
+            "K": {"pieces": [{"generators": [[1, 0]]}]},
+        },
+    })
+    out = tmp_path / "out.svg"
+    code, doc = _run(capsys, ["render", path, "--out", str(out)])
+    assert code == 3
+    assert doc["error"] == "the distance engine supports only the euclidean norm"
+    assert not out.exists()
+
+
 def test_missing_file(capsys, tmp_path):
     code, doc = _run(capsys, ["separate", str(tmp_path / "nope.json"),
                               "--pair", "C,K"])
