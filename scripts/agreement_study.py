@@ -8,6 +8,9 @@ how often the independent routes agree:
   * the symmetric verdict vs. the OR of the two one-sided verdicts,
   * pairwise agreement of the five boundary-based conditions on convex
     pairs that meet only at the origin.
+
+Draws whose reference distance solve did not certify, and pairs that raise
+Inconclusive, are counted and reported rather than compared.
 """
 import argparse
 import time
@@ -28,8 +31,8 @@ from conesep.separation import (
 
 
 def existence_study(dims, per_dim, margin, rng):
-    total = agree = verified = certs = skipped = 0
-    sym_total = sym_agree = 0
+    total = agree = verified = certs = skipped = uncertified = 0
+    sym_total = sym_agree = sym_inconclusive = 0
     vrng = np.random.default_rng(rng.integers(2**32))
     for dim in dims:
         made = 0
@@ -37,8 +40,11 @@ def existence_study(dims, per_dim, margin, rng):
             C = random_region(rng, dim)
             K = random_region(rng, dim)
             res = body_distance(body(C, False), body(K, True))
-            if not res.certified or (res.kind == "positive"
-                                     and res.distance <= margin):
+            if not res.certified:
+                # no reference verdict to compare against
+                uncertified += 1
+                continue
+            if res.kind == "positive" and res.distance <= margin:
                 skipped += 1
                 continue
             made += 1
@@ -55,6 +61,7 @@ def existence_study(dims, per_dim, margin, rng):
                 kc = separate_nonsym(K, C)
                 sym = separate_sym(C, K)
             except Inconclusive:
+                sym_inconclusive += 1
                 continue
             sym_total += 1
             if (sym is not None) == ((cert is not None) or (kc is not None)):
@@ -66,12 +73,14 @@ def existence_study(dims, per_dim, margin, rng):
         "verified": verified,
         "sym_pairs": sym_total,
         "sym_agree": sym_agree,
+        "sym_inconclusive": sym_inconclusive,
         "margin_skipped": skipped,
+        "uncertified": uncertified,
     }
 
 
 def boundary_study(count, margin, rng):
-    done = consistent = 0
+    done = consistent = inconclusive = 0
     while done < count:
         dim = int(rng.integers(2, 4))
         C = ConeRegion.piece(random_pointed_cone(rng, dim))
@@ -81,6 +90,7 @@ def boundary_study(count, margin, rng):
         try:
             report = boundary_equivalence_report(C, K)
         except Inconclusive:
+            inconclusive += 1
             continue
         gaps = [d for d in report.distances.values() if d > 0.0]
         if gaps and min(gaps) <= margin:
@@ -88,7 +98,8 @@ def boundary_study(count, margin, rng):
         done += 1
         if report.consistent:
             consistent += 1
-    return {"pairs": done, "consistent": consistent}
+    return {"pairs": done, "consistent": consistent,
+            "inconclusive": inconclusive}
 
 
 def main() -> None:
@@ -114,10 +125,13 @@ def main() -> None:
           f"{ex['existence_agree']}/{ex['pairs']}")
     print(f"  certificates verified (1000 samples): "
           f"{ex['verified']}/{ex['certificates']}")
-    print(f"  sym = OR of one-sided: {ex['sym_agree']}/{ex['sym_pairs']}")
+    print(f"  sym = OR of one-sided: {ex['sym_agree']}/{ex['sym_pairs']} "
+          f"({ex['sym_inconclusive']} Inconclusive, not counted)")
     print(f"  boundary conditions consistent: "
-          f"{bd['consistent']}/{bd['pairs']}")
+          f"{bd['consistent']}/{bd['pairs']} "
+          f"({bd['inconclusive']} Inconclusive, not counted)")
     print(f"  margin-filtered draws: {ex['margin_skipped']}")
+    print(f"  uncertified distance solves (draw skipped): {ex['uncertified']}")
     print(f"  total time: {elapsed:.1f} s")
 
 

@@ -44,6 +44,11 @@ class DistanceResult:
     support_a: np.ndarray
     support_b: np.ndarray
     weights: np.ndarray
+    # why the solve ended: "certified_zero", "certified_gap", "stalled",
+    # "repeat_point" or "max_iter"
+    stop: str
+    # inner Wolfe solves (one per FW iteration) that ended uncertified
+    wolfe_uncertified: int
 
     @property
     def common_point(self) -> np.ndarray:
@@ -88,12 +93,15 @@ def body_distance(A, B, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> D
     best_gap = float("inf")
     stalled = 0
     certified = False
+    stop = "max_iter"
+    wolfe_uncertified = 0
     it = 0
     while it < max_iter:
         it += 1
         nv2 = float(v @ v)
         if nv2 <= tol2:
             certified = True
+            stop = "certified_zero"
             gap = 0.0
             break
         sval, wa, wb = _support_difference(A, B, v)
@@ -104,6 +112,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> D
         done = max(tol * nv, tol2, GAP_REL_FLOOR * nv2)
         if gap <= done:
             certified = True
+            stop = "certified_gap"
             break
         if gap < 0.99 * best_gap:
             best_gap = gap
@@ -112,17 +121,20 @@ def body_distance(A, B, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> D
             stalled += 1
             if stalled >= 100:
                 # the oracle's precision is exhausted short of the target
+                stop = "stalled"
                 break
         s = wa - wb
         dists = [float(np.linalg.norm(s - p)) for p in pts]
         if min(dists) <= 1e-15 * (1.0 + float(np.linalg.norm(s))):
             # The oracle repeats a known point: numerically stalled.
             certified = gap <= max(done, 100.0 * GAP_REL_FLOOR * nv2)
+            stop = "repeat_point"
             break
         pts.append(s)
         parents_a.append(wa)
         parents_b.append(wb)
         mnp = kernels.min_norm_point(np.stack(pts, axis=0))
+        wolfe_uncertified += not mnp.certified
         v = mnp.point
         keep = mnp.weights > kernels.WEIGHT_FLOOR
         if not keep.any():
@@ -153,6 +165,8 @@ def body_distance(A, B, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> D
         support_a=Pa,
         support_b=Pb,
         weights=w,
+        stop=stop,
+        wolfe_uncertified=wolfe_uncertified,
     )
 
 

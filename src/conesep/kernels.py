@@ -145,20 +145,18 @@ class MinNormResult:
 
 
 def _affine_min_norm(Q: np.ndarray) -> np.ndarray:
-    """Weights of the min-norm point in the affine hull of the rows of Q."""
-    k = Q.shape[0]
-    M = np.empty((k + 1, k + 1))
-    M[:k, :k] = Q @ Q.T
-    M[:k, k] = 1.0
-    M[k, :k] = 1.0
-    M[k, k] = 0.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    return sol[:k]
+    """Weights of the min-norm point in the affine hull of the rows of Q.
+
+    The point is q_0 + D mu with D = (q_i - q_0)^T, and mu solves the least
+    squares problem min |q_0 + D mu|.  Solving it on D directly keeps the
+    error proportional to cond(D); the bordered Gram system [QQ^T 1; 1^T 0]
+    squares that condition number, which on a nearly flat corral (support
+    points 1e-4 apart on a curved cap) flips the sign of a weight and makes
+    the minor cycle drop and re-add the same vertex until max_iter.
+    """
+    D = (Q[1:] - Q[0]).T
+    mu, *_ = np.linalg.lstsq(D, -Q[0], rcond=None)
+    return np.concatenate(([1.0 - mu.sum()], mu))
 
 
 def min_norm_point(P: np.ndarray, max_iter: int | None = None) -> MinNormResult:
@@ -202,6 +200,7 @@ def min_norm_point(P: np.ndarray, max_iter: int | None = None) -> MinNormResult:
             # No vertex improves on the corral: numerically stalled.
             certified = gap <= 100.0 * tol
             break
+        before = list(corral)
         corral.append(j)
         w = np.append(w, 0.0)
         for _ in range(m + 1):
@@ -223,6 +222,11 @@ def min_norm_point(P: np.ndarray, max_iter: int | None = None) -> MinNormResult:
             w = w[keep]
             w = w / w.sum()
         x = w @ P[corral]
+        if corral == before:
+            # The minor cycles dropped j again: the next major cycle would
+            # pick the same j and repeat this one exactly.
+            certified = gap <= 100.0 * tol
+            break
     weights = np.zeros(m)
     weights[corral] = w
     return MinNormResult(

@@ -60,7 +60,8 @@ def _dedupe_rows(X: np.ndarray) -> np.ndarray:
 def sphere_grid(dim: int, resolution: float | None = None, count: int | None = None,
                 rng: np.random.Generator | None = None) -> np.ndarray:
     """Quasi-uniform unit-sphere cloud: angle grid (d=2), Fibonacci lattice
-    (d=3), Gaussian directions (d >= 4, count required)."""
+    (d=3), Gaussian directions (d >= 4; without a count, as many as a
+    resolution-spaced cloud needs, but at least 4096)."""
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
@@ -70,7 +71,7 @@ def sphere_grid(dim: int, resolution: float | None = None, count: int | None = N
         n = _fib_count(resolution) if resolution is not None else max(256, count)
         return _fibonacci_sphere(n)
     if count is None:
-        raise ValueError("dimensions above 3 need an explicit sample count")
+        count = max(4096, _fib_count(resolution) // 8)
     rng = rng if rng is not None else np.random.default_rng(0)
     X = rng.standard_normal((count, dim))
     return X / np.linalg.norm(X, axis=1)[:, None]
@@ -104,12 +105,7 @@ def _leaf_cloud(leaf, resolution: float, rng, tol: float) -> np.ndarray:
         return np.concatenate(
             [_piece_cloud(p, resolution, rng, tol) for p in leaf.pieces], axis=0
         )
-    d = leaf.dim
-    if d > 3:
-        n = max(4096, _fib_count(resolution) // 8)
-        grid = sphere_grid(d, count=n, rng=rng)
-    else:
-        grid = sphere_grid(d, resolution=resolution)
+    grid = sphere_grid(leaf.dim, resolution=resolution, rng=rng)
     grid = np.concatenate([grid, leaf.anchor_points()], axis=0)
     return grid[leaf.contains_unit_batch(grid, tol)]
 
@@ -255,7 +251,8 @@ def oracle_separation(C: ConeRegion, K: ConeRegion, resolution: float = 0.25,
         raise DimensionMismatch("regions live in different dimensions")
     pc = sample_norm_base(C, resolution=resolution, rng=rng).points
     pk = sample_norm_base(K, resolution=resolution, rng=rng).points
-    dirs = sphere_grid(C.dim, resolution=resolution if C.dim == 2 else max(resolution, 1.0))
+    step = resolution if C.dim == 2 else max(resolution, 1.0)
+    dirs = sphere_grid(C.dim, resolution=step, rng=rng)
     best = (-np.inf, None, (0.0, 0.0))
     # blockwise so the dirs x cloud products stay small
     for lo in range(0, len(dirs), 512):

@@ -13,6 +13,7 @@ from conesep.basis import (
 from conesep.errors import NonPositiveRay, NotNested
 from conesep.geometry import make_polycone, cone_membership, is_whole_space, pointedness
 from conesep.oracle import (
+    cone_about,
     random_pointed_cone,
     random_unpointed_cone,
     ray_region,
@@ -216,3 +217,18 @@ def test_interpolate_sym_mirrored_orientation():
 
 def test_interpolate_sym_overlapping_absent():
     assert interpolate_sym(ORTHANT, ORTHANT) is None
+
+
+def test_nested_3d_cones_interpolate():
+    # Draws 0, 5, 6, 8, 9, 14, 26 and 29 used to raise Inconclusive: their
+    # distance solves stalled on an ill-conditioned Wolfe affine step.
+    rng = np.random.default_rng(1)
+    for i in range(30):
+        ax = rng.standard_normal(3)
+        inner, outer = cone_about(ax, 20, 8), cone_about(ax, 50, 12)
+        gamma = interpolate(inner, outer)
+        assert gamma is not None
+        if i in (0, 5, 6, 8, 9, 14, 26, 29):
+            check = verify_interpolation(gamma, inner, outer, count=100,
+                                         rng=np.random.default_rng(i))
+            assert check.ok

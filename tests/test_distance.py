@@ -21,6 +21,8 @@ def test_ray_vs_origin_adjoined_ray():
     assert np.allclose(res.witness_b, [0.0, 0.0], atol=1e-9)
     assert np.allclose(res.functional, [0.0, 1.0], atol=1e-9)
     assert res.certified
+    assert res.stop == "certified_gap"
+    assert res.wolfe_uncertified == 0
 
 
 def test_overlapping_bodies_report_zero():
@@ -29,6 +31,7 @@ def test_overlapping_bodies_report_zero():
     assert res.kind == "zero"
     assert res.distance <= 1e-9
     assert res.certified
+    assert res.stop == "certified_zero"
     # the zero certificate carries a common point
     assert np.linalg.norm(res.witness_a - res.witness_b) <= 1e-8
 

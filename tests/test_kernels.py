@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conesep import kernels
 from conesep.kernels import min_norm_point, nnls, project_onto_cone
 
 
@@ -77,6 +78,47 @@ def test_min_norm_point_segment():
     assert res.norm == pytest.approx(1.0, abs=1e-10)
     assert np.all(res.weights >= -1e-12)
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_min_norm_point_nearly_flat_corral():
+    # three points 2e-4 apart near a curved cap plus one far point, from a
+    # stalled distance solve: the corral's affine hull is nearly flat, and a
+    # Gram-matrix affine step gave it a negative weight on every cycle
+    P = np.array([
+        [0.061846114381423956, 0.07148574792214302, 0.11123634174496555],
+        [-0.09543516189056828, -1.2603819616465013, -0.3455752350906746],
+        [-0.09567197364216301, -1.2603700561070368, -0.345415158281089],
+        [-0.09555357306246998, -1.2603760133879713, -0.345495204187143],
+    ])
+    res = min_norm_point(P)
+    assert res.certified
+    assert res.iterations <= 8
+    gaps = P @ res.point - res.point @ res.point
+    assert gaps.min() >= -1e-12
+
+
+@pytest.mark.parametrize("gap_in_tols, certified", [(1e12, False), (10.0, True)])
+def test_min_norm_point_stops_when_the_corral_comes_back(monkeypatch, gap_in_tols,
+                                                         certified):
+    # An affine step that always gives the new vertex a negative weight makes
+    # the minor cycle drop it at theta = 0: the corral comes back unchanged,
+    # so Wolfe stops after one major cycle (it used to repeat to max_iter)
+    # and certifies by the same 100 * tol rule as a repeated vertex.
+    def drop_newest(Q):
+        k = len(Q) - 1
+        if k == 0:
+            return np.ones(1)
+        return np.append(np.full(k, 1.5 / k), -0.5)
+
+    monkeypatch.setattr(kernels, "_affine_min_norm", drop_newest)
+    P = np.array([[1.0, 0.0], [1.0, 5.0]])
+    tol = kernels.MNP_TOL * float((P * P).sum(axis=1).max())
+    P[1, 0] = 1.0 - gap_in_tols * tol  # the first gap, <x, x - p_1> at x = p_0
+    res = min_norm_point(P)
+    assert res.iterations == 1
+    assert res.certified is certified
+    assert np.array_equal(res.point, P[0])
+    assert np.array_equal(res.weights, [1.0, 0.0])
 
 
 def test_min_norm_point_hull_contains_origin():

@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conesep import separation
 from conesep.errors import DegenerateCone, Inconclusive, NotConvex, TrivialRegion
 from conesep.geometry import make_polycone
+from conesep.instances import load_instance
 from conesep.oracle import (
+    oracle_separation,
     random_pointed_cone,
     ray_region,
     sector_cone_2d,
@@ -346,3 +351,48 @@ def test_sym_matches_disjunction_on_random_pairs():
             continue
         done += 1
         assert (sym is not None) == (ck is not None or kc is not None)
+
+
+# random_region pairs whose distance solves used to stall: every Frank-Wolfe
+# iteration ran a Wolfe solve to max_iter uncertified, for 0.7-3 s a pair,
+# and the last one ended Inconclusive.  The Wolfe affine step lost the sign
+# of a weight on corrals of support points 1e-4 apart on a curved cap.
+# The files hold perfbench/workloads.gen_pair of the sym/stall and
+# sym/stall-fail corpus keys named in them (dimension, index).
+STALLING_PAIRS = [
+    "sym_stall_3_932.json",
+    "sym_stall_3_146.json",
+    "sym_stall_4_322.json",
+    "sym_stall_fail_3_95.json",
+]
+
+
+@pytest.mark.parametrize("name", STALLING_PAIRS)
+def test_stalling_pairs_decide_in_few_iterations(name, monkeypatch):
+    inst = load_instance(str(Path(__file__).parent / "data" / name))
+    C, K = inst.region("C"), inst.region("K")
+    solves = []
+    solve = separation.body_distance
+
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        solves.append(res)
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(separation, "body_distance", recording)
+        sym = separate_sym(C, K)
+        one_sided = [separate_nonsym(C, K), separate_nonsym(K, C)]
+    assert solves and all(r.iterations < 100 for r in solves)
+    assert all(r.certified and r.wolfe_uncertified == 0 for r in solves)
+    assert {r.stop for r in solves} <= {"certified_gap", "certified_zero"}
+    assert sym is not None
+    assert verify_certificate(sym, C, K, count=1000,
+                              rng=np.random.default_rng(0)).ok
+    for (X, Y), cert in zip(((C, K), (K, C)), one_sided):
+        oracle = oracle_separation(X, Y, resolution=1.0,
+                                   rng=np.random.default_rng(0))
+        assert (cert is not None) == oracle.separated
+        if cert is not None:
+            assert verify_certificate(cert, X, Y, count=1000,
+                                      rng=np.random.default_rng(0)).ok
