@@ -17,7 +17,13 @@ from enum import Enum
 import numpy as np
 
 from . import geometry
-from .distance import DEAD_BAND, DEFAULT_TOL, body_distance, origin_body
+from .distance import (
+    DEAD_BAND,
+    DEFAULT_TOL,
+    body_distance,
+    origin_body,
+    require_clear_gap,
+)
 from .errors import Inconclusive, NonPositiveRay, NotNested, TrivialRegion
 from .geometry import PolyCone, cone_membership
 from .kernels import min_norm_point
@@ -109,8 +115,7 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
             witness_weights=res.weights,
             witness_pair=_maybe_pair(region, res.support_b, res.weights, tol),
         )
-    if not res.certified or res.distance <= DEAD_BAND * tol:
-        raise Inconclusive("origin-to-base distance is inside the dead-band")
+    require_clear_gap(res, "origin-to-base distance", tol)
     x_star = res.witness_b / np.linalg.norm(res.witness_b)
     x_star.setflags(write=False)
     alpha = res.distance * (1.0 - ALPHA_BACKOFF)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, Inconclusive
 
 DEFAULT_TOL = 1e-9
 MAX_ITER = 100_000
@@ -53,6 +53,20 @@ class DistanceResult:
     @property
     def common_point(self) -> np.ndarray:
         return 0.5 * (self.witness_a + self.witness_b)
+
+
+def require_clear_gap(res: DistanceResult, what: str, tol: float) -> None:
+    """Raise Inconclusive unless the positive distance in ``res`` is certified
+    and beyond the dead band, saying which of the two it missed."""
+    if not res.certified:
+        raise Inconclusive(
+            f"{what} ended uncertified ({res.stop}); it lies in "
+            f"[{res.lower_bound:.3e}, {res.distance:.3e}]"
+        )
+    if res.distance <= DEAD_BAND * tol:
+        raise Inconclusive(
+            f"{what} {res.distance:.3e} is inside the tolerance dead-band"
+        )
 
 
 def _support_difference(A, B, v: np.ndarray):

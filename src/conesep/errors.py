@@ -30,7 +30,8 @@ class DegenerateCone(ConesepError):
 
 
 class Inconclusive(ConesepError):
-    """The verdict falls inside the tolerance dead band; refusing to certify."""
+    """No certified verdict: the distance lies in the tolerance dead band,
+    or the solve ended uncertified; the message says which."""
 
 
 class NotSolid(ConesepError):

@@ -19,7 +19,13 @@ from enum import Enum
 import numpy as np
 
 from . import geometry
-from .distance import DEAD_BAND, DEFAULT_TOL, PolytopeBody, body_distance
+from .distance import (
+    DEAD_BAND,
+    DEFAULT_TOL,
+    PolytopeBody,
+    body_distance,
+    require_clear_gap,
+)
 from .errors import (
     DegenerateCone,
     DimensionMismatch,
@@ -261,10 +267,7 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
         if not res.certified:
             raise Inconclusive("distance solve did not certify the zero verdict")
         return None
-    if not res.certified or res.distance <= DEAD_BAND * tol:
-        raise Inconclusive(
-            f"distance {res.distance:.3e} is inside the tolerance dead-band"
-        )
+    require_clear_gap(res, "distance", tol)
     x_star = res.functional / np.linalg.norm(res.functional)
     x_star.setflags(write=False)
     lo = max(0.0, body_k0.support(x_star).value)
@@ -417,8 +420,7 @@ def cones_meet_only_at_origin(C: ConeRegion, K: ConeRegion,
                 if not res.certified:
                     raise Inconclusive("intersection distance did not certify")
                 return False
-            if not res.certified or res.distance <= DEAD_BAND * tol:
-                raise Inconclusive("intersection distance in the dead-band")
+            require_clear_gap(res, "intersection distance", tol)
     return True
 
 
@@ -452,9 +454,8 @@ def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
 
     def gap(a: ConvexBody, b: ConvexBody) -> tuple[bool, float]:
         res = body_distance(a, b, tol=tol)
-        if res.kind == "positive" and (not res.certified
-                                       or res.distance <= DEAD_BAND * tol):
-            raise Inconclusive("boundary-condition distance in the dead-band")
+        if res.kind == "positive":
+            require_clear_gap(res, "boundary-condition distance", tol)
         if res.kind == "zero" and not res.certified:
             raise Inconclusive("boundary-condition distance did not certify")
         return res.kind == "positive", res.distance

@@ -1,19 +1,32 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conesep import geometry
 from conesep.errors import DimensionMismatch, EmptyCone, ZeroGenerator
 from conesep.geometry import (
+    FACET_CHUNK,
+    FACET_TOL,
+    RANK_REL,
     Norm,
+    _enumerate_facet_normals,
+    _inspan_hrep,
     cone_membership,
+    contains_batch,
     dual_norm,
+    facet_normals,
     facets,
     is_whole_space,
     make_polycone,
     norm_value,
     pointedness,
     solidity,
+    strictly_interior,
 )
+from conesep.oracle import cone_about, random_pointed_cone, sector_cone_2d
 
 
 def test_make_polycone_normalizes():
@@ -185,3 +198,131 @@ def test_facets_union_covers_sampled_boundary():
             for n in (np.array([0.0, -1.0]), np.array([-2.0, 1.0]) / np.sqrt(5))
         ]
         assert on_boundary == any(perturbed_out)
+
+
+def _facet_normals_per_subset(points):
+    """Reference: one SVD per (d-1)-subset, the loop that the chunked
+    enumeration replaced, kept here to pin its output bit for bit."""
+    d, n = points.shape
+    if d == 1:
+        if points[0].min() > 0:
+            return [np.array([1.0])]
+        if points[0].max() < 0:
+            return [np.array([-1.0])]
+        return []
+    found = []
+    for subset in combinations(range(n), d - 1):
+        _, s, Vt = np.linalg.svd(points[:, subset].T)
+        if s[d - 2] <= RANK_REL * max(1.0, s[0]):
+            continue
+        nrm = Vt[d - 1]
+        slack = points.T @ nrm
+        if slack.min() >= -FACET_TOL:
+            cand = nrm
+        elif slack.max() <= FACET_TOL:
+            cand = -nrm
+        else:
+            continue
+        if not any(float(cand @ f) >= 1.0 - 1e-9 for f in found):
+            found.append(cand)
+    return found
+
+
+def _cap_cone_48():
+    # 48 rays in a 35-degree cap of R^4: C(48, 3) = 17296 subsets
+    return random_pointed_cone(np.random.default_rng(48), 4, n_rays=48,
+                               cap_half_angle_deg=35.0)
+
+
+def _enumeration_cases():
+    rng = np.random.default_rng(11)
+    cases = [np.array([[1.0, 2.0]]), np.array([[-1.0, -3.0]]),
+             np.array([[1.0, -1.0]])]
+    for center, half in ((0.0, 30.0), (100.0, 5.0), (-60.0, 80.0)):
+        cases.append(sector_cone_2d(center, half).generators)
+    for n_rays in (8, 12):
+        for _ in range(3):
+            cases.append(cone_about(rng.standard_normal(3), 35.0, n_rays).generators)
+    cases.append(make_polycone([[1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]]).generators)
+    # a wedge with antipodal rays: a rank-1 pair and a facet found twice
+    cases.append(make_polycone([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]]).generators)
+    cube = [[a, b, c, 1.0] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+    cases.append(make_polycone(cube).generators)
+    # edge midpoints make collinear triples (rank-deficient subsets)
+    mids = [[a, b, 0, 1.0] for a in (-1, 1) for b in (-1, 1)]
+    mids += [[a, 0, c, 1.0] for a in (-1, 1) for c in (-1, 1)]
+    mids += [[0, b, c, 1.0] for b in (-1, 1) for c in (-1, 1)]
+    cases.append(make_polycone(cube + mids).generators)
+    # rotated, so null directions of the collinear triples are not axes
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    cases.append(make_polycone(np.array(cube + mids) @ Q.T).generators)
+    cases.append(_cap_cone_48().generators)
+    return cases
+
+
+def test_chunked_enumeration_matches_per_subset_loop():
+    for points in _enumeration_cases():
+        got = _enumerate_facet_normals(points)
+        ref = _facet_normals_per_subset(points)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
+def test_inspan_hrep_matches_per_subset_loop():
+    # cone_about in R^4 spans only 3 dimensions
+    cone = cone_about([1.0, 2.0, 3.0, 4.0], 30.0, 10)
+    assert not solidity(cone)
+    B, N = _inspan_hrep(cone)
+    ref = _facet_normals_per_subset(B.T @ cone.generators)
+    assert B.shape == (4, 3)
+    assert np.array_equal(N, np.stack(ref))
+
+
+def test_enumeration_takes_one_svd_per_chunk(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    normals = _enumerate_facet_normals(_cap_cone_48().generators)
+    assert normals
+    subsets = math.comb(48, 3)
+    assert len(calls) <= math.ceil(subsets / FACET_CHUNK)
+    assert len(calls) <= subsets // 100
+
+
+def test_hrep_membership_agrees_with_nnls_on_facet_heavy_cone():
+    cone = _cap_cone_48()
+    N = facet_normals(cone)
+    rng = np.random.default_rng(5)
+    axis = cone.generators.sum(axis=1)
+    axis /= np.linalg.norm(axis)
+    X = rng.standard_normal((400, 4))
+    X -= np.outer(X @ axis, axis)
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    tilt = np.radians(rng.uniform(0.0, 50.0, size=400))
+    X = np.cos(tilt)[:, None] * axis + np.sin(tilt)[:, None] * X
+    # each facet's centroid, then 1e-6 inside and outside along its normal
+    on_facet = np.array([
+        cone.generators[:, np.abs(nrm @ cone.generators) <= 1e-9].mean(axis=1)
+        for nrm in N
+    ])
+    inside = on_facet + 1e-6 * N
+    outside = on_facet - 1e-6 * N
+    pts = np.concatenate([X, inside, outside])
+    by_nnls = np.array([cone_membership(x, cone) for x in pts])
+    assert np.array_equal(contains_batch(cone, pts), by_nnls)
+    m = len(N)
+    assert by_nnls[400:400 + m].all() and not by_nnls[400 + m:].any()
+    assert 50 < by_nnls[:400].sum() < 350
+    ref = np.stack(_facet_normals_per_subset(cone.generators))
+    for x in np.concatenate([pts, on_facet]):
+        if strictly_interior(cone, x):
+            assert (ref @ x).min() > 0.0
+            assert cone_membership(x, cone)
+    assert all(strictly_interior(cone, x) for x in inside)
+    assert not any(strictly_interior(cone, x) for x in on_facet)

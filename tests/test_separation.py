@@ -1,10 +1,12 @@
+import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conesep import separation
+from conesep import basis, separation
 from conesep.errors import DegenerateCone, Inconclusive, NotConvex, TrivialRegion
 from conesep.geometry import make_polycone
 from conesep.instances import load_instance
@@ -396,3 +398,28 @@ def test_stalling_pairs_decide_in_few_iterations(name, monkeypatch):
         if cert is not None:
             assert verify_certificate(cert, X, Y, count=1000,
                                       rng=np.random.default_rng(0)).ok
+
+
+def _uncertified_body_distance(monkeypatch, module):
+    real = module.body_distance
+
+    def stalled(*args, **kwargs):
+        res = real(*args, **kwargs)
+        assert res.kind == "positive"
+        return dataclasses.replace(res, certified=False, stop="max_iter")
+
+    monkeypatch.setattr(module, "body_distance", stalled)
+
+
+def test_uncertified_gap_is_reported_as_uncertified(monkeypatch):
+    _uncertified_body_distance(monkeypatch, separation)
+    with pytest.raises(Inconclusive) as nonsym:
+        separate_nonsym(NARROW_SECTOR, ray_region([1.0, 0.0]))
+    _uncertified_body_distance(monkeypatch, basis)
+    with pytest.raises(Inconclusive) as well_based:
+        basis.is_well_based(ORTHANT)
+    for exc in (nonsym, well_based):
+        msg = str(exc.value)
+        assert "uncertified" in msg and "max_iter" in msg
+        assert "dead-band" not in msg
+        assert re.search(r"\[\d\.\d{3}e[+-]\d+, \d\.\d{3}e[+-]\d+\]", msg)
