@@ -21,8 +21,8 @@ from .distance import (
     DEAD_BAND,
     DEFAULT_TOL,
     body_distance,
+    decide_gap,
     origin_body,
-    require_clear_gap,
 )
 from .errors import Inconclusive, NonPositiveRay, NotNested, TrivialRegion
 from .geometry import PolyCone, cone_membership
@@ -30,9 +30,10 @@ from .kernels import min_norm_point
 from .regions import ConeRegion, body
 from .separation import (
     BishopPhelpsCone,
+    Membership,
     Orientation,
-    SeparationCertificate,
     _check_nontrivial,
+    bp_membership,
     separate_nonsym,
     separate_sym,
 )
@@ -106,16 +107,13 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
     """
     _check_nontrivial(region)
     res = body_distance(origin_body(region.dim), body(region, False), tol=tol)
-    if res.kind == "zero":
-        if not res.certified:
-            raise Inconclusive("origin-to-base distance did not certify")
+    if not decide_gap(res, "origin-to-base distance", tol):
         return BaseCertificate(
             kind=BaseKind.NOT_WELL_BASED,
             witness_points=res.support_b,
             witness_weights=res.weights,
             witness_pair=_maybe_pair(region, res.support_b, res.weights, tol),
         )
-    require_clear_gap(res, "origin-to-base distance", tol)
     x_star = res.witness_b / np.linalg.norm(res.witness_b)
     x_star.setflags(write=False)
     alpha = res.distance * (1.0 - ALPHA_BACKOFF)
@@ -262,7 +260,6 @@ def verify_interpolation(gamma: BishopPhelpsCone, C: ConeRegion | PolyCone,
     """Sampled check of the interpolation inclusions: base points of C are
     strictly interior to gamma, base points of gamma belong to K."""
     from .oracle import sample_norm_base
-    from .separation import Membership, bp_membership
 
     region = ConeRegion.piece(C) if isinstance(C, PolyCone) else C
     inner = sample_norm_base(region, count=count, rng=rng).points

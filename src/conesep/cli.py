@@ -9,7 +9,8 @@ separation verdict, independent of the engine).
 Documents are JSON on stdout with shortest round-trip float rendering.
 Exit codes: 0 separated / certificate found, 1 not separated / absent,
 2 inconclusive (tolerance dead-band, uncertified solve, failed
-cross-check, or failed sample verification), 3 input or usage error.
+cross-check, failed sample verification, or a check "defect": the five
+conditions disagree), 3 input or usage error.
 Several instance files may be given to most subcommands; they are
 evaluated in order and emitted one JSON document per line, with the worst
 exit code winning.  Every subcommand rejects a non-Euclidean instance.
@@ -34,6 +35,7 @@ from .instances import (
 )
 from .oracle import oracle_separation
 from .separation import (
+    boundary_equivalence_report,
     separate_convex_bidirectional,
     separate_nonsym,
     separate_sym,
@@ -191,8 +193,6 @@ def cmd_interpolate(inst: Instance, args) -> tuple[dict, int]:
 
 
 def cmd_check(inst: Instance, args) -> tuple[dict, int]:
-    from .separation import boundary_equivalence_report
-
     name_c, name_k = args.pair
     tol = _option(args.tol, inst.options.tol)
     report = boundary_equivalence_report(

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatch, Inconclusive
+from .regions import LmoResult
 
 DEFAULT_TOL = 1e-9
 MAX_ITER = 100_000
@@ -55,18 +56,24 @@ class DistanceResult:
         return 0.5 * (self.witness_a + self.witness_b)
 
 
-def require_clear_gap(res: DistanceResult, what: str, tol: float) -> None:
-    """Raise Inconclusive unless the positive distance in ``res`` is certified
-    and beyond the dead band, saying which of the two it missed."""
+def decide_gap(res: DistanceResult, what: str, tol: float) -> bool:
+    """The verdict ``res`` supports: False for a certified zero, True for a
+    certified gap beyond the dead band.  Anything else raises Inconclusive,
+    saying whether the solve ended uncertified or inside the dead band."""
     if not res.certified:
+        if res.kind == ZERO:
+            raise Inconclusive(f"{what} did not certify the zero verdict")
         raise Inconclusive(
             f"{what} ended uncertified ({res.stop}); it lies in "
             f"[{res.lower_bound:.3e}, {res.distance:.3e}]"
         )
+    if res.kind == ZERO:
+        return False
     if res.distance <= DEAD_BAND * tol:
         raise Inconclusive(
             f"{what} {res.distance:.3e} is inside the tolerance dead-band"
         )
+    return True
 
 
 def _support_difference(A, B, v: np.ndarray):
@@ -195,8 +202,6 @@ class PointBody:
         return self.point.shape[0]
 
     def lmo(self, direction):
-        from .regions import LmoResult
-
         f = np.asarray(direction, dtype=float)
         return LmoResult(float(f @ self.point), self.point)
 
@@ -221,8 +226,6 @@ class PolytopeBody:
         return self.points.shape[1]
 
     def lmo(self, direction):
-        from .regions import LmoResult
-
         f = np.asarray(direction, dtype=float)
         vals = self.points @ f
         j = int(np.argmin(vals))

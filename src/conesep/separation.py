@@ -13,7 +13,7 @@ positive, and the optimal displacement is itself the functional.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -24,7 +24,7 @@ from .distance import (
     DEFAULT_TOL,
     PolytopeBody,
     body_distance,
-    require_clear_gap,
+    decide_gap,
 )
 from .errors import (
     DegenerateCone,
@@ -197,8 +197,12 @@ def augmented_dual_membership(cone: ConeRegion, x_star, alpha: float,
     Negative alpha is outside all four domains.
     """
     _check_nontrivial(cone)
-    xs = np.asarray(x_star, dtype=float)
-    m = cone.lmo(xs).value
+    m = cone.lmo(np.asarray(x_star, dtype=float)).value
+    return _dual_flags(m, alpha, tol)
+
+
+def _dual_flags(m: float, alpha: float, tol: float = DUAL_TOL) -> dict[str, bool]:
+    """augmented_dual_membership's flags, given m = min of x* over the base."""
     if alpha < 0.0:
         return {"a_plus": False, "a_sharp": False, "aw_sharp": False,
                 "cor_a_plus": False}
@@ -263,11 +267,8 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     body_c = body(C, adjoin_origin=False)
     body_k0 = body(K, adjoin_origin=True)
     res = body_distance(body_c, body_k0, tol=tol)
-    if res.kind == "zero":
-        if not res.certified:
-            raise Inconclusive("distance solve did not certify the zero verdict")
+    if not decide_gap(res, "distance", tol):
         return None
-    require_clear_gap(res, "distance", tol)
     x_star = res.functional / np.linalg.norm(res.functional)
     x_star.setflags(write=False)
     lo = max(0.0, body_k0.support(x_star).value)
@@ -275,7 +276,7 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     if not lo < hi:
         raise Inconclusive("support interval collapsed under the unit functional")
     alpha = 0.5 * (lo + hi)
-    dual = augmented_dual_membership(C, x_star, alpha)
+    dual = _dual_flags(hi, alpha)
     if not dual["cor_a_plus"]:
         raise Inconclusive("threshold failed the augmented-dual interior check")
     family = {"BP"} | {k for k, v in dual.items() if v and k != "a_plus"}
@@ -291,52 +292,39 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     )
 
 
-def _flip(cert: SeparationCertificate) -> SeparationCertificate:
-    return SeparationCertificate(
-        orientation=Orientation.K_FROM_C,
-        x_star=cert.x_star,
-        alpha=cert.alpha,
-        alpha_interval=cert.alpha_interval,
-        distance=cert.distance,
-        witnesses=cert.witnesses,
-        family=cert.family,
-        iterations=cert.iterations,
-    )
+def _separate_k_from_c(C: ConeRegion, K: ConeRegion, tol: float
+                       ) -> SeparationCertificate | None:
+    """separate_nonsym(K, C), labelled as the K-from-C orientation of (C, K)."""
+    cert = separate_nonsym(K, C, tol=tol)
+    if cert is None:
+        return None
+    return replace(cert, orientation=Orientation.K_FROM_C)
 
 
-def separate_sym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL,
-                 prefer: Orientation = Orientation.C_FROM_K
+def separate_sym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
                  ) -> SeparationCertificate | None:
-    """Separation in either orientation, trying `prefer` first.
+    """Separation in either orientation: C from K first, then K from C.
 
-    The verdict is cross-checked against the plain-body distance between the
-    two norm-base hulls, which is positive exactly when some orientation
-    works; a disagreement raises Inconclusive instead of guessing.
+    The first certificate is returned as it stands: with exact LMOs its
+    non-empty threshold interval (lo, hi) puts the two norm-base hulls at
+    least hi - lo apart, so no cross-check could overturn it.  Without one,
+    an Inconclusive from either orientation is re-raised.  Only when both
+    certified a zero gap is the verdict cross-checked against the plain-body
+    distance between the hulls, which is positive exactly when some
+    orientation works; a clear positive distance raises Inconclusive.
     """
-    first_is_ck = prefer == Orientation.C_FROM_K
-    pending: Exception | None = None
-    cert: SeparationCertificate | None = None
-    for first in (True, False):
+    pending: Inconclusive | None = None
+    for one_sided in (separate_nonsym, _separate_k_from_c):
         try:
-            if first == first_is_ck:
-                cert = separate_nonsym(C, K, tol=tol)
-            else:
-                got = separate_nonsym(K, C, tol=tol)
-                cert = _flip(got) if got is not None else None
+            cert = one_sided(C, K, tol=tol)
         except Inconclusive as exc:
             pending = exc
             continue
         if cert is not None:
-            break
-    sym = body_distance(body(C, False), body(K, False), tol=tol)
-    if cert is not None:
-        if sym.kind == "zero" and sym.certified:
-            raise Inconclusive(
-                "orientations disagree with the symmetric distance cross-check"
-            )
-        return cert
+            return cert
     if pending is not None:
         raise pending
+    sym = body_distance(body(C, False), body(K, False), tol=tol)
     if sym.kind == "positive" and sym.distance > DEAD_BAND * tol:
         raise Inconclusive(
             "symmetric distance is positive but neither orientation certified"
@@ -362,8 +350,7 @@ def separate_convex_bidirectional(C: ConeRegion, K: ConeRegion,
     if not (C.is_single_piece and K.is_single_piece):
         raise NotConvex("bidirectional separation needs single convex pieces")
     cfromk = separate_nonsym(C, K, tol=tol)
-    got = separate_nonsym(K, C, tol=tol)
-    kfromc = _flip(got) if got is not None else None
+    kfromc = _separate_k_from_c(C, K, tol=tol)
     linear = None
     if cfromk is not None and kfromc is not None:
         v = cfromk.x_star - kfromc.x_star
@@ -392,35 +379,51 @@ def boundary_region(region: ConeRegion) -> ConeRegion:
     )
 
 
+def _pieces_meet_only_at_origin(P: PolyCone, Q: PolyCone, tol: float) -> bool:
+    if geometry.pointedness(P).pointed:
+        hull, other = P, Q
+    elif geometry.pointedness(Q).pointed:
+        hull, other = Q, P
+    else:
+        raise Inconclusive("intersection test needs a pointed piece in each pair")
+    res = body_distance(
+        PolytopeBody(hull.generators.T.copy()),
+        body(ConeRegion.piece(other), adjoin_origin=True),
+        tol=tol,
+    )
+    return decide_gap(res, "intersection distance", tol)
+
+
+def _inside_interior(P: PolyCone, cone: PolyCone) -> bool:
+    return all(geometry.strictly_interior(cone, g) for g in P.generators.T)
+
+
 def cones_meet_only_at_origin(C: ConeRegion, K: ConeRegion,
                               tol: float = DEFAULT_TOL) -> bool:
-    """Exact triviality test for the intersection of two piece/union regions.
+    """Exact triviality test for the intersection of two regions, leaf by
+    leaf through their pieces (a boundary leaf's are its facet cones).
 
     Every ray of a cone crosses the convex hull of its unit generators, and
     for a pointed cone that hull misses the origin; so piece P meets piece Q
     beyond the origin exactly when hull(P's generators) touches Q.  One of
     the two pieces in each pair must be pointed for the reduction to apply.
+    A piece meets the closed complement of a solid cone only at the origin
+    exactly when its generators are interior to that cone; two complements
+    raise Inconclusive.
     """
-    for P in C.piece_cones():
-        for Q in K.piece_cones():
-            if geometry.pointedness(P).pointed:
-                hull, other = P, Q
-            elif geometry.pointedness(Q).pointed:
-                hull, other = Q, P
+    for a in C.leaves:
+        for b in K.leaves:
+            if not (a.pieces or b.pieces):
+                raise Inconclusive("intersection test cannot pair two complements")
+            if not b.pieces:
+                ok = all(_inside_interior(P, b.cone) for P in a.pieces)
+            elif not a.pieces:
+                ok = all(_inside_interior(Q, a.cone) for Q in b.pieces)
             else:
-                raise Inconclusive(
-                    "intersection test needs a pointed piece in each pair"
-                )
-            res = body_distance(
-                PolytopeBody(hull.generators.T.copy()),
-                body(ConeRegion.piece(other), adjoin_origin=True),
-                tol=tol,
-            )
-            if res.kind == "zero":
-                if not res.certified:
-                    raise Inconclusive("intersection distance did not certify")
+                ok = all(_pieces_meet_only_at_origin(P, Q, tol)
+                         for P in a.pieces for Q in b.pieces)
+            if not ok:
                 return False
-            require_clear_gap(res, "intersection distance", tol)
     return True
 
 
@@ -454,11 +457,7 @@ def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
 
     def gap(a: ConvexBody, b: ConvexBody) -> tuple[bool, float]:
         res = body_distance(a, b, tol=tol)
-        if res.kind == "positive":
-            require_clear_gap(res, "boundary-condition distance", tol)
-        if res.kind == "zero" and not res.certified:
-            raise Inconclusive("boundary-condition distance did not certify")
-        return res.kind == "positive", res.distance
+        return decide_gap(res, "boundary-condition distance", tol), res.distance
 
     meet = cones_meet_only_at_origin(C, K, tol=tol)
     c1, d1 = gap(body(C, False), body(K, True))

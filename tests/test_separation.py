@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -306,6 +307,26 @@ def test_meet_only_at_origin():
     assert not cones_meet_only_at_origin(ORTHANT, ray_region([1.0, 1.0]))
 
 
+def test_meet_only_at_origin_through_complement_and_boundary_leaves():
+    # The intersection test used to pair plain pieces only, so a complement
+    # or boundary leaf dropped out and the answer was True.
+    C = ConeRegion.piece(sector_cone_2d(0.0, 20.0))
+    outside = ConeRegion.complement(sector_cone_2d(180.0, 30.0))
+    assert not cones_meet_only_at_origin(C, outside)
+    assert not cones_meet_only_at_origin(outside, C)
+    assert boundary_equivalence_report(C, outside).consistent
+    inside = ConeRegion.piece(sector_cone_2d(180.0, 10.0))
+    assert cones_meet_only_at_origin(inside, outside)
+    assert cones_meet_only_at_origin(outside, inside)
+    straddling = ConeRegion.piece(sector_cone_2d(160.0, 15.0))
+    assert not cones_meet_only_at_origin(straddling, outside)
+    edges = ConeRegion.boundary(sector_cone_2d(0.0, 10.0))
+    assert not cones_meet_only_at_origin(C, edges)
+    assert cones_meet_only_at_origin(NARROW_SECTOR, edges)
+    with pytest.raises(Inconclusive):
+        cones_meet_only_at_origin(outside, outside)
+
+
 def test_boundary_report_rays():
     report = boundary_equivalence_report(
         ray_region([0.0, 1.0]), ray_region([1.0, 0.0])
@@ -353,6 +374,14 @@ def test_sym_matches_disjunction_on_random_pairs():
             continue
         done += 1
         assert (sym is not None) == (ck is not None or kc is not None)
+        # each certificate alone proves the two base hulls disjoint
+        for cert, X, Y in ((sym, C, K), (ck, C, K), (kc, K, C)):
+            if cert is not None:
+                enclosed, excluded = (
+                    (X, Y) if cert.orientation is Orientation.C_FROM_K else (Y, X)
+                )
+                assert (enclosed.lmo(cert.x_star).value
+                        > -excluded.lmo(-cert.x_star).value)
 
 
 # random_region pairs whose distance solves used to stall: every Frank-Wolfe
@@ -423,3 +452,55 @@ def test_uncertified_gap_is_reported_as_uncertified(monkeypatch):
         assert "uncertified" in msg and "max_iter" in msg
         assert "dead-band" not in msg
         assert re.search(r"\[\d\.\d{3}e[+-]\d+, \d\.\d{3}e[+-]\d+\]", msg)
+
+
+TWO_CLOSE_RAYS = (
+    ray_region([1.0, 0.0]), ray_region([math.cos(5e-9), math.sin(5e-9)])
+)
+
+
+@pytest.mark.parametrize("C, K, solves, separated", [
+    (NARROW_SECTOR, LINE_PAIR, 1, True),
+    (LINE_PAIR, NARROW_SECTOR, 2, True),
+    (ORTHANT, ORTHANT, 3, False),
+    (*TWO_CLOSE_RAYS, 2, None),
+], ids=["c-from-k", "k-from-c", "not-separated", "dead-band"])
+def test_sym_runs_each_solve_once(C, K, solves, separated, monkeypatch):
+    # C from K, then K from C; the plain-body cross-check runs only when
+    # both certified a zero gap.
+    count = []
+    solve = separation.body_distance
+
+    def counting(*args, **kwargs):
+        count.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(separation, "body_distance", counting)
+    if separated is None:
+        with pytest.raises(Inconclusive):
+            separate_sym(C, K)
+    else:
+        assert (separate_sym(C, K) is not None) == separated
+    assert len(count) == solves
+
+
+def _uncertified_zero_body_distance(monkeypatch, module):
+    real = module.body_distance
+
+    def stalled(*args, **kwargs):
+        res = real(*args, **kwargs)
+        assert res.kind == "zero" and res.certified
+        return dataclasses.replace(res, certified=False, stop="max_iter")
+
+    monkeypatch.setattr(module, "body_distance", stalled)
+
+
+def test_uncertified_zero_is_inconclusive(monkeypatch):
+    _uncertified_zero_body_distance(monkeypatch, separation)
+    _uncertified_zero_body_distance(monkeypatch, basis)
+    line = ConeRegion.piece(make_polycone([[1.0, 0.0], [-1.0, 0.0]]))
+    for call in (lambda: separate_nonsym(ORTHANT, ORTHANT),
+                 lambda: cones_meet_only_at_origin(ORTHANT, ORTHANT),
+                 lambda: basis.is_well_based(line)):
+        with pytest.raises(Inconclusive, match="did not certify"):
+            call()
