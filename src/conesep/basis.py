@@ -128,7 +128,8 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
     )
 
 
-def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertificate:
+def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL,
+                    well_based: BaseCertificate | None = None) -> BaseCertificate:
     """Decide whether the norm-base fits in an open half-space {x* > 0}.
 
     For piece/union regions this reduces to the pooled generators: a
@@ -136,11 +137,13 @@ def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifi
     generator, so the verdict is whether the origin lies in their convex
     hull (solved by the min-norm-point kernel, independently of the
     distance engine used by is_well_based).  Regions with complement or
-    boundary leaves fall back to the hull-body distance.
+    boundary leaves fall back to the hull-body distance, that is to
+    is_well_based; a caller that already holds its certificate for this
+    region and tol passes it as well_based to skip the second solve.
     """
     _check_nontrivial(region)
     if region.has_compound_leaves:
-        probe = is_well_based(region, tol=tol)
+        probe = well_based or is_well_based(region, tol=tol)
         if probe.well_based:
             return BaseCertificate(kind=BaseKind.CONVEX_BASE, x_star=probe.x_star)
         return BaseCertificate(

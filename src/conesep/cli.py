@@ -14,12 +14,15 @@ conditions disagree), 3 input or usage error.
 Several instance files may be given to most subcommands; they are
 evaluated in order and emitted one JSON document per line, with the worst
 exit code winning.  Every subcommand rejects a non-Euclidean instance.
+The --tol, --seed, --verify-samples and --resolution flags override the
+file's options of the same names; a bad value is an input error.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .errors import ConesepError, Inconclusive, InstanceError
 from .geometry import Norm
 from .instances import (
     Instance,
-    certificate_to_doc,
+    InstanceOptions,
     jsonable,
     load_certificate,
     load_instance,
@@ -56,39 +59,18 @@ def _pair(text: str) -> tuple[str, str]:
     return parts[0].strip(), parts[1].strip()
 
 
-def _option(cli_value, file_value):
-    return file_value if cli_value is None else cli_value
-
-
-def _verification_doc(report) -> dict:
-    return {
-        "ok": report.ok,
-        "enclosed_count": report.enclosed_count,
-        "excluded_count": report.excluded_count,
-        "enclosed_violations": report.enclosed_violations,
-        "excluded_violations": report.excluded_violations,
-        "min_enclosed_margin": report.min_enclosed_margin,
-        "min_excluded_margin": report.min_excluded_margin,
-    }
-
-
 def _one_sided_doc(cert, C, K, samples: int, rng) -> tuple[dict, bool]:
     if cert is None:
         return {"certificate": None, "verification": None}, False
     report = verify_certificate(cert, C, K, count=samples, rng=rng)
-    doc = {
-        "certificate": certificate_to_doc(cert),
-        "verification": _verification_doc(report),
-    }
-    return doc, report.ok
+    return {"certificate": jsonable(cert), "verification": jsonable(report)}, report.ok
 
 
 def cmd_separate(inst: Instance, args) -> tuple[dict, int]:
     name_c, name_k = args.pair
     C, K = inst.region(name_c), inst.region(name_k)
-    tol = _option(args.tol, inst.options.tol)
-    samples = _option(args.verify_samples, inst.options.verify_samples)
-    rng = np.random.default_rng(_option(args.seed, inst.options.seed))
+    tol, samples = inst.options.tol, inst.options.verify_samples
+    rng = np.random.default_rng(inst.options.seed)
     base = {"mode": args.mode, "pair": [name_c, name_k]}
     if args.mode == "bidir":
         res = separate_convex_bidirectional(C, K, tol=tol)
@@ -101,7 +83,7 @@ def cmd_separate(inst: Instance, args) -> tuple[dict, int]:
             "verdict": "separated" if both else "not_separated",
             "cfromk": doc_ck,
             "kfromc": doc_kc,
-            "linear": jsonable(res.linear) if res.linear is not None else None,
+            "linear": jsonable(res.linear),
         }
         if not verified:
             doc["verdict"] = "inconclusive"
@@ -123,38 +105,15 @@ def cmd_separate(inst: Instance, args) -> tuple[dict, int]:
     return doc, EXIT_SEPARATED
 
 
-def _base_cert_doc(cert) -> dict:
-    return {
-        "kind": cert.kind.value,
-        "x_star": jsonable(cert.x_star) if cert.x_star is not None else None,
-        "alpha": cert.alpha,
-        "base_vertices": (
-            jsonable(cert.base_vertices) if cert.base_vertices is not None else None
-        ),
-        "witness_points": (
-            jsonable(cert.witness_points) if cert.witness_points is not None else None
-        ),
-        "witness_weights": (
-            jsonable(cert.witness_weights)
-            if cert.witness_weights is not None else None
-        ),
-        "witness_pair": (
-            [jsonable(cert.witness_pair[0]), jsonable(cert.witness_pair[1])]
-            if cert.witness_pair is not None else None
-        ),
-    }
-
-
 def cmd_base(inst: Instance, args) -> tuple[dict, int]:
     region = inst.region(args.cone)
-    tol = _option(args.tol, inst.options.tol)
-    wb = is_well_based(region, tol=tol)
-    cb = has_convex_base(region, tol=tol)
+    wb = is_well_based(region, tol=inst.options.tol)
+    cb = has_convex_base(region, tol=inst.options.tol, well_based=wb)
     doc = {
         "cone": args.cone,
         "verdict": "well_based" if wb.well_based else "not_well_based",
-        "well_based": _base_cert_doc(wb),
-        "convex_base": _base_cert_doc(cb),
+        "well_based": jsonable(wb),
+        "convex_base": jsonable(cb),
     }
     return doc, EXIT_SEPARATED if wb.well_based else EXIT_NEGATIVE
 
@@ -162,14 +121,13 @@ def cmd_base(inst: Instance, args) -> tuple[dict, int]:
 def cmd_interpolate(inst: Instance, args) -> tuple[dict, int]:
     inner = inst.region(args.inner)
     outer = inst.region(args.outer).single_cone()
-    tol = _option(args.tol, inst.options.tol)
-    samples = _option(args.verify_samples, inst.options.verify_samples)
-    rng = np.random.default_rng(_option(args.seed, inst.options.seed))
-    gamma = interpolate(inner, outer, tol=tol)
+    gamma = interpolate(inner, outer, tol=inst.options.tol)
     base = {"inner": args.inner, "outer": args.outer}
     if gamma is None:
         return {**base, "verdict": "not_interpolated"}, EXIT_NEGATIVE
-    check = verify_interpolation(gamma, inner, outer, count=samples, rng=rng)
+    check = verify_interpolation(gamma, inner, outer,
+                                 count=inst.options.verify_samples,
+                                 rng=np.random.default_rng(inst.options.seed))
     doc = {
         **base,
         "verdict": "interpolated",
@@ -177,14 +135,7 @@ def cmd_interpolate(inst: Instance, args) -> tuple[dict, int]:
         "alpha": gamma.functional.alpha,
         "alpha_interval": list(gamma.certificate.alpha_interval),
         "family": sorted(gamma.family_flags),
-        "verification": {
-            "ok": check.ok,
-            "inner_count": check.inner_count,
-            "base_count": check.base_count,
-            "inner_violations": check.inner_violations,
-            "base_violations": check.base_violations,
-            "min_inner_margin": check.min_inner_margin,
-        },
+        "verification": jsonable(check),
     }
     if not check.ok:
         doc["verdict"] = "inconclusive"
@@ -194,18 +145,10 @@ def cmd_interpolate(inst: Instance, args) -> tuple[dict, int]:
 
 def cmd_check(inst: Instance, args) -> tuple[dict, int]:
     name_c, name_k = args.pair
-    tol = _option(args.tol, inst.options.tol)
     report = boundary_equivalence_report(
-        inst.region(name_c), inst.region(name_k), tol=tol
+        inst.region(name_c), inst.region(name_k), tol=inst.options.tol
     )
-    doc = {
-        "report": args.report,
-        "pair": [name_c, name_k],
-        "conditions": list(report.conditions),
-        "meet_only_at_origin": report.meet_only_at_origin,
-        "distances": jsonable(report.distances),
-        "consistent": report.consistent,
-    }
+    doc = {"report": args.report, "pair": [name_c, name_k], **jsonable(report)}
     if not report.consistent:
         doc["verdict"] = "defect"
         return doc, EXIT_INCONCLUSIVE
@@ -215,7 +158,7 @@ def cmd_check(inst: Instance, args) -> tuple[dict, int]:
 
 def cmd_oracle(inst: Instance, args) -> tuple[dict, int]:
     name_c, name_k = args.pair
-    resolution = _option(args.resolution, inst.options.resolution)
+    resolution = inst.options.resolution
     res = oracle_separation(
         inst.region(name_c), inst.region(name_k), resolution=resolution
     )
@@ -223,7 +166,7 @@ def cmd_oracle(inst: Instance, args) -> tuple[dict, int]:
         "pair": [name_c, name_k],
         "resolution": resolution,
         "verdict": "separated" if res.separated else "not_separated",
-        "direction": jsonable(res.direction) if res.direction is not None else None,
+        "direction": jsonable(res.direction),
         "interval": list(res.interval),
         "margin": res.margin,
     }
@@ -256,7 +199,11 @@ def _evaluate(path: str, args) -> tuple[dict, int]:
             raise InstanceError(
                 "the distance engine supports only the euclidean norm"
             )
-        doc, code = _COMMANDS[args.command](inst, args)
+        # a flag the subcommand lacks (only oracle has --resolution) is None
+        flags = {f.name: getattr(args, f.name, None) for f in fields(InstanceOptions)}
+        options = replace(inst.options,
+                          **{k: v for k, v in flags.items() if v is not None})
+        doc, code = _COMMANDS[args.command](replace(inst, options=options), args)
     except Inconclusive as exc:
         doc, code = {"verdict": "inconclusive", "error": str(exc)}, EXIT_INCONCLUSIVE
     except InstanceError as exc:

@@ -22,7 +22,7 @@ class TrivialRegion(ConesepError):
 
 
 class ZeroDirection(ConesepError):
-    """An LMO / support query was made with a zero direction."""
+    """An LMO / support query was made with a zero or non-finite direction."""
 
 
 class DegenerateCone(ConesepError):

@@ -10,7 +10,9 @@ is the identity on canonical documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -25,15 +27,35 @@ _REGION_KINDS = ("convex", "union", "complement", "boundary")
 _TOP_KEYS = {"dim", "norm", "cones", "options"}
 _CONE_KEYS = {"kind", "pieces"}
 _PIECE_KEYS = {"generators", "facets"}
-_OPTION_KEYS = {"tol", "verify_samples", "seed", "resolution"}
 
 
 @dataclass(frozen=True)
 class InstanceOptions:
+    """Solver settings: the one table of option names, types, defaults and
+    ranges.  A file sets them under "options" and CLI flags of the same
+    names override them.  The default's type is the option's type: floats
+    must be finite and > 0, ints at least their "min"; bools are neither.
+    Construction checks every value, so ``dataclasses.replace`` checks a
+    flag as it checks a file."""
+
     tol: float = 1e-9
-    verify_samples: int = 1000
-    seed: int = 0
+    verify_samples: int = field(default=1000, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
     resolution: float = 0.25
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float):
+                rule = "a finite number > 0"
+                ok = type(value) in (int, float) and 0 < value <= sys.float_info.max
+                if ok:
+                    object.__setattr__(self, f.name, float(value))
+            else:
+                rule = f"an integer >= {f.metadata['min']}"
+                ok = type(value) is int and value >= f.metadata["min"]
+            if not ok:
+                raise InstanceError(f"options.{f.name}: expected {rule}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,15 +164,9 @@ def parse_instance(text: str) -> Instance:
     opts_raw = doc.get("options", {})
     if not isinstance(opts_raw, dict):
         raise InstanceError("'options' must be a mapping")
-    _check_keys(opts_raw, _OPTION_KEYS, "options")
-    options = InstanceOptions(
-        tol=float(opts_raw.get("tol", 1e-9)),
-        verify_samples=int(opts_raw.get("verify_samples", 1000)),
-        seed=int(opts_raw.get("seed", 0)),
-        resolution=float(opts_raw.get("resolution", 0.25)),
-    )
+    _check_keys(opts_raw, {f.name for f in fields(InstanceOptions)}, "options")
     return Instance(dim=dim, norm=norm, regions=regions, kinds=kinds,
-                    options=options)
+                    options=InstanceOptions(**opts_raw))
 
 
 def load_instance(path: str) -> Instance:
@@ -183,12 +199,7 @@ def serialize_instance(inst: Instance) -> str:
             name: _region_doc(inst.regions[name], inst.kinds[name])
             for name in sorted(inst.regions)
         },
-        "options": {
-            "tol": inst.options.tol,
-            "verify_samples": inst.options.verify_samples,
-            "seed": inst.options.seed,
-            "resolution": inst.options.resolution,
-        },
+        "options": jsonable(inst.options),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -198,8 +209,16 @@ def serialize_instance(inst: Instance) -> str:
 # ---------------------------------------------------------------------------
 
 def jsonable(value):
-    """Recursively convert numpy scalars/arrays so json.dumps renders them
-    with shortest round-trip precision."""
+    """Recursively convert records, enums and numpy values so json.dumps
+    renders them with shortest round-trip precision: a dataclass becomes
+    the mapping of its fields, an enum its value, and a bool stays a bool
+    (tested before int, which it subclasses)."""
+    if is_dataclass(value):
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
     if isinstance(value, np.ndarray):
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
@@ -216,17 +235,7 @@ def jsonable(value):
 
 
 def certificate_to_doc(cert: SeparationCertificate) -> dict:
-    return {
-        "orientation": cert.orientation.value,
-        "x_star": jsonable(cert.x_star),
-        "alpha": float(cert.alpha),
-        "alpha_interval": [float(cert.alpha_interval[0]),
-                           float(cert.alpha_interval[1])],
-        "distance": float(cert.distance),
-        "witnesses": [jsonable(cert.witnesses[0]), jsonable(cert.witnesses[1])],
-        "family": sorted(cert.family),
-        "iterations": int(cert.iterations),
-    }
+    return jsonable(cert)
 
 
 def doc_to_certificate(doc: dict) -> SeparationCertificate:

@@ -10,6 +10,7 @@ used by the distance engine is conv(B), optionally with the origin adjoined
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,8 +199,12 @@ class ConeRegion:
         f = np.asarray(direction, dtype=float)
         if f.shape != (self.dim,):
             raise DimensionMismatch("direction dimension does not match the region")
-        if float(np.linalg.norm(f)) <= 1e-300:
-            raise ZeroDirection("LMO needs a nonzero direction")
+        fn = float(np.linalg.norm(f))
+        if not 1e-300 < fn < math.inf:
+            raise ZeroDirection(
+                "LMO needs a nonzero direction" if fn <= 1e-300
+                else "LMO needs a finite direction"
+            )
         return min((leaf.lmo(f) for leaf in self.leaves), key=lambda r: r.value)
 
     def contains_unit_batch(self, X, tol: float = geometry.MEMBERSHIP_TOL) -> np.ndarray:

@@ -193,6 +193,80 @@ def test_batch_ndjson_and_exit_max(capsys, rays, identical):
     assert by_path[identical]["verdict"] == "not_separated"
 
 
+def test_batch_bad_option_file_exits_3(capsys, tmp_path, rays, identical):
+    bad = _write(tmp_path, "bad.json", {
+        "dim": 2,
+        "cones": {"C": {"pieces": [{"generators": [[1, 0]]}]},
+                  "K": {"pieces": [{"generators": [[0, 1]]}]}},
+        "options": {"verify_samples": 0},
+    })
+    code = main(["separate", rays, bad, identical, "--pair", "C,K"])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 3
+    by_path = {doc["instance"]: doc for doc in lines}
+    assert by_path[rays]["verdict"] == "separated"
+    assert by_path[identical]["verdict"] == "not_separated"
+    assert by_path[bad]["verdict"] == "error"
+    assert "options.verify_samples" in by_path[bad]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["separate", "--pair", "C,K", "--tol", "-1"],
+    ["separate", "--pair", "C,K", "--tol", "nan"],
+    ["separate", "--pair", "C,K", "--seed", "-3"],
+    ["separate", "--pair", "C,K", "--verify-samples", "0"],
+    ["oracle", "--pair", "C,K", "--resolution", "0"],
+])
+def test_bad_option_flag_exits_3(capsys, rays, identical, argv):
+    code = main([argv[0], rays, identical, *argv[1:]])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == 3
+    assert [doc["verdict"] for doc in lines] == ["error", "error"]
+    name = argv[-2].lstrip("-").replace("-", "_")
+    assert all(f"options.{name}" in doc["error"] for doc in lines)
+
+
+def test_option_flag_overrides_file(capsys, tmp_path):
+    path = _write(tmp_path, "opts.json", {
+        "dim": 2,
+        "cones": {"C": {"pieces": [{"generators": _sector(90, 10)}]},
+                  "K": {"pieces": [{"generators": [[1, 0]]}]}},
+        "options": {"resolution": 0.5, "verify_samples": 7},
+    })
+    code, doc = _run(capsys, ["oracle", path, "--pair", "C,K"])
+    assert code == 0 and doc["resolution"] == 0.5
+    code, doc = _run(capsys, ["oracle", path, "--pair", "C,K",
+                              "--resolution", "2"])
+    assert code == 0 and doc["resolution"] == 2.0
+    code, doc = _run(capsys, ["separate", path, "--pair", "C,K",
+                              "--verify-samples", "11"])
+    assert code == 0
+    assert doc["verification"]["enclosed_count"] == 11
+
+
+def test_base_on_complement_solves_once(capsys, tmp_path, monkeypatch):
+    from conesep import basis
+
+    path = _write(tmp_path, "complement.json", {
+        "dim": 2,
+        "cones": {"C": {"kind": "complement",
+                        "pieces": [{"generators": _sector(90, 30)}]}},
+    })
+    calls = []
+    solve = basis.body_distance
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return solve(*a, **kw)
+
+    monkeypatch.setattr(basis, "body_distance", counted)
+    code, doc = _run(capsys, ["base", path, "--cone", "C"])
+    assert len(calls) == 1
+    assert code == 1
+    assert doc["well_based"]["kind"] == "NotWellBased"
+    assert doc["convex_base"]["kind"] == "NoConvexBase"
+
+
 def test_batch_honors_thread_env(capsys, monkeypatch, rays, identical):
     monkeypatch.setenv("CONESEP_THREADS", "1")
     code = main(["separate", rays, identical, rays, "--mode", "sym",

@@ -99,6 +99,39 @@ def test_unknown_field_options():
         )
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol", "abc"),
+    ("tol", -1),
+    ("tol", 0),
+    ("tol", 1e400),
+    ("tol", True),
+    ("resolution", 0),
+    ("resolution", None),
+    ("verify_samples", 0),
+    ("verify_samples", 2.5),
+    ("verify_samples", False),
+    ("seed", None),
+    ("seed", -3),
+    ("seed", "1"),
+])
+def test_bad_option_values_name_the_option(name, value):
+    text = json.dumps({"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0]]}]}},
+                       "options": {name: value}})
+    with pytest.raises(InstanceError, match=rf"options\.{name}: expected"):
+        parse_instance(text)
+
+
+def test_option_values_are_converted_and_kept():
+    inst = parse_instance(
+        '{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0]]}]}},'
+        ' "options": {"tol": 1, "resolution": 2, "seed": 0, "verify_samples": 1}}'
+    )
+    assert inst.options.tol == 1.0 and type(inst.options.tol) is float
+    assert type(inst.options.resolution) is float
+    assert json.loads(serialize_instance(inst))["options"] == {
+        "tol": 1.0, "resolution": 2.0, "seed": 0, "verify_samples": 1}
+
+
 def test_json_error_reports_line_and_column():
     with pytest.raises(InstanceError,
                        match="line 1 column 2: Expecting property name"):

@@ -77,6 +77,21 @@ def test_zero_direction_rejected():
         lmo_norm_base(ConeRegion.piece(ORTHANT), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("kind", ["piece", "union", "complement", "boundary"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_direction_rejected(kind, bad):
+    cone = make_polycone([[1.0, 0.0], [0.0, 1.0]])
+    region = {
+        "piece": ConeRegion.piece(cone),
+        "union": ConeRegion.union(ConeRegion.piece(cone),
+                                  ConeRegion.piece(make_polycone([[-1.0, 0.0]]))),
+        "complement": ConeRegion.complement(cone),
+        "boundary": ConeRegion.boundary(cone),
+    }[kind]
+    with pytest.raises(ZeroDirection, match="finite"):
+        region.lmo(np.array([bad, 1.0]))
+
+
 def test_single_cone_requires_single_piece():
     region = ConeRegion.union(
         ConeRegion.piece(make_polycone([[1.0, 0.0]])),
