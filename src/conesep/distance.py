@@ -83,7 +83,7 @@ def _support_difference(A, B, v: np.ndarray):
     return ra.value + rb.value, ra.witness, rb.witness
 
 
-def body_distance(A, B, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> DistanceResult:
+def body_distance(A, B, tol: float = DEFAULT_TOL) -> DistanceResult:
     """Distance between conv bodies A and B with witnesses.
 
     A and B expose ``dim`` and ``lmo(direction) -> (value, witness)`` over
@@ -117,7 +117,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> D
     stop = "max_iter"
     wolfe_uncertified = 0
     it = 0
-    while it < max_iter:
+    while it < MAX_ITER:
         it += 1
         nv2 = float(v @ v)
         if nv2 <= tol2:

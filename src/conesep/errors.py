@@ -22,7 +22,8 @@ class TrivialRegion(ConesepError):
 
 
 class ZeroDirection(ConesepError):
-    """An LMO / support query was made with a zero or non-finite direction."""
+    """An LMO, support or NNLS query was made with a zero or non-finite
+    direction."""
 
 
 class DegenerateCone(ConesepError):

@@ -1,8 +1,10 @@
 """Euclidean norms and polyhedral convex cones given by generator rays.
 
-A ``PolyCone`` stores unit, deduplicated generator columns; the optional
-outer description (inward facet normals) is either supplied and
-cross-checked, or enumerated on demand for ambient dimension at most 4.
+A ``PolyCone`` stores unit, deduplicated generator columns.  Its one outer
+description is the cached ``_inspan_hrep``: inward facet normals within
+the generators' span, supplied (and cross-checked) for a solid cone or
+enumerated when the span has at most MAX_FACET_DIM dimensions; batch
+membership, facet normals, facets and the interior test all read it.
 Enumeration tests every (d-1)-subset of the generators, streaming the
 subsets in chunks of FACET_CHUNK with one cofactor pre-screen and one
 stacked SVD per chunk; the chunk size bounds memory on facet-heavy cones.
@@ -41,6 +43,9 @@ FACET_TOL = 1e-10
 # cone in one SVD ran no faster and raised a CLI batch's peak RSS from 51
 # to 63 MB; from about 128 up the per-call overhead is already amortized.
 FACET_CHUNK = 256
+# Largest span dimension whose facets are enumerated; above it a cone needs
+# supplied facet normals for anything but per-point NNLS membership.
+MAX_FACET_DIM = 4
 
 
 class Norm(Enum):
@@ -103,8 +108,6 @@ class PointednessResult:
 @dataclass(frozen=True)
 class BoundaryDecomposition:
     pieces: tuple[PolyCone, ...]
-    normals: tuple[np.ndarray, ...]
-    degenerate: bool
 
 
 def make_polycone(generators, facets=None) -> PolyCone:
@@ -160,11 +163,11 @@ def make_polycone(generators, facets=None) -> PolyCone:
     return cone
 
 
-def _cross_check_facets(cone: PolyCone, n_samples: int = 64) -> None:
-    """Sampled agreement between the generator and facet descriptions."""
+def _cross_check_facets(cone: PolyCone) -> None:
+    """Agreement between the generator and facet descriptions on 64 random
+    directions."""
     rng = np.random.default_rng(7)
-    d = cone.dim
-    X = rng.standard_normal((n_samples, d))
+    X = rng.standard_normal((64, cone.dim))
     X /= np.linalg.norm(X, axis=1)[:, None]
     inside_h = (X @ cone.facet_normals.T).min(axis=1) >= -1e-9
     for x, h in zip(X, inside_h):
@@ -282,77 +285,74 @@ def _enumerate_facet_normals(points: np.ndarray) -> list[np.ndarray]:
                 found.append(cand)
 
 
-def facet_normals(cone: PolyCone) -> np.ndarray:
-    """Inward facet normals (m, d) of a solid proper cone, d <= 4."""
-    cached = cone._cache.get("facet_normals")
-    if cached is not None:
-        return cached
-    if cone.facet_normals is not None:
-        cone._cache["facet_normals"] = cone.facet_normals
-        return cone.facet_normals
-    if not solidity(cone):
-        raise NotSolid("facet enumeration needs a solid cone")
-    if is_whole_space(cone):
-        raise TrivialRegion("the whole space has no facets")
-    if cone.dim > 4:
-        raise DimensionTooHigh(
-            "facet enumeration is limited to dimension <= 4; supply facets"
-        )
-    normals = _enumerate_facet_normals(cone.generators)
-    N = np.stack(normals, axis=0)
-    N.setflags(write=False)
-    cone._cache["facet_normals"] = N
-    return N
+def _inspan_hrep(cone: PolyCone) -> tuple[np.ndarray, np.ndarray | None]:
+    """The cone's cached outer description (B, N).
 
-
-def facets(cone: PolyCone) -> BoundaryDecomposition:
-    """Boundary decomposition into facet cones.
-
-    A non-solid cone is its own boundary and is returned as a single piece
-    with the ``degenerate`` flag set.
-    """
-    cached = cone._cache.get("facets")
-    if cached is not None:
-        return cached
-    if not solidity(cone):
-        out = BoundaryDecomposition(pieces=(cone,), normals=(), degenerate=True)
-        cone._cache["facets"] = out
-        return out
-    N = facet_normals(cone)
-    pieces = []
-    for nrm in N:
-        on = np.abs(nrm @ cone.generators) <= 1e-9
-        if not on.any():
-            raise NotSolid("facet normal with no incident generators")
-        pieces.append(make_polycone(cone.generators[:, on].T))
-    out = BoundaryDecomposition(
-        pieces=tuple(pieces),
-        normals=tuple(np.array(n) for n in N),
-        degenerate=False,
-    )
-    cone._cache["facets"] = out
-    return out
-
-
-def _inspan_hrep(cone: PolyCone):
-    """(basis, normals-in-span | None) for fast vectorized membership.
-
-    ``normals`` is None when the cone fills its span, in which case only the
-    span residual decides membership.
+    B (d, r) is an orthonormal basis of the generators' span, the identity
+    when the cone is solid, and N (m, r) holds the inward facet normals of
+    the cone within that span: x is in the cone iff x lies in the span and
+    N @ (B.T @ x) >= 0.  A solid cone uses its supplied normals when it has
+    them.  Otherwise N is enumerated when r <= MAX_FACET_DIM and is None
+    above; it has zero rows when the cone fills its span.
     """
     cached = cone._cache.get("hrep")
     if cached is not None:
         return cached
     B = _span_basis(cone)
-    coords = B.T @ cone.generators
     r = B.shape[1]
-    if r <= 4:
-        normals = _enumerate_facet_normals(coords)
-        N = np.stack(normals, axis=0) if normals else None
+    solid = r == cone.dim
+    if solid and cone.facet_normals is not None:
+        N = cone.facet_normals
+    elif r > MAX_FACET_DIM:
+        N = None
     else:
-        N = "nnls"  # fall back to per-point NNLS above dimension 4
+        points = cone.generators if solid else B.T @ cone.generators
+        N = np.array(_enumerate_facet_normals(points)).reshape(-1, r)
+        N.setflags(write=False)
+    if solid:
+        B = np.eye(r)
     cone._cache["hrep"] = (B, N)
     return B, N
+
+
+def _solid_normals(cone: PolyCone) -> np.ndarray:
+    """N of ``_inspan_hrep`` for a cone already known to be solid."""
+    N = _inspan_hrep(cone)[1]
+    if N is None:
+        raise DimensionTooHigh(
+            f"facet enumeration is limited to dimension <= {MAX_FACET_DIM}; "
+            "supply facets"
+        )
+    return N
+
+
+def facet_normals(cone: PolyCone) -> np.ndarray:
+    """Inward facet normals (m, d) of a solid cone other than the whole
+    space: the supplied ones, or enumerated up to MAX_FACET_DIM."""
+    if not solidity(cone):
+        raise NotSolid("facet enumeration needs a solid cone")
+    if is_whole_space(cone):
+        raise TrivialRegion("the whole space has no facets")
+    return _solid_normals(cone)
+
+
+def facets(cone: PolyCone) -> BoundaryDecomposition:
+    """Boundary decomposition into facet cones.
+
+    A non-solid cone is its own boundary and is returned as a single piece.
+    """
+    out = cone._cache.get("facets")
+    if out is None:
+        pieces = [cone]
+        if solidity(cone):
+            pieces = []
+            for nrm in facet_normals(cone):
+                on = np.abs(nrm @ cone.generators) <= 1e-9
+                if not on.any():
+                    raise NotSolid("facet normal with no incident generators")
+                pieces.append(make_polycone(cone.generators[:, on].T))
+        out = cone._cache["facets"] = BoundaryDecomposition(tuple(pieces))
+    return out
 
 
 def contains_batch(cone: PolyCone, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
@@ -363,15 +363,13 @@ def contains_batch(cone: PolyCone, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -
     if X.shape[1] != cone.dim:
         raise DimensionMismatch("point dimension does not match the cone")
     B, N = _inspan_hrep(cone)
-    if isinstance(N, str):
+    if N is None:
         return np.array([cone_membership(x, cone, tol) for x in X])
     coords = X @ B
     resid = np.linalg.norm(X - coords @ B.T, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
-    ok = resid <= tol * scale
-    if N is not None:
-        ok &= (coords @ N.T).min(axis=1, initial=np.inf) >= -tol * scale
-    return ok
+    return ((resid <= tol * scale)
+            & ((coords @ N.T).min(axis=1, initial=np.inf) >= -tol * scale))
 
 
 def strictly_interior(cone: PolyCone, x, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -381,6 +379,6 @@ def strictly_interior(cone: PolyCone, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return False
     if is_whole_space(cone):
         return True
-    N = facet_normals(cone)
+    N = _solid_normals(cone)
     scale = max(1.0, float(np.linalg.norm(x)))
     return float((N @ x).min()) > tol * scale

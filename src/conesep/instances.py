@@ -186,7 +186,7 @@ def _region_doc(region: ConeRegion, kind: str) -> dict:
     for leaf in region.leaves:
         piece = {"generators": leaf.cone.generators.T.tolist()}
         if leaf.cone.facet_normals is not None:
-            piece["facets"] = leaf.cone.facet_normals.T.tolist()
+            piece["facets"] = leaf.cone.facet_normals.tolist()
         pieces.append(piece)
     return {"kind": kind, "pieces": pieces}
 

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ZeroDirection
+
 # Relative KKT slack accepted as "solved" by the active-set NNLS.
 KKT_TOL = 1e-12
 # Relative optimality slack accepted by the min-norm-point loop.
@@ -27,7 +29,7 @@ class NnlsResult:
     iterations: int
 
 
-def nnls(G: np.ndarray, y: np.ndarray, max_iter: int | None = None) -> NnlsResult:
+def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
     """Solve min ||G @ lam - y||_2 subject to lam >= 0 (Lawson-Hanson).
 
     Active-set method: repeatedly move the most violated dual coordinate into
@@ -35,24 +37,25 @@ def nnls(G: np.ndarray, y: np.ndarray, max_iter: int | None = None) -> NnlsResul
     columns, and walk back to feasibility when that solution leaves the
     nonnegative orthant.  The KKT residual reported is relative to the data
     scale, so ``certified`` means the stationarity and complementarity
-    conditions hold to roughly machine precision.
+    conditions hold to roughly machine precision.  A non-finite target
+    raises ZeroDirection.
     """
     G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=float)
     if G.ndim != 2 or y.ndim != 1 or G.shape[0] != y.shape[0]:
         raise ValueError("nnls expects G with shape (d, n) and y with shape (d,)")
     d, n = G.shape
-    if max_iter is None:
-        max_iter = 3 * n + 30
-
-    scale = max(1.0, float(np.abs(G.T @ y).max(initial=0.0)))
+    scale = float(np.abs(G.T @ y).max(initial=0.0))
+    if not scale < np.inf:
+        raise ZeroDirection("nnls needs a finite target")
+    scale = max(1.0, scale)
     tol_w = KKT_TOL * scale
 
     lam = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     outer = 0
     certified = True
-    while outer < max_iter:
+    while outer < 3 * n + 30:
         w = G.T @ (y - G @ lam)
         w_free = np.where(passive, -np.inf, w)
         j = int(np.argmax(w_free))
@@ -152,14 +155,14 @@ def _affine_min_norm(Q: np.ndarray) -> np.ndarray:
     error proportional to cond(D); the bordered Gram system [QQ^T 1; 1^T 0]
     squares that condition number, which on a nearly flat corral (support
     points 1e-4 apart on a curved cap) flips the sign of a weight and makes
-    the minor cycle drop and re-add the same vertex until max_iter.
+    the minor cycle drop and re-add the same vertex until the cycle cap.
     """
     D = (Q[1:] - Q[0]).T
     mu, *_ = np.linalg.lstsq(D, -Q[0], rcond=None)
     return np.concatenate(([1.0 - mu.sum()], mu))
 
 
-def min_norm_point(P: np.ndarray, max_iter: int | None = None) -> MinNormResult:
+def min_norm_point(P: np.ndarray) -> MinNormResult:
     """Wolfe's algorithm for the least-norm point of conv(rows of P).
 
     Maintains a corral of affinely independent points; each major cycle pulls
@@ -175,8 +178,6 @@ def min_norm_point(P: np.ndarray, max_iter: int | None = None) -> MinNormResult:
     m, _ = P.shape
     if m == 0:
         raise ValueError("min_norm_point needs at least one point")
-    if max_iter is None:
-        max_iter = 16 * m + 64
 
     norms2 = np.einsum("ij,ij->i", P, P)
     scale = max(1.0, float(norms2.max()))
@@ -188,7 +189,7 @@ def min_norm_point(P: np.ndarray, max_iter: int | None = None) -> MinNormResult:
     gap = float(x @ x) - float((P @ x).min(initial=0.0))
     certified = False
     it = 0
-    while it < max_iter:
+    while it < 16 * m + 64:
         it += 1
         scores = P @ x
         j = int(np.argmin(scores))

@@ -349,13 +349,12 @@ def random_unpointed_cone(rng: np.random.Generator, dim: int) -> PolyCone:
     return geometry.make_polycone(np.concatenate([g, [line], [-line]], axis=0))
 
 
-def random_region(rng: np.random.Generator, dim: int,
-                  max_pieces: int = 2,
-                  cap_half_angle_deg: float = 40.0) -> ConeRegion:
-    """Random piece or union-of-pieces region."""
-    k = int(rng.integers(1, max_pieces + 1))
+def random_region(rng: np.random.Generator, dim: int) -> ConeRegion:
+    """Random piece or union of up to two pieces, each with its rays in a
+    40-degree cap."""
+    k = int(rng.integers(1, 3))
     parts = [
-        ConeRegion.piece(random_pointed_cone(rng, dim, cap_half_angle_deg=cap_half_angle_deg))
+        ConeRegion.piece(random_pointed_cone(rng, dim, cap_half_angle_deg=40.0))
         for _ in range(k)
     ]
     return ConeRegion.union(*parts)

@@ -12,6 +12,7 @@ positive, and the optimal displacement is itself the functional.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -35,7 +36,7 @@ from .errors import (
     TrivialRegion,
 )
 from .geometry import Norm, PolyCone, dual_norm, norm_value
-from .regions import ConeRegion, ConvexBody, body
+from .regions import ConeRegion, body
 
 # classification band for membership queries, scaled by 1 + |x|
 MEMBERSHIP_BAND = 1e-10
@@ -184,8 +185,7 @@ def _check_nontrivial(region: ConeRegion) -> None:
             raise TrivialRegion("a piece covers the whole space")
 
 
-def augmented_dual_membership(cone: ConeRegion, x_star, alpha: float,
-                              tol: float = DUAL_TOL) -> dict[str, bool]:
+def augmented_dual_membership(cone: ConeRegion, x_star, alpha: float) -> dict[str, bool]:
     """Membership of (x*, alpha) in the augmented dual classes of the cone.
 
     With m the exact minimum of x* over the cone's norm-base:
@@ -198,20 +198,20 @@ def augmented_dual_membership(cone: ConeRegion, x_star, alpha: float,
     """
     _check_nontrivial(cone)
     m = cone.lmo(np.asarray(x_star, dtype=float)).value
-    return _dual_flags(m, alpha, tol)
+    return _dual_flags(m, alpha)
 
 
-def _dual_flags(m: float, alpha: float, tol: float = DUAL_TOL) -> dict[str, bool]:
+def _dual_flags(m: float, alpha: float) -> dict[str, bool]:
     """augmented_dual_membership's flags, given m = min of x* over the base."""
     if alpha < 0.0:
         return {"a_plus": False, "a_sharp": False, "aw_sharp": False,
                 "cor_a_plus": False}
-    strict = m > alpha + tol
+    strict = m > alpha + DUAL_TOL
     return {
-        "a_plus": m >= alpha - tol,
+        "a_plus": m >= alpha - DUAL_TOL,
         "a_sharp": strict,
         "aw_sharp": strict,
-        "cor_a_plus": strict and alpha > tol,
+        "cor_a_plus": strict and alpha > DUAL_TOL,
     }
 
 
@@ -370,10 +370,12 @@ def separate_convex_bidirectional(C: ConeRegion, K: ConeRegion,
 def boundary_region(region: ConeRegion) -> ConeRegion:
     """Region whose pieces are the boundaries of the input's leaf cones.
 
-    A non-solid cone is its own boundary; the boundary of a complement
-    region is the boundary of the underlying cone; boundary leaves map to
-    themselves.
+    A non-solid cone is its own boundary, so a region without a solid leaf
+    cone is returned unchanged; the boundary of a complement region is the
+    boundary of the underlying cone; boundary leaves map to themselves.
     """
+    if not any(geometry.solidity(leaf.cone) for leaf in region.leaves):
+        return region
     return ConeRegion.union(
         *(ConeRegion.boundary(leaf.cone) for leaf in region.leaves)
     )
@@ -448,25 +450,26 @@ class BoundaryEquivalenceReport:
 def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
                                 tol: float = DEFAULT_TOL
                                 ) -> BoundaryEquivalenceReport:
-    """Evaluate the five equivalent forms of one-sided base separation,
-    each through its own distance solve, and flag any disagreement."""
+    """Evaluate the five equivalent forms of one-sided base separation and
+    flag any disagreement.  Each distinct pair of regions takes one distance
+    solve: a closed cone is its own closure, and a region without a solid
+    leaf cone is its own boundary, so forms naming one pair share a solve."""
     _check_nontrivial(C)
     _check_nontrivial(K)
     bd_c = boundary_region(C)
     bd_k = boundary_region(K)
 
-    def gap(a: ConvexBody, b: ConvexBody) -> tuple[bool, float]:
-        res = body_distance(a, b, tol=tol)
+    @functools.cache
+    def gap(a: ConeRegion, b: ConeRegion) -> tuple[bool, float]:
+        res = body_distance(body(a, False), body(b, True), tol=tol)
         return decide_gap(res, "boundary-condition distance", tol), res.distance
 
     meet = cones_meet_only_at_origin(C, K, tol=tol)
-    c1, d1 = gap(body(C, False), body(K, True))
-    # Closed polyhedral cones are their own closures, so the closure form
-    # is the same solve as the full form.
-    c2, d2 = c1, d1
-    s3, d3 = gap(body(bd_c, False), body(bd_k, True))
-    s4, d4 = gap(body(bd_c, False), body(K, True))
-    s5, d5 = gap(body(C, False), body(bd_k, True))
+    c1, d1 = gap(C, K)
+    c2, d2 = gap(C, K)
+    s3, d3 = gap(bd_c, bd_k)
+    s4, d4 = gap(bd_c, K)
+    s5, d5 = gap(C, bd_k)
     conditions = (c1, c2, s3 and meet, s4 and meet, s5 and meet)
     return BoundaryEquivalenceReport(
         conditions=conditions,

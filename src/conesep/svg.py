@@ -23,6 +23,8 @@ REGION_COLORS = ("#1f6fb4", "#d1402e", "#8a5bb8", "#8c6d4f")
 CERT_COLOR = "#2f9e44"
 HULL_COLOR = "#555555"
 GRID_COLOR = "#c8c8c8"
+# Width and height of the square picture in pixels.
+SIZE = 480
 
 _TAU = 2.0 * math.pi
 
@@ -57,25 +59,21 @@ class _Canvas:
             f'stroke="{stroke}" stroke-width="{width:.2f}"{dash_attr}/>'
         )
 
-    def line(self, a, b, stroke: str, width: float,
-             dash: str | None = None) -> None:
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, a, b, stroke: str, width: float) -> None:
         self.parts.append(
             f'<line x1="{self.pt(*a).split(",")[0]}" '
             f'y1="{self.pt(*a).split(",")[1]}" '
             f'x2="{self.pt(*b).split(",")[0]}" '
             f'y2="{self.pt(*b).split(",")[1]}" '
-            f'stroke="{stroke}" stroke-width="{width:.2f}"'
-            f'{dash_attr} stroke-linecap="round"/>'
+            f'stroke="{stroke}" stroke-width="{width:.2f}" '
+            f'stroke-linecap="round"/>'
         )
 
-    def circle(self, r: float, stroke: str, width: float,
-               dash: str | None = None) -> None:
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    def circle(self, r: float, stroke: str, width: float) -> None:
         self.parts.append(
             f'<circle cx="{self.size / 2.0:.2f}" cy="{self.size / 2.0:.2f}" '
             f'r="{r * self.scale:.2f}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width:.2f}"{dash_attr}/>'
+            f'stroke-width="{width:.2f}"/>'
         )
 
     def text(self, x: float, y: float, s: str, color: str,
@@ -215,25 +213,21 @@ def _draw_certificate(canvas: _Canvas, cert: SeparationCertificate) -> None:
 
 
 def render_svg(regions: dict[str, ConeRegion], order: list[str] | None = None,
-               certificate: SeparationCertificate | None = None,
-               origin_adjoined: set[str] | None = None,
-               size: int = 480) -> str:
+               certificate: SeparationCertificate | None = None) -> str:
     """Render named 2-D regions (and optionally a certificate) to SVG text.
 
-    order fixes the drawing/legend sequence; the hulls of regions named in
-    origin_adjoined get the origin adjoined (default: every region after
-    the first in the drawing order, matching the one-sided convention).
+    order fixes the drawing/legend sequence; the hull of every region after
+    the first in that order gets the origin adjoined, matching the
+    one-sided convention.
     """
     names = list(order) if order else sorted(regions)
     names += [n for n in sorted(regions) if n not in names]
     for name in names:
         if regions[name].dim != 2:
             raise DimensionNot2D("SVG rendering is planar only")
-    if origin_adjoined is None:
-        origin_adjoined = set(names[1:])
-    canvas = _Canvas(size)
+    canvas = _Canvas(SIZE)
     canvas.parts.append(
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>'
+        f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>'
     )
     canvas.line((-1.4, 0.0), (1.4, 0.0), GRID_COLOR, 1.0)
     canvas.line((0.0, -1.4), (0.0, 1.4), GRID_COLOR, 1.0)
@@ -244,8 +238,8 @@ def render_svg(regions: dict[str, ConeRegion], order: list[str] | None = None,
     }
     for name in names:
         _draw_region(canvas, regions[name], colors[name])
-    for name in names:
-        _draw_hull(canvas, regions[name], name in origin_adjoined)
+    for i, name in enumerate(names):
+        _draw_hull(canvas, regions[name], i > 0)
     if certificate is not None:
         _draw_certificate(canvas, certificate)
     for name in names:
@@ -259,6 +253,6 @@ def render_svg(regions: dict[str, ConeRegion], order: list[str] | None = None,
                 px=11)
     body = "\n".join(canvas.parts)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">\n{body}\n</svg>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+        f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">\n{body}\n</svg>\n'
     )

@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conesep import geometry
-from conesep.errors import DimensionMismatch, EmptyCone, ZeroGenerator
+from conesep import geometry, kernels
+from conesep.errors import (
+    DimensionMismatch,
+    DimensionTooHigh,
+    EmptyCone,
+    ZeroGenerator,
+)
 from conesep.geometry import (
     FACET_CHUNK,
     FACET_TOL,
@@ -27,6 +32,7 @@ from conesep.geometry import (
     strictly_interior,
 )
 from conesep.oracle import cone_about, random_pointed_cone, sector_cone_2d
+from conesep.regions import ConeRegion
 
 
 def test_make_polycone_normalizes():
@@ -326,3 +332,72 @@ def test_hrep_membership_agrees_with_nnls_on_facet_heavy_cone():
             assert cone_membership(x, cone)
     assert all(strictly_interior(cone, x) for x in inside)
     assert not any(strictly_interior(cone, x) for x in on_facet)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_solid_cone_enumerates_its_facets_once(monkeypatch):
+    calls = _counting(monkeypatch, geometry, "_enumerate_facet_normals")
+    cone = cone_about([0.2, 0.3, 1.0], 30.0, 12)
+    x = np.array([0.2, 0.3, 1.0])
+    assert contains_batch(cone, x)[0]
+    region = ConeRegion.complement(cone)
+    assert not region.contains_unit_batch(x / np.linalg.norm(x))[0]
+    assert region.lmo(-x).value < 0.0
+    assert len(calls) == 1
+
+
+def test_solid_hrep_is_the_facet_normals():
+    for cone in (cone_about([1.0, -2.0, 0.5], 25.0, 9), _cap_cone_48(),
+                 make_polycone(np.eye(2), facets=np.eye(2))):
+        B, N = _inspan_hrep(cone)
+        assert N is facet_normals(cone)
+        assert np.array_equal(B, np.eye(cone.dim))
+
+
+def _orthant_points(rng, d, n):
+    # random directions, then points within 1e-6 of a facet on either side
+    X = rng.standard_normal((n, d))
+    near = np.abs(rng.standard_normal((n, d)))
+    near[np.arange(n), rng.integers(0, d, n)] = rng.uniform(-1e-6, 1e-6, n)
+    return np.concatenate([X, near])
+
+
+def test_supplied_facets_decide_batch_membership_above_the_cap(monkeypatch):
+    cone = make_polycone(np.eye(5), facets=np.eye(5))
+    X = _orthant_points(np.random.default_rng(3), 5, 200)
+    by_nnls = np.array([cone_membership(x, cone) for x in X])
+    assert 0 < by_nnls[200:].sum() < 200
+    calls = _counting(monkeypatch, kernels, "nnls")
+    assert np.array_equal(contains_batch(cone, X), by_nnls)
+    assert not calls
+
+
+def test_facet_cap_is_on_the_span_dimension():
+    # above the cap: no normals, NNLS membership, DimensionTooHigh
+    orthant = make_polycone(np.eye(5))
+    assert _inspan_hrep(orthant)[1] is None
+    with pytest.raises(DimensionTooHigh):
+        facet_normals(orthant)
+    X = _orthant_points(np.random.default_rng(4), 5, 20)
+    assert np.array_equal(contains_batch(orthant, X),
+                          [cone_membership(x, orthant) for x in X])
+    # a 4-D orthant inside R^5 spans 4 dimensions and is enumerated there
+    flat = make_polycone(np.eye(5)[:4])
+    B, N = _inspan_hrep(flat)
+    assert B.shape == (5, 4) and N.shape == (4, 4)
+    # a cone that fills its span has no normal rows
+    plane = make_polycone([[1, 0, 0], [0, 1, 0], [-1, -1, 0]])
+    assert _inspan_hrep(plane)[1].shape == (0, 2)
+    assert contains_batch(plane, [[3.0, -2.0, 0.0], [0.0, 0.0, 1.0]]).tolist() == [
+        True, False]

@@ -67,6 +67,20 @@ def test_facets_round_trip():
     assert s1 == serialize_instance(parse_instance(s1))
 
 
+def test_facets_round_trip_keeps_one_normal_per_row():
+    # four facets in R^3: written transposed, the normals re-parse as three
+    # vectors of length 4
+    text = """
+    {"dim": 3, "cones": {"C": {"pieces": [{
+     "generators": [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+     "facets": [[-1, -1, 1], [1, -1, 1], [-1, 1, 1], [1, 1, 1]]}]}}}
+    """
+    inst = parse_instance(text)
+    again = parse_instance(serialize_instance(inst))
+    assert np.array_equal(again.regions["C"].single_cone().facet_normals,
+                          inst.regions["C"].single_cone().facet_normals)
+
+
 def test_kind_defaults_to_convex():
     inst = parse_instance('{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0]]}]}}}')
     assert inst.kinds["C"] == "convex"

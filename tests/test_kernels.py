@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conesep import kernels
+from conesep import geometry, kernels
+from conesep.errors import ConesepError
 from conesep.kernels import min_norm_point, nnls, project_onto_cone
 
 
@@ -19,6 +20,17 @@ def test_nnls_single_ray_closed_form():
     res = nnls(g, np.array([1.0, 0.0]))
     assert res.coeffs[0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert res.residual == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nnls_rejects_non_finite_target(bad):
+    G = np.eye(2)
+    with pytest.raises(ConesepError, match="finite"):
+        nnls(G, np.array([1.0, bad]))
+    cone = geometry.make_polycone(np.eye(2))
+    with pytest.raises(ConesepError, match="finite"):
+        geometry.cone_membership(np.array([bad, 0.0]), cone)
 
 
 def test_nnls_interior_point_exact():

@@ -12,6 +12,7 @@ from conesep.errors import DegenerateCone, Inconclusive, NotConvex, TrivialRegio
 from conesep.geometry import make_polycone
 from conesep.instances import load_instance
 from conesep.oracle import (
+    cone_about,
     oracle_separation,
     random_pointed_cone,
     ray_region,
@@ -481,6 +482,31 @@ def test_sym_runs_each_solve_once(C, K, solves, separated, monkeypatch):
             separate_sym(C, K)
     else:
         assert (separate_sym(C, K) is not None) == separated
+    assert len(count) == solves
+
+
+TWO_RAYS_3D = ConeRegion.piece(make_polycone([[1, 0, 1], [0, 1, 1]]))
+HEXAGONAL_CAP = ConeRegion.piece(cone_about([0, 0, 1], 20.0, 6))
+
+
+@pytest.mark.parametrize("C, K, solves", [
+    (TWO_RAYS_3D, ConeRegion.piece(make_polycone([[-1, 0, 1], [0, -1, 1]])), 2),
+    (HEXAGONAL_CAP, ConeRegion.piece(make_polycone([[1, 0, 0.2], [0, 1, 0.2]])), 3),
+    (HEXAGONAL_CAP, ConeRegion.piece(cone_about([1, 0, 0], 20.0, 5)), 5),
+], ids=["no-solid-cone", "one-solid-cone", "two-solid-cones"])
+def test_boundary_report_solves_each_pair_once(C, K, solves, monkeypatch):
+    # one intersection solve, then one per distinct (region, region) pair of
+    # the five forms: a region without a solid cone is its own boundary
+    count = []
+    solve = separation.body_distance
+
+    def counting(*args, **kwargs):
+        count.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(separation, "body_distance", counting)
+    report = boundary_equivalence_report(C, K)
+    assert report.conditions == (True,) * 5
     assert len(count) == solves
 
 
