@@ -10,9 +10,11 @@ how often the independent routes agree:
     pairs that meet only at the origin.
 
 Draws whose reference distance solve did not certify, and pairs that raise
-Inconclusive, are counted and reported rather than compared.
+Inconclusive, are counted and reported rather than compared.  Exits 1 when
+any agreement count falls short of its total.
 """
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -102,7 +104,7 @@ def boundary_study(count, margin, rng):
             "inconclusive": inconclusive}
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dims", default="2,3",
                     help="comma-separated ambient dimensions")
@@ -133,7 +135,12 @@ def main() -> None:
     print(f"  margin-filtered draws: {ex['margin_skipped']}")
     print(f"  uncertified distance solves (draw skipped): {ex['uncertified']}")
     print(f"  total time: {elapsed:.1f} s")
+    short = (ex["existence_agree"] < ex["pairs"]
+             or ex["verified"] < ex["certificates"]
+             or ex["sym_agree"] < ex["sym_pairs"]
+             or bd["consistent"] < bd["pairs"])
+    return 1 if short else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -201,7 +201,7 @@ def interpolate(C: ConeRegion | PolyCone, K: PolyCone,
     cert = separate_nonsym(region, k_hat, tol=tol)
     if cert is None:
         return None
-    return cert.bishop_phelps(reference=region)
+    return cert.bishop_phelps()
 
 
 def interpolate_sym(C: ConeRegion | PolyCone, K: ConeRegion | PolyCone,
@@ -214,8 +214,7 @@ def interpolate_sym(C: ConeRegion | PolyCone, K: ConeRegion | PolyCone,
     cert = separate_sym(rc, rk, tol=tol)
     if cert is None:
         return None
-    enclosed = rc if cert.orientation == Orientation.C_FROM_K else rk
-    return cert.orientation, cert.bishop_phelps(reference=enclosed)
+    return cert.orientation, cert.bishop_phelps()
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,30 +229,25 @@ class InterpolationCheck:
 
 def _bp_base_samples(gamma: BishopPhelpsCone, count: int,
                      rng: np.random.Generator | None) -> np.ndarray:
-    """Unit vectors in the base of a Euclidean Bishop-Phelps cone: closed
-    form fan in 2-D, rejection from a sphere cloud otherwise."""
-    f = gamma.functional
-    xs = f.x_star / np.linalg.norm(f.x_star)
-    a = f.alpha / np.linalg.norm(f.x_star)
-    if gamma.dim == 2:
-        theta = math.acos(max(-1.0, min(1.0, a)))
-        base = math.atan2(xs[1], xs[0])
-        ang = base + np.linspace(-theta, theta, count)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    from .oracle import sphere_grid
+    """count unit vectors in the base of a Euclidean Bishop-Phelps cone
+    (dimension >= 2), drawn directly.
 
+    With x^ = x*/|x*| and rim angle t^ = arccos(alpha/|x*|), point i is
+    cos(t_i) x^ + sin(t_i) w_i, where w_i is a Gaussian direction with its
+    x^ component removed, normalized.  The first ceil(count/2) points take
+    t_i = t^ and lie on the rim, where inclusion in an outer cone is
+    tightest; the rest take t_i = t^ u_i with u_i uniform in [0, 1].
+    """
+    f = gamma.functional
+    n = np.linalg.norm(f.x_star)
+    xs = f.x_star / n
     rng = rng if rng is not None else np.random.default_rng(7)
-    out = []
-    got = 0
-    for _ in range(64):
-        cand = sphere_grid(gamma.dim, count=4 * count, rng=rng)
-        keep = cand[cand @ xs >= a]
-        out.append(keep)
-        got += len(keep)
-        if got >= count:
-            break
-    pts = np.concatenate(out, axis=0)
-    return pts[:count]
+    W = rng.standard_normal((count, gamma.dim))
+    W -= np.outer(W @ xs, xs)
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    t = np.full(count, math.acos(max(-1.0, min(1.0, f.alpha / n))))
+    t[(count + 1) // 2:] *= rng.uniform(size=count // 2)
+    return np.cos(t)[:, None] * xs + np.sin(t)[:, None] * W
 
 
 def verify_interpolation(gamma: BishopPhelpsCone, C: ConeRegion | PolyCone,

@@ -51,10 +51,6 @@ class DistanceResult:
     # inner Wolfe solves (one per FW iteration) that ended uncertified
     wolfe_uncertified: int
 
-    @property
-    def common_point(self) -> np.ndarray:
-        return 0.5 * (self.witness_a + self.witness_b)
-
 
 def decide_gap(res: DistanceResult, what: str, tol: float) -> bool:
     """The verdict ``res`` supports: False for a certified zero, True for a
@@ -192,30 +188,6 @@ def body_distance(A, B, tol: float = DEFAULT_TOL) -> DistanceResult:
 
 
 @dataclass(frozen=True)
-class PointBody:
-    """Degenerate one-point body (used for origin-to-body distances)."""
-
-    point: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.point.shape[0]
-
-    def lmo(self, direction):
-        f = np.asarray(direction, dtype=float)
-        return LmoResult(float(f @ self.point), self.point)
-
-    def centroid(self) -> np.ndarray:
-        return self.point
-
-
-def origin_body(dim: int) -> PointBody:
-    p = np.zeros(dim)
-    p.setflags(write=False)
-    return PointBody(p)
-
-
-@dataclass(frozen=True)
 class PolytopeBody:
     """Convex hull of finitely many explicit points."""
 
@@ -233,3 +205,10 @@ class PolytopeBody:
 
     def centroid(self) -> np.ndarray:
         return self.points.mean(axis=0)
+
+
+def origin_body(dim: int) -> PolytopeBody:
+    """The origin as a one-point body, for origin-to-body distances."""
+    p = np.zeros((1, dim))
+    p.setflags(write=False)
+    return PolytopeBody(p)

@@ -114,8 +114,8 @@ def make_polycone(generators, facets=None) -> PolyCone:
     """Build a cone from generator rays (one vector per row or sequence item).
 
     Rays are normalized and near-duplicates collapsed.  Supplied facet
-    normals are validated against the generators and cross-checked on random
-    sample points.
+    normals need a solid cone; they are validated against the generators and
+    cross-checked on random sample points.
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
@@ -159,6 +159,8 @@ def make_polycone(generators, facets=None) -> PolyCone:
 
     cone = PolyCone(cols, normals)
     if normals is not None:
+        if not solidity(cone):
+            raise NotSolid("supplied facet normals need a solid cone")
         _cross_check_facets(cone)
     return cone
 
@@ -291,9 +293,9 @@ def _inspan_hrep(cone: PolyCone) -> tuple[np.ndarray, np.ndarray | None]:
     B (d, r) is an orthonormal basis of the generators' span, the identity
     when the cone is solid, and N (m, r) holds the inward facet normals of
     the cone within that span: x is in the cone iff x lies in the span and
-    N @ (B.T @ x) >= 0.  A solid cone uses its supplied normals when it has
-    them.  Otherwise N is enumerated when r <= MAX_FACET_DIM and is None
-    above; it has zero rows when the cone fills its span.
+    N @ (B.T @ x) >= 0.  Supplied normals (only a solid cone has them) are
+    used as they are.  Otherwise N is enumerated when r <= MAX_FACET_DIM and
+    is None above; it has zero rows when the cone fills its span.
     """
     cached = cone._cache.get("hrep")
     if cached is not None:
@@ -301,7 +303,7 @@ def _inspan_hrep(cone: PolyCone) -> tuple[np.ndarray, np.ndarray | None]:
     B = _span_basis(cone)
     r = B.shape[1]
     solid = r == cone.dim
-    if solid and cone.facet_normals is not None:
+    if cone.facet_normals is not None:
         N = cone.facet_normals
     elif r > MAX_FACET_DIM:
         N = None
@@ -372,7 +374,7 @@ def contains_batch(cone: PolyCone, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -
             & ((coords @ N.T).min(axis=1, initial=np.inf) >= -tol * scale))
 
 
-def strictly_interior(cone: PolyCone, x, tol: float = MEMBERSHIP_TOL) -> bool:
+def strictly_interior(cone: PolyCone, x) -> bool:
     """True iff x lies in the topological interior of a solid cone."""
     x = np.asarray(x, dtype=float)
     if not solidity(cone):
@@ -381,4 +383,4 @@ def strictly_interior(cone: PolyCone, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return True
     N = _solid_normals(cone)
     scale = max(1.0, float(np.linalg.norm(x)))
-    return float((N @ x).min()) > tol * scale
+    return float((N @ x).min()) > MEMBERSHIP_TOL * scale

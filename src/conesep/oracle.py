@@ -78,7 +78,7 @@ def sphere_grid(dim: int, resolution: float | None = None, count: int | None = N
 
 
 def _piece_cloud(cone: PolyCone, resolution: float,
-                 rng: np.random.Generator | None, tol: float) -> np.ndarray:
+                 rng: np.random.Generator | None) -> np.ndarray:
     """Span-aware cloud on the norm-base of one convex piece."""
     B = geometry._span_basis(cone)
     r = B.shape[1]
@@ -95,23 +95,22 @@ def _piece_cloud(cone: PolyCone, resolution: float,
             coords = sphere_grid(r, resolution=resolution)
         cand = coords @ B.T if r < cone.dim else coords
         cand = np.concatenate([cand, gens], axis=0)
-    return cand[geometry.contains_batch(cone, cand, tol)]
+    return cand[geometry.contains_batch(cone, cand)]
 
 
-def _leaf_cloud(leaf, resolution: float, rng, tol: float) -> np.ndarray:
+def _leaf_cloud(leaf, resolution: float, rng) -> np.ndarray:
     """Piece by piece when the leaf has convex pieces; otherwise a sphere
     grid filtered by the leaf's own membership test."""
     if leaf.pieces:
         return np.concatenate(
-            [_piece_cloud(p, resolution, rng, tol) for p in leaf.pieces], axis=0
+            [_piece_cloud(p, resolution, rng) for p in leaf.pieces], axis=0
         )
     grid = sphere_grid(leaf.dim, resolution=resolution, rng=rng)
     grid = np.concatenate([grid, leaf.anchor_points()], axis=0)
-    return grid[leaf.contains_unit_batch(grid, tol)]
+    return grid[leaf.contains_unit_batch(grid, geometry.MEMBERSHIP_TOL)]
 
 
-def _piece_count_cloud(cone: PolyCone, per: int, rng: np.random.Generator,
-                       tol: float) -> np.ndarray:
+def _piece_count_cloud(cone: PolyCone, per: int, rng: np.random.Generator) -> np.ndarray:
     """Random base points of one piece: normalized convex combinations of
     the generators (every base point is one), plus the generators."""
     gens = cone.generators.T
@@ -123,18 +122,17 @@ def _piece_count_cloud(cone: PolyCone, per: int, rng: np.random.Generator,
     keep = nn > 1e-9
     pts = pts[keep] / nn[keep, None]
     pts = np.concatenate([pts, gens], axis=0)
-    return pts[geometry.contains_batch(cone, pts, tol)]
+    return pts[geometry.contains_batch(cone, pts)]
 
 
-def _membership_count_cloud(leaf, per: int, rng: np.random.Generator,
-                            tol: float) -> np.ndarray:
+def _membership_count_cloud(leaf, per: int, rng: np.random.Generator) -> np.ndarray:
     """Random sphere points kept by the leaf's membership test, plus its
     anchors: the count= cloud of a leaf without convex pieces."""
     out = [leaf.anchor_points()]
     got = 0
     for _ in range(16):
         grid = sphere_grid(leaf.dim, count=2 * per, rng=rng)
-        kept = grid[leaf.contains_unit_batch(grid, tol)]
+        kept = grid[leaf.contains_unit_batch(grid, geometry.MEMBERSHIP_TOL)]
         out.append(kept)
         got += len(kept)
         if got >= per:
@@ -144,22 +142,21 @@ def _membership_count_cloud(leaf, per: int, rng: np.random.Generator,
 
 def sample_norm_base(region: ConeRegion, resolution: float | None = None,
                      count: int | None = None,
-                     rng: np.random.Generator | None = None,
-                     tol: float = geometry.MEMBERSHIP_TOL) -> SampleCloud:
+                     rng: np.random.Generator | None = None) -> SampleCloud:
     """Unit vectors in the closure of the region's norm-base.
 
-    Every returned point passes region membership within tol.  Leaf
-    generators (facet rays for boundary and complement leaves) are always
-    included as exact anchors, so patch endpoints are represented at any
-    resolution.  With count= the points are drawn at random from each
-    leaf's base patch instead of from a grid (regions whose base is a
-    finite set of rays simply return all of it).
+    Every returned point passes region membership within
+    geometry.MEMBERSHIP_TOL.  Leaf generators (facet rays for boundary and
+    complement leaves) are always included as exact anchors, so patch
+    endpoints are represented at any resolution.  With count= the points
+    are drawn at random from each leaf's base patch instead of from a grid
+    (regions whose base is a finite set of rays simply return all of it).
     """
     if (resolution is None) == (count is None):
         raise ValueError("pass exactly one of resolution= or count=")
     if resolution is not None:
         pts = np.concatenate(
-            [_leaf_cloud(leaf, resolution, rng, tol) for leaf in region.leaves],
+            [_leaf_cloud(leaf, resolution, rng) for leaf in region.leaves],
             axis=0,
         )
         pts = _dedupe_rows(pts)
@@ -167,7 +164,7 @@ def sample_norm_base(region: ConeRegion, resolution: float | None = None,
 
     if max(leaf.rank() for leaf in region.leaves) <= 1:
         pts = _dedupe_rows(
-            np.concatenate([_leaf_cloud(leaf, 1.0, rng, tol) for leaf in region.leaves], axis=0)
+            np.concatenate([_leaf_cloud(leaf, 1.0, rng) for leaf in region.leaves], axis=0)
         )
         return SampleCloud(points=pts, resolution=None, count=len(pts))
     local_rng = rng if rng is not None else np.random.default_rng(11)
@@ -178,10 +175,10 @@ def sample_norm_base(region: ConeRegion, resolution: float | None = None,
         if leaf.pieces:
             pp = -(-per // len(leaf.pieces))
             parts.extend(
-                _piece_count_cloud(p, pp, local_rng, tol) for p in leaf.pieces
+                _piece_count_cloud(p, pp, local_rng) for p in leaf.pieces
             )
         else:
-            parts.append(_membership_count_cloud(leaf, per, local_rng, tol))
+            parts.append(_membership_count_cloud(leaf, per, local_rng))
     pts = _dedupe_rows(np.concatenate(parts, axis=0))
     if len(pts) > count:
         idx = np.unique(np.linspace(0, len(pts) - 1, count).round().astype(int))

@@ -106,36 +106,24 @@ def bp_family_flags(f: NormLinearFunctional) -> frozenset[str]:
 class BishopPhelpsCone:
     """C(x*, a) together with the separation families it belongs to.
 
-    family_flags may also carry augmented-dual classes (cor_a_plus, a_sharp,
-    aw_sharp) relative to the reference region the cone was built to
-    enclose.
+    A cone built from a SeparationCertificate carries that certificate and
+    its family flags ("BP" plus the augmented-dual classes cor_a_plus,
+    a_sharp and aw_sharp that the threshold meets on the enclosed region);
+    one built by bishop_phelps carries bp_family_flags alone.
     """
 
     functional: NormLinearFunctional
     family_flags: frozenset[str] = frozenset()
-    reference: ConeRegion | None = None
     certificate: "SeparationCertificate | None" = None
 
     @property
     def dim(self) -> int:
         return self.functional.dim
 
-    def membership(self, x) -> Membership:
-        return bp_membership(self, x)
 
-    def boundary_rays_2d(self) -> np.ndarray:
-        return bp_boundary_rays_2d(self.functional.x_star, self.functional.alpha)
-
-
-def bishop_phelps(x_star, alpha: float, norm: Norm = Norm.EUCLIDEAN,
-                  reference: ConeRegion | None = None) -> BishopPhelpsCone:
+def bishop_phelps(x_star, alpha: float, norm: Norm = Norm.EUCLIDEAN) -> BishopPhelpsCone:
     f = NormLinearFunctional(np.asarray(x_star, dtype=float), float(alpha), norm)
-    flags = set(bp_family_flags(f))
-    if reference is not None:
-        dual = augmented_dual_membership(reference, f.x_star, f.alpha)
-        flags.update(k for k, v in dual.items() if v and k != "a_plus")
-    return BishopPhelpsCone(functional=f, family_flags=frozenset(flags),
-                            reference=reference)
+    return BishopPhelpsCone(functional=f, family_flags=bp_family_flags(f))
 
 
 def bp_membership(bp: BishopPhelpsCone, x) -> Membership:
@@ -240,13 +228,12 @@ class SeparationCertificate:
     def functional(self) -> NormLinearFunctional:
         return NormLinearFunctional(self.x_star, self.alpha)
 
-    def bishop_phelps(self, reference: ConeRegion | None = None) -> BishopPhelpsCone:
-        f = self.functional()
-        flags = set(bp_family_flags(f)) | {
-            fl for fl in self.family if fl not in ("BP", "Lin")
-        }
-        return BishopPhelpsCone(functional=f, family_flags=frozenset(flags),
-                                reference=reference, certificate=self)
+    def bishop_phelps(self) -> BishopPhelpsCone:
+        """The certified cone.  Its threshold satisfies 0 < alpha < hi <=
+        |x*| = 1, so bp_family_flags would give exactly {"BP"}, which
+        family already holds."""
+        return BishopPhelpsCone(functional=self.functional(),
+                                family_flags=self.family, certificate=self)
 
 
 def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conesep.basis import (
     BaseKind,
+    _bp_base_samples,
     has_convex_base,
     interpolate,
     interpolate_sym,
@@ -21,7 +24,7 @@ from conesep.oracle import (
     union_of_rays,
 )
 from conesep.regions import ConeRegion
-from conesep.separation import Membership, Orientation, bp_membership
+from conesep.separation import Membership, Orientation, bishop_phelps, bp_membership
 
 ORTHANT = make_polycone([[1.0, 0.0], [0.0, 1.0]])
 HALF_PLANE = make_polycone([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
@@ -140,6 +143,7 @@ def test_interpolate_wedge_in_half_plane():
     assert lo == pytest.approx(0.0, abs=1e-9)
     assert hi == pytest.approx(np.sqrt(0.5), abs=1e-6)
     assert "BP" in gamma.family_flags
+    assert gamma.family_flags == gamma.certificate.family
 
 
 def test_interpolate_ray_in_wide_cone():
@@ -228,7 +232,37 @@ def test_nested_3d_cones_interpolate():
         inner, outer = cone_about(ax, 20, 8), cone_about(ax, 50, 12)
         gamma = interpolate(inner, outer)
         assert gamma is not None
+        assert gamma.family_flags == gamma.certificate.family
         if i in (0, 5, 6, 8, 9, 14, 26, 29):
             check = verify_interpolation(gamma, inner, outer, count=100,
                                          rng=np.random.default_rng(i))
             assert check.ok
+
+
+E3 = np.array([0.0, 0.0, 1.0])
+
+
+def test_bp_base_samples_are_distinct_and_half_on_the_rim():
+    a = math.cos(math.radians(35.0))
+    pts = _bp_base_samples(bishop_phelps(E3, a), 1000, None)
+    assert len(np.unique(pts, axis=0)) == 1000
+    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert (pts @ E3 >= a - 1e-12).all()
+    assert (np.abs(pts @ E3 - a) <= 1e-12).sum() >= 500
+
+
+def test_verify_interpolation_samples_a_thin_bp_base():
+    inner, outer = cone_about(E3, 0.2, 6), cone_about(E3, 1.0, 12)
+    gamma = interpolate(inner, outer)
+    check = verify_interpolation(gamma, inner, outer, count=1000)
+    assert check.ok
+    assert check.base_count == 1000
+
+
+def test_verify_interpolation_rejects_a_bp_cone_wider_than_the_outer():
+    # a 1.5-degree cone about the axis of a 1-degree outer cone
+    gamma = bishop_phelps(E3, math.cos(math.radians(1.5)))
+    check = verify_interpolation(gamma, cone_about(E3, 0.2, 6),
+                                 cone_about(E3, 1.0, 12), count=200)
+    assert not check.ok
+    assert check.base_violations > 0

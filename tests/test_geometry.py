@@ -10,6 +10,7 @@ from conesep.errors import (
     DimensionMismatch,
     DimensionTooHigh,
     EmptyCone,
+    NotSolid,
     ZeroGenerator,
 )
 from conesep.geometry import (
@@ -50,6 +51,14 @@ def test_make_polycone_accepts_consistent_facets():
     cone = make_polycone([[1.0, 0.0], [0.0, 1.0]], facets=[[1.0, 0.0], [0.0, 1.0]])
     assert cone.facet_normals is not None
     assert cone.facet_normals.shape == (2, 2)
+
+
+def test_make_polycone_rejects_facets_of_a_non_solid_cone():
+    # the normals of the line y = 0 pass the slack check and, as that line
+    # has measure zero, the sampled cross-check too; (-1, 0) meets them but
+    # lies outside the ray
+    with pytest.raises(NotSolid):
+        make_polycone([[1, 0]], facets=[[0, 1], [0, -1]])
 
 
 def test_make_polycone_rejects_zero_generator():
