@@ -21,6 +21,7 @@ import numpy as np
 
 from conesep.distance import body_distance
 from conesep.errors import Inconclusive
+from conesep.geometry import MAX_FACET_DIM
 from conesep.oracle import random_pointed_cone, random_region
 from conesep.regions import ConeRegion, body
 from conesep.separation import (
@@ -81,10 +82,13 @@ def existence_study(dims, per_dim, margin, rng):
     }
 
 
-def boundary_study(count, margin, rng):
+def boundary_study(dims, count, margin, rng):
+    # the boundary of a solid cone needs its facets, enumerated only up to
+    # MAX_FACET_DIM
+    dims = [d for d in dims if d <= MAX_FACET_DIM]
     done = consistent = inconclusive = 0
-    while done < count:
-        dim = int(rng.integers(2, 4))
+    while dims and done < count:
+        dim = int(rng.choice(dims))
         C = ConeRegion.piece(random_pointed_cone(rng, dim))
         K = ConeRegion.piece(random_pointed_cone(rng, dim))
         if not cones_meet_only_at_origin(C, K):
@@ -118,7 +122,7 @@ def main() -> int:
 
     t0 = time.perf_counter()
     ex = existence_study(dims, args.per_dim, args.margin, rng)
-    bd = boundary_study(args.boundary_pairs, args.margin, rng)
+    bd = boundary_study(dims, args.boundary_pairs, args.margin, rng)
     elapsed = time.perf_counter() - t0
 
     print(f"dims {dims}, {args.per_dim} pairs per dim, margin {args.margin:g}, "

@@ -268,7 +268,7 @@ def verify_interpolation(gamma: BishopPhelpsCone, C: ConeRegion | PolyCone,
         f.alpha / np.linalg.norm(f.x_star)
     )
     base_pts = _bp_base_samples(gamma, count, rng)
-    base_bad = sum(1 for x in base_pts if not cone_membership(x, K))
+    base_bad = int((~geometry.cone_membership_batch(base_pts, K)).sum())
     return InterpolationCheck(
         ok=inner_bad == 0 and base_bad == 0,
         inner_count=len(inner),

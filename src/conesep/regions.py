@@ -79,16 +79,41 @@ class _PieceLeaf(_Leaf):
 
 
 class _BoundaryLeaf(_Leaf):
-    __slots__ = ()
+    __slots__ = ("normals",)
 
     def __init__(self, cone: PolyCone):
         self.cone = cone
         self.pieces = geometry.facets(cone).pieces
+        self.normals = geometry.facet_normals(cone) if geometry.solidity(cone) else None
 
     def lmo(self, f: np.ndarray) -> LmoResult:
-        return min(
-            (_lmo_piece(p, f) for p in self.pieces), key=lambda r: r.value
-        )
+        """Minimum over the unit sphere on the boundary of K.
+
+        A non-solid K is its own boundary: one piece.  For a solid K with
+        u = -f/|f| strictly interior, the minimum over the larger set
+        outside int K (``_lmo_across_facet``) lands on a facet, so it is
+        the answer.  Otherwise the piece LMO of K is the answer when its
+        witness lies on the boundary: the projection of an exterior u
+        does, and so does the generator it picks when f is in the dual
+        cone (an interior generator scores above the best extreme ray).
+        The witness is checked against the facet normals all the same,
+        and a failed check falls back to the minimum over the facet
+        pieces.
+        """
+        N = self.normals
+        if N is not None:
+            fn = float(np.linalg.norm(f))
+            u = -f / fn
+            s = N @ u
+            if float(s.min()) > geometry.MEMBERSHIP_TOL:
+                res = _lmo_across_facet(N, s, u, fn)
+            else:
+                res = _lmo_piece(self.cone, f)
+                if float((N @ res.witness).min()) > geometry.MEMBERSHIP_TOL:
+                    res = None
+            if res is not None:
+                return res
+        return _lmo_min(self.pieces, f)
 
     def contains_unit_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
         ok = np.zeros(X.shape[0], dtype=bool)
@@ -104,7 +129,7 @@ class _BoundaryLeaf(_Leaf):
 
 
 class _ComplementLeaf(_Leaf):
-    __slots__ = ("facets",)
+    __slots__ = ("facets", "normals")
 
     def __init__(self, cone: PolyCone):
         if not geometry.solidity(cone):
@@ -116,21 +141,27 @@ class _ComplementLeaf(_Leaf):
         self.cone = cone
         self.pieces = ()
         self.facets = geometry.facets(cone).pieces
+        self.normals = geometry.facet_normals(cone)
 
     def lmo(self, f: np.ndarray) -> LmoResult:
-        # The closure of the base is (sphere minus interior of K): the free
-        # minimizer -f/|f| wins unless it is interior to K, in which case the
-        # minimum sits on the boundary of K.
+        """Minimum over the closed base, the unit sphere minus int K.
+
+        The free minimizer u = -f/|f| wins unless it is strictly interior
+        to K (the test ``geometry.strictly_interior`` makes on a unit
+        vector); then the minimum is the closed form of
+        ``_lmo_across_facet``, one product N @ u for all facets.
+        """
+        N = self.normals
         fn = float(np.linalg.norm(f))
         u = -f / fn
-        if not geometry.strictly_interior(self.cone, u):
+        s = N @ u
+        if float(s.min()) <= geometry.MEMBERSHIP_TOL:
             return LmoResult(-fn, u)
-        return min(
-            (_lmo_piece(p, f) for p in self.facets), key=lambda r: r.value
-        )
+        res = _lmo_across_facet(N, s, u, fn)
+        return res if res is not None else _lmo_min(self.facets, f)
 
     def contains_unit_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
-        N = geometry.facet_normals(self.cone)
+        N = self.normals
         scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
         return (X @ N.T).min(axis=1) <= tol * scale
 
@@ -233,16 +264,54 @@ def _lmo_piece(cone: PolyCone, f: np.ndarray) -> LmoResult:
     minimum of <f, x> over unit x in the cone equals -|p| at p/|p|; otherwise
     f lies in the dual cone and the minimum is attained at a unit extreme
     ray, hence at a stored generator (triangle inequality argument).
+
+    NNLS runs only when some generator scores below
+    -KKT_TOL * max(1, max |f @ G|).  That is the test Lawson-Hanson makes
+    at its start, lambda = 0, where its dual vector is G.T @ -f: otherwise
+    it would return lambda = 0 and p = 0, so skipping it changes no bit.
     """
-    # kernels.project_onto_cone would also form the Moreau residuals, which
-    # this hot path never reads
-    p = cone.generators @ kernels.nnls(cone.generators, -f).coeffs
-    pn = float(np.linalg.norm(p))
-    if pn > PROJ_ZERO_TOL * max(1.0, float(np.linalg.norm(f))):
-        return LmoResult(-pn, p / pn)
-    vals = f @ cone.generators
+    G = cone.generators
+    vals = f @ G
+    if -float(vals.min()) > kernels.KKT_TOL * max(1.0, float(np.abs(vals).max())):
+        # kernels.project_onto_cone would also form the Moreau residuals,
+        # which this hot path never reads
+        p = G @ kernels.nnls(G, -f).coeffs
+        pn = float(np.linalg.norm(p))
+        if pn > PROJ_ZERO_TOL * max(1.0, float(np.linalg.norm(f))):
+            return LmoResult(-pn, p / pn)
     j = int(np.argmin(vals))
-    return LmoResult(float(vals[j]), cone.generators[:, j].copy())
+    return LmoResult(float(vals[j]), G[:, j].copy())
+
+
+def _lmo_min(pieces, f: np.ndarray) -> LmoResult:
+    """Per-piece minimum: the fallback of the boundary and complement LMOs."""
+    return min((_lmo_piece(p, f) for p in pieces), key=lambda r: r.value)
+
+
+def _lmo_across_facet(N: np.ndarray, s: np.ndarray, u: np.ndarray,
+                      fn: float) -> LmoResult | None:
+    """min of <f, x> over unit x outside int K, for u = -f/|f| strictly
+    inside K = {x : N x >= 0} with unit rows N and slacks s = N @ u > 0.
+
+    Unit x with n_i . x <= 0 has <u, x> <= |p_i|, where p_i = u - s_i n_i
+    is the projection of u onto that half-space (|p_i|^2 = 1 - s_i^2), with
+    equality at p_i/|p_i|.  So the smallest slack s_i wins: the value is
+    -|f| |p_i| at p_i/|p_i|, which lies in K (n_j . p_i >= s_j - s_i >= 0
+    when n_i . n_j >= 0, and > 0 otherwise), hence on its facet i.  p_i is
+    zero only when s_i = 1, that is when every unit n_j has n_j . u >= 1
+    and so equals u: K is a half-space.  None is returned then, and the
+    caller takes the minimum over the facet pieces.
+    """
+    i = int(np.argmin(s))
+    p = u - s[i] * N[i]
+    # Projecting twice leaves n_i . p at rounding relative to |p|, not to
+    # |u| = 1, which matters when u is close to n_i: one pass left a
+    # witness 8e-8 outside the base 2e-11 rad off a half-plane's normal.
+    p -= float(N[i] @ p) * N[i]
+    pn = float(np.linalg.norm(p))
+    if pn <= PROJ_ZERO_TOL:
+        return None
+    return LmoResult(-fn * pn, p / pn)
 
 
 def lmo_norm_base(region: ConeRegion, direction) -> LmoResult:

@@ -14,12 +14,20 @@ from conesep.basis import (
     verify_interpolation,
 )
 from conesep.errors import NonPositiveRay, NotNested
-from conesep.geometry import make_polycone, cone_membership, is_whole_space, pointedness
+from conesep.geometry import (
+    cone_membership,
+    cone_membership_batch,
+    facet_normals,
+    is_whole_space,
+    make_polycone,
+    pointedness,
+)
 from conesep.oracle import (
     cone_about,
     random_pointed_cone,
     random_unpointed_cone,
     ray_region,
+    sample_norm_base,
     sector_cone_2d,
     union_of_rays,
 )
@@ -266,3 +274,41 @@ def test_verify_interpolation_rejects_a_bp_cone_wider_than_the_outer():
                                  cone_about(E3, 1.0, 12), count=200)
     assert not check.ok
     assert check.base_violations > 0
+
+
+
+@pytest.mark.parametrize("case", ["nested", "wider"])
+def test_verify_interpolation_verdicts_match_a_cone_membership_loop(case):
+    if case == "nested":
+        ax = np.random.default_rng(3).standard_normal(3)
+        inner, outer = cone_about(ax, 20, 8), cone_about(ax, 50, 12)
+        gamma = interpolate(inner, outer)
+    else:
+        # a 1.5-degree cone about the axis of a 1-degree outer cone
+        inner, outer = cone_about(E3, 0.2, 6), cone_about(E3, 1.0, 12)
+        gamma = bishop_phelps(E3, math.cos(math.radians(1.5)))
+    check = verify_interpolation(gamma, inner, outer, count=400,
+                                 rng=np.random.default_rng(9))
+    # the same draws: the inner samples come first from the generator
+    rng = np.random.default_rng(9)
+    sample_norm_base(ConeRegion.piece(inner), count=400, rng=rng)
+    base = _bp_base_samples(gamma, 400, rng)
+    # plus the outer cone's rays and points off the middle of one of its
+    # facets, inside and on both sides of the membership tolerance outside,
+    # where the facet screen defers to NNLS; and one point off a ray whose
+    # facet slacks lie within the tolerance but whose distance does not
+    g = outer.generators
+    mid = (g[:, 0] + g[:, 1]) / np.linalg.norm(g[:, 0] + g[:, 1])
+    N = facet_normals(outer)
+    n = N[int(np.argmin(np.abs(N @ mid)))]
+    off = [mid - t * n for t in (-1e-9, 0.0, 5e-10, 2e-9, 1e-6)]
+    na, nb = N[np.argsort(np.abs(N @ g[:, 0]))[:2]]
+    w = (na + nb) / np.linalg.norm(na + nb)
+    c = 0.5e-9 * (1.0 + 1.0 / float(na @ w))
+    pts = np.concatenate([base, g.T, off, [g[:, 0] - c * w]])
+    loop = np.array([cone_membership(x, outer) for x in pts])
+    assert (cone_membership_batch(pts, outer) == loop).all()
+    assert loop[-6:].tolist() == [True, True, True, False, False, False]
+    assert check.base_violations == int((~loop[:400]).sum())
+    assert check.ok == (case == "nested")
+    assert (check.base_violations > 0) == (case == "wider")

@@ -21,6 +21,7 @@ from conesep.geometry import (
     _enumerate_facet_normals,
     _inspan_hrep,
     cone_membership,
+    cone_membership_batch,
     contains_batch,
     dual_norm,
     facet_normals,
@@ -410,3 +411,19 @@ def test_facet_cap_is_on_the_span_dimension():
     assert _inspan_hrep(plane)[1].shape == (0, 2)
     assert contains_batch(plane, [[3.0, -2.0, 0.0], [0.0, 0.0, 1.0]]).tolist() == [
         True, False]
+
+
+@pytest.mark.parametrize("dim, rank", [(3, 3), (3, 2), (5, 5)])
+def test_cone_membership_batch_matches_the_nnls_loop(dim, rank):
+    # solid, non-solid (a wedge in a plane of R^3, so points also leave its
+    # span) and above MAX_FACET_DIM, where every row goes to NNLS
+    rng = np.random.default_rng(13)
+    cone = random_pointed_cone(rng, rank, n_rays=rank + 2)
+    G = np.vstack([cone.generators, np.zeros((dim - rank, cone.n_rays))])
+    cone = make_polycone(G.T)
+    X = rng.standard_normal((300, dim))
+    X = np.concatenate([X, G.T + 1e-10 * X[:cone.n_rays], G.T - 2e-9 * X[:cone.n_rays]])
+    X[:, rank:] *= rng.uniform(size=(len(X), 1)) < 0.5
+    loop = np.array([cone_membership(x, cone) for x in X])
+    assert loop.any() and not loop.all()
+    assert (cone_membership_batch(X, cone) == loop).all()

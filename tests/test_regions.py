@@ -2,18 +2,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conesep import kernels
 from conesep.errors import NotConvex, NotSolid, ZeroDirection
-from conesep.geometry import make_polycone, cone_membership
+from conesep.geometry import (
+    cone_membership,
+    facets,
+    make_polycone,
+    solidity,
+    strictly_interior,
+)
 from conesep.kernels import project_onto_cone
-from conesep.oracle import random_region, sample_norm_base
+from conesep.oracle import (
+    cone_about,
+    random_pointed_cone,
+    random_region,
+    sample_norm_base,
+    sector_cone_2d,
+)
 from conesep.regions import (
+    PROJ_ZERO_TOL,
     ConeRegion,
+    LmoResult,
+    _lmo_piece,
     body,
     lmo_norm_base,
     support_norm_base,
 )
 
 ORTHANT = make_polycone([[1.0, 0.0], [0.0, 1.0]])
+HALF_PLANE = make_polycone([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
 
 
 def test_lmo_orthant_diagonal():
@@ -197,3 +214,111 @@ def test_complement_membership_2d():
     flags = region.contains_unit_batch(pts, tol=1e-9)
     assert flags[0] and flags[1] and flags[2]
     assert not flags[3]
+
+
+def _per_facet_min(cone, f):
+    return min((_lmo_piece(p, f) for p in facets(cone).pieces),
+               key=lambda r: r.value)
+
+
+def _closed_form_cases():
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        yield sector_cone_2d(rng.uniform(0.0, 360.0), rng.uniform(5.0, 85.0))
+        yield cone_about(rng.standard_normal(3), rng.uniform(5.0, 80.0),
+                         int(rng.integers(3, 13)))
+        cone = random_pointed_cone(rng, 4, n_rays=int(rng.integers(4, 9)))
+        if solidity(cone):
+            yield cone
+
+
+@pytest.mark.parametrize("kind", ["complement", "boundary"])
+def test_closed_form_lmos_match_the_per_facet_minimum(kind):
+    # Half the directions aim into -K, so that u = -f/|f| is interior and
+    # the closed form fires; the other half are free.  The complement's
+    # reference keeps the free minimizer u when it is not interior to K.
+    rng = np.random.default_rng(37)
+    for cone in _closed_form_cases():
+        region = getattr(ConeRegion, kind)(cone)
+        for i in range(40):
+            f = rng.standard_normal(cone.dim)
+            if i % 2:
+                f = -cone.generators @ rng.uniform(size=cone.n_rays) + 0.05 * f
+            fn = float(np.linalg.norm(f))
+            if kind == "complement" and not strictly_interior(cone, -f / fn):
+                ref = -fn
+            else:
+                ref = _per_facet_min(cone, f).value
+            res = region.lmo(f)
+            assert abs(res.value - ref) <= 1e-12 * fn
+            assert abs(np.linalg.norm(res.witness) - 1.0) <= 1e-12
+            assert region.contains_unit_batch(res.witness)[0]
+            assert abs(float(f @ res.witness) - res.value) <= 1e-12 * fn
+
+
+def test_complement_of_a_half_plane_at_its_normal_falls_back_to_the_facet():
+    # u = -f/|f| is the half-plane's inward normal, so p = u - n = 0
+    region = ConeRegion.complement(HALF_PLANE)
+    res = region.lmo(np.array([0.0, -1.0]))
+    assert res.value == 0.0
+    assert abs(res.witness[1]) <= 1e-12
+    assert abs(np.linalg.norm(res.witness) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["complement", "boundary"])
+def test_closed_form_near_a_half_plane_normal(kind):
+    # u from 1e-6 down to 2e-11 rad off the inward normal n: |p| is that
+    # small, and the witness must still lie on the line and attain the value
+    n = np.array([np.cos(0.7), np.sin(0.7)])
+    t = np.array([-n[1], n[0]])
+    region = getattr(ConeRegion, kind)(make_polycone([t, -t, n]))
+    for eps in (1e-6, 1e-8, 1e-10, 2e-11):
+        f = -(n + eps * t)
+        res = region.lmo(f)
+        assert abs(res.value + eps) <= 1e-15
+        assert abs(float(n @ res.witness)) <= 1e-15
+        assert abs(float(f @ res.witness) - res.value) <= 1e-15
+        assert region.contains_unit_batch(res.witness)[0]
+
+
+def _lmo_piece_via_nnls(cone, f):
+    # the piece LMO as it was before the dual-cone test: NNLS on every call
+    p = cone.generators @ kernels.nnls(cone.generators, -f).coeffs
+    pn = float(np.linalg.norm(p))
+    if pn > PROJ_ZERO_TOL * max(1.0, float(np.linalg.norm(f))):
+        return LmoResult(-pn, p / pn)
+    vals = f @ cone.generators
+    j = int(np.argmin(vals))
+    return LmoResult(float(vals[j]), cone.generators[:, j].copy())
+
+
+def test_piece_lmo_in_the_dual_cone_makes_no_nnls_call(monkeypatch):
+    calls = []
+    real = kernels.nnls
+    monkeypatch.setattr(kernels, "nnls", lambda G, y: calls.append(1) or real(G, y))
+    region = ConeRegion.piece(ORTHANT)
+    res = region.lmo(np.array([1.0, 2.0]))
+    assert calls == []
+    assert (res.value, res.witness.tolist()) == (1.0, [1.0, 0.0])
+    region.lmo(np.array([1.0, -2.0]))
+    assert calls == [1]
+
+
+def test_piece_lmo_matches_the_nnls_route_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        dim = int(rng.integers(2, 5))
+        cone = make_polycone(rng.standard_normal((int(rng.integers(1, 6)), dim)))
+        G = cone.generators
+        fs = [rng.standard_normal(dim) for _ in range(3)]
+        # into the dual cone of a pointed cone, or near its edge
+        fs += [G.mean(axis=1) + 0.3 * rng.standard_normal(dim) for _ in range(3)]
+        # one generator scored just either side of the NNLS stop test
+        f0 = G.mean(axis=1)
+        j = int(np.argmin(f0 @ G))
+        fs += [f0 - (float(f0 @ G[:, j]) + t) * G[:, j]
+               for t in (1e-13, 1e-12, 3e-12, 1e-11, 1e-10)]
+        for f in fs:
+            res, ref = _lmo_piece(cone, f), _lmo_piece_via_nnls(cone, f)
+            assert res.value == ref.value
+            assert res.witness.tobytes() == ref.witness.tobytes()
