@@ -189,29 +189,25 @@ def cone_membership(x, cone: PolyCone, tol: float = MEMBERSHIP_TOL) -> bool:
     return res.residual <= tol * max(1.0, float(np.linalg.norm(x)))
 
 
-def cone_membership_batch(X, cone: PolyCone, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def cone_membership_batch(X, cone: PolyCone) -> np.ndarray:
     """cone_membership of every row of X, deciding the clear rows at once.
 
-    With the cached outer description (B, N), the distance from x to the
-    cone is at least its distance to the span and at least -n . (B.T x) for
-    every unit normal n; call the negated larger bound the slack.  A row
-    with slack >= 0 is in the cone and one with slack < -tol * max(1, |x|)
-    is farther than tol from it.  Only the rows in between, and every row
-    when N is None, go to NNLS.
+    With enumerated facet normals, contains_batch brackets the NNLS verdict:
+    a row it accepts at tolerance 0 is in the cone, and one it rejects at
+    MEMBERSHIP_TOL is farther than that from it, since the distance to the
+    cone is at least the distance to its span and to each facet's
+    half-space.  The rows in between, and non-finite rows (where NNLS
+    raises), go to NNLS.  Supplied normals are only checked on samples, so
+    with them, or without normals, every row goes to NNLS.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != cone.dim:
         raise DimensionMismatch("point dimension does not match the cone")
-    B, N = _inspan_hrep(cone)
-    inside = np.zeros(X.shape[0], dtype=bool)
-    unsure = ~inside
-    if N is not None:
-        coords = X @ B
-        off_span = np.linalg.norm(X - coords @ B.T, axis=1)
-        slack = np.minimum((coords @ N.T).min(axis=1, initial=np.inf), -off_span)
-        inside = slack >= 0.0
-        unsure = ~inside & (slack >= -tol * np.maximum(1.0, np.linalg.norm(X, axis=1)))
-    inside[unsure] = [cone_membership(x, cone, tol) for x in X[unsure]]
+    if _inspan_hrep(cone)[1] is None or cone.facet_normals is not None:
+        return np.array([cone_membership(x, cone) for x in X], dtype=bool)
+    inside = contains_batch(cone, X, 0.0)
+    band = ~inside & (contains_batch(cone, X) | ~np.isfinite(X).all(axis=1))
+    inside[band] = [cone_membership(x, cone) for x in X[band]]
     return inside
 
 

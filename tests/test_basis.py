@@ -13,7 +13,7 @@ from conesep.basis import (
     make_base,
     verify_interpolation,
 )
-from conesep.errors import NonPositiveRay, NotNested
+from conesep.errors import NonPositiveRay, NotNested, ZeroDirection
 from conesep.geometry import (
     cone_membership,
     cone_membership_batch,
@@ -312,3 +312,12 @@ def test_verify_interpolation_verdicts_match_a_cone_membership_loop(case):
     assert check.base_violations == int((~loop[:400]).sum())
     assert check.ok == (case == "nested")
     assert (check.base_violations > 0) == (case == "wider")
+
+
+def test_verify_interpolation_raises_for_a_one_dimensional_cone():
+    # no direction is orthogonal to x* in 1-D, so the base sampler yields
+    # NaN points, which must not be counted as violations
+    ray = make_polycone([[1.0]])
+    gamma = bishop_phelps(np.array([1.0]), 0.5)
+    with pytest.warns(RuntimeWarning), pytest.raises(ZeroDirection):
+        verify_interpolation(gamma, ray, ray, count=10)

@@ -11,6 +11,7 @@ from conesep.errors import (
     DimensionTooHigh,
     EmptyCone,
     NotSolid,
+    ZeroDirection,
     ZeroGenerator,
 )
 from conesep.geometry import (
@@ -427,3 +428,23 @@ def test_cone_membership_batch_matches_the_nnls_loop(dim, rank):
     loop = np.array([cone_membership(x, cone) for x in X])
     assert loop.any() and not loop.all()
     assert (cone_membership_batch(X, cone) == loop).all()
+
+
+def test_cone_membership_batch_raises_on_a_non_finite_row():
+    cone = make_polycone(np.eye(3))
+    with pytest.raises(ZeroDirection):
+        cone_membership_batch([[1.0, 1.0, 1.0], [np.nan, 0.0, 1.0]], cone)
+
+
+def test_cone_membership_batch_does_not_trust_supplied_normals():
+    # a pyramid with its (1, 1, 1) corner chamfered, given only its four
+    # side normals: they pass the sampled cross-check, but the corner
+    # direction has slack 0 against them and lies outside the generators
+    e = 1e-3
+    G = [[-1, 1, 1], [-1, -1, 1], [1, -1, 1], [1, 1 - e, 1], [1 - e, 1, 1]]
+    N = np.array([[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1]]) / math.sqrt(2)
+    cone = make_polycone(G, facets=N)
+    x = np.ones(3) / math.sqrt(3)
+    assert (N @ x).min() >= -1e-15
+    assert not cone_membership(x, cone)
+    assert cone_membership_batch([x, [0.0, 0.0, 1.0]], cone).tolist() == [False, True]
