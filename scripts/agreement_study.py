@@ -21,7 +21,6 @@ import numpy as np
 
 from conesep.distance import body_distance
 from conesep.errors import Inconclusive
-from conesep.geometry import MAX_FACET_DIM
 from conesep.oracle import random_pointed_cone, random_region
 from conesep.regions import ConeRegion, body
 from conesep.separation import (
@@ -83,14 +82,16 @@ def existence_study(dims, per_dim, margin, rng):
 
 
 def boundary_study(dims, count, margin, rng):
-    # the boundary of a solid cone needs its facets, enumerated only up to
-    # MAX_FACET_DIM
-    dims = [d for d in dims if d <= MAX_FACET_DIM]
+    def draw(dim):
+        # dim to 2 * dim rays, so that most cones are solid and their
+        # boundaries are facet pieces
+        n_rays = int(rng.integers(dim, 2 * dim + 1))
+        return ConeRegion.piece(random_pointed_cone(rng, dim, n_rays=n_rays))
+
     done = consistent = inconclusive = 0
-    while dims and done < count:
+    while done < count:
         dim = int(rng.choice(dims))
-        C = ConeRegion.piece(random_pointed_cone(rng, dim))
-        K = ConeRegion.piece(random_pointed_cone(rng, dim))
+        C, K = draw(dim), draw(dim)
         if not cones_meet_only_at_origin(C, K):
             continue
         try:

@@ -25,15 +25,15 @@ from .distance import (
     origin_body,
 )
 from .errors import Inconclusive, NonPositiveRay, NotNested, TrivialRegion
-from .geometry import PolyCone, cone_membership
+from .geometry import Norm, PolyCone
 from .kernels import min_norm_point
 from .regions import ConeRegion, body
 from .separation import (
+    MEMBERSHIP_BAND,
     BishopPhelpsCone,
-    Membership,
     Orientation,
     _check_nontrivial,
-    bp_membership,
+    _classifiable,
     separate_nonsym,
     separate_sym,
 )
@@ -194,9 +194,8 @@ def interpolate(C: ConeRegion | PolyCone, K: PolyCone,
     if not pieces:
         raise TrivialRegion("the inner region has no pieces")
     for cone in pieces:
-        for g in cone.generators.T:
-            if not cone_membership(g, K):
-                raise NotNested("an inner generator lies outside the outer cone")
+        if not geometry.cone_membership_batch(cone.generators.T, K).all():
+            raise NotNested("an inner generator lies outside the outer cone")
     k_hat = ConeRegion.complement(K)
     cert = separate_nonsym(region, k_hat, tol=tol)
     if cert is None:
@@ -258,12 +257,14 @@ def verify_interpolation(gamma: BishopPhelpsCone, C: ConeRegion | PolyCone,
     strictly interior to gamma, base points of gamma belong to K."""
     from .oracle import sample_norm_base
 
+    f = _classifiable(gamma)
     region = ConeRegion.piece(C) if isinstance(C, PolyCone) else C
     inner = sample_norm_base(region, count=count, rng=rng).points
-    inner_bad = sum(
-        1 for x in inner if bp_membership(gamma, x) is not Membership.INTERIOR
-    )
-    f = gamma.functional
+    # bp_membership of every sample at once: interior iff score > band
+    nx = np.linalg.norm(inner, axis=1,
+                        ord={Norm.L1: 1, Norm.LINF: np.inf}.get(f.norm))
+    scores = inner @ f.x_star - f.alpha * nx
+    inner_bad = int((scores <= MEMBERSHIP_BAND * (1.0 + nx)).sum())
     margins = inner @ (f.x_star / np.linalg.norm(f.x_star)) - (
         f.alpha / np.linalg.norm(f.x_star)
     )

@@ -52,7 +52,8 @@ class NonPositiveRay(ConesepError):
 
 
 class DimensionTooHigh(ConesepError):
-    """Facet enumeration is only available up to dimension 4."""
+    """Facet enumeration of a cone would test more generator subsets,
+    C(rays, dim - 1), than geometry.MAX_FACET_SUBSETS allows."""
 
 
 class DimensionNot2D(ConesepError):

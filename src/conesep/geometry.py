@@ -1,16 +1,18 @@
 """Euclidean norms and polyhedral convex cones given by generator rays.
 
-A ``PolyCone`` stores unit, deduplicated generator columns.  Its one outer
-description is the cached ``_inspan_hrep``: inward facet normals within
-the generators' span, supplied (and cross-checked) for a solid cone or
-enumerated when the span has at most MAX_FACET_DIM dimensions; batch
-membership, facet normals, facets and the interior test all read it.
-Enumeration tests every (d-1)-subset of the generators, streaming the
-subsets in chunks of FACET_CHUNK with one cofactor pre-screen and one
-stacked SVD per chunk; the chunk size bounds memory on facet-heavy cones.
+A ``PolyCone`` is its unit, deduplicated generator columns and nothing
+else.  Its one outer description, derived from them and cached, is
+``_inspan_hrep``: inward facet normals within the generators' span,
+enumerated when the (r-1)-subsets of its n rays (r the span dimension)
+number at most MAX_FACET_SUBSETS; batch membership, facet normals, facets
+and the interior test all read it.  Enumeration tests every subset,
+streaming them in chunks of FACET_CHUNK with one cofactor pre-screen and
+one stacked SVD per chunk; the chunk size bounds memory on facet-heavy
+cones.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, islice
@@ -43,9 +45,11 @@ FACET_TOL = 1e-10
 # cone in one SVD ran no faster and raised a CLI batch's peak RSS from 51
 # to 63 MB; from about 128 up the per-call overhead is already amortized.
 FACET_CHUNK = 256
-# Largest span dimension whose facets are enumerated; above it a cone needs
-# supplied facet normals for anything but per-point NNLS membership.
-MAX_FACET_DIM = 4
+# Most generator subsets a facet enumeration may test.  A subset costs
+# about 2.4 us in 4-D and 5 us in 6-D (one Xeon core, numpy 2.4), so one
+# enumeration stays near 0.5 s (1 s in 6-D); in 4-D the budget admits up to
+# 107 rays.  Over it a cone has per-point NNLS membership only.
+MAX_FACET_SUBSETS = 200_000
 
 
 class Norm(Enum):
@@ -79,11 +83,10 @@ class PolyCone:
     Immutable after construction; use :func:`make_polycone`.
     """
 
-    __slots__ = ("generators", "facet_normals", "_cache")
+    __slots__ = ("generators", "_cache")
 
-    def __init__(self, generators: np.ndarray, facet_normals: np.ndarray | None):
+    def __init__(self, generators: np.ndarray):
         self.generators = generators
-        self.facet_normals = facet_normals
         self._cache: dict[str, object] = {}
 
     @property
@@ -110,12 +113,10 @@ class BoundaryDecomposition:
     pieces: tuple[PolyCone, ...]
 
 
-def make_polycone(generators, facets=None) -> PolyCone:
+def make_polycone(generators) -> PolyCone:
     """Build a cone from generator rays (one vector per row or sequence item).
 
-    Rays are normalized and near-duplicates collapsed.  Supplied facet
-    normals need a solid cone; they are validated against the generators and
-    cross-checked on random sample points.
+    Rays are normalized and near-duplicates collapsed.
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
@@ -136,48 +137,7 @@ def make_polycone(generators, facets=None) -> PolyCone:
             kept.append(row)
     cols = np.stack(kept, axis=1)
     cols.setflags(write=False)
-
-    normals = None
-    if facets is not None:
-        N = np.asarray(facets, dtype=float)
-        if N.ndim == 1:
-            N = N[None, :]
-        if N.shape[1] != cols.shape[0]:
-            raise DimensionMismatch("facet normals must match the ambient dimension")
-        nn = np.linalg.norm(N, axis=1)
-        if np.any(nn <= 1e-300):
-            raise ZeroGenerator("facet normals must be nonzero")
-        nsc = np.where(np.abs(nn - 1.0) <= 8 * np.finfo(float).eps, 1.0, nn)
-        N = N / nsc[:, None]
-        slack = (N @ cols).min(initial=0.0)
-        if slack < -1e-8:
-            raise NotSolid(
-                "supplied facet normals exclude a generator (min slack %.3e)" % slack
-            )
-        N.setflags(write=False)
-        normals = N
-
-    cone = PolyCone(cols, normals)
-    if normals is not None:
-        if not solidity(cone):
-            raise NotSolid("supplied facet normals need a solid cone")
-        _cross_check_facets(cone)
-    return cone
-
-
-def _cross_check_facets(cone: PolyCone) -> None:
-    """Agreement between the generator and facet descriptions on 64 random
-    directions."""
-    rng = np.random.default_rng(7)
-    X = rng.standard_normal((64, cone.dim))
-    X /= np.linalg.norm(X, axis=1)[:, None]
-    inside_h = (X @ cone.facet_normals.T).min(axis=1) >= -1e-9
-    for x, h in zip(X, inside_h):
-        v = cone_membership(x, cone)
-        if v != bool(h):
-            raise NotSolid(
-                "facet normals disagree with the generator description at a sample"
-            )
+    return PolyCone(cols)
 
 
 def cone_membership(x, cone: PolyCone, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -197,13 +157,13 @@ def cone_membership_batch(X, cone: PolyCone) -> np.ndarray:
     MEMBERSHIP_TOL is farther than that from it, since the distance to the
     cone is at least the distance to its span and to each facet's
     half-space.  The rows in between, and non-finite rows (where NNLS
-    raises), go to NNLS.  Supplied normals are only checked on samples, so
-    with them, or without normals, every row goes to NNLS.
+    raises), go to NNLS; so does every row of a cone over the subset
+    budget.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != cone.dim:
         raise DimensionMismatch("point dimension does not match the cone")
-    if _inspan_hrep(cone)[1] is None or cone.facet_normals is not None:
+    if _inspan_hrep(cone)[1] is None:
         return np.array([cone_membership(x, cone) for x in X], dtype=bool)
     inside = contains_batch(cone, X, 0.0)
     band = ~inside & (contains_batch(cone, X) | ~np.isfinite(X).all(axis=1))
@@ -315,9 +275,9 @@ def _inspan_hrep(cone: PolyCone) -> tuple[np.ndarray, np.ndarray | None]:
     B (d, r) is an orthonormal basis of the generators' span, the identity
     when the cone is solid, and N (m, r) holds the inward facet normals of
     the cone within that span: x is in the cone iff x lies in the span and
-    N @ (B.T @ x) >= 0.  Supplied normals (only a solid cone has them) are
-    used as they are.  Otherwise N is enumerated when r <= MAX_FACET_DIM and
-    is None above; it has zero rows when the cone fills its span.
+    N @ (B.T @ x) >= 0.  N is enumerated when C(n, r - 1) subsets of the n
+    rays are within MAX_FACET_SUBSETS and is None over it; it has zero rows
+    when the cone fills its span.
     """
     cached = cone._cache.get("hrep")
     if cached is not None:
@@ -325,9 +285,7 @@ def _inspan_hrep(cone: PolyCone) -> tuple[np.ndarray, np.ndarray | None]:
     B = _span_basis(cone)
     r = B.shape[1]
     solid = r == cone.dim
-    if cone.facet_normals is not None:
-        N = cone.facet_normals
-    elif r > MAX_FACET_DIM:
+    if math.comb(cone.n_rays, r - 1) > MAX_FACET_SUBSETS:
         N = None
     else:
         points = cone.generators if solid else B.T @ cone.generators
@@ -339,25 +297,21 @@ def _inspan_hrep(cone: PolyCone) -> tuple[np.ndarray, np.ndarray | None]:
     return B, N
 
 
-def _solid_normals(cone: PolyCone) -> np.ndarray:
-    """N of ``_inspan_hrep`` for a cone already known to be solid."""
-    N = _inspan_hrep(cone)[1]
-    if N is None:
-        raise DimensionTooHigh(
-            f"facet enumeration is limited to dimension <= {MAX_FACET_DIM}; "
-            "supply facets"
-        )
-    return N
-
-
 def facet_normals(cone: PolyCone) -> np.ndarray:
     """Inward facet normals (m, d) of a solid cone other than the whole
-    space: the supplied ones, or enumerated up to MAX_FACET_DIM."""
+    space, enumerated within the MAX_FACET_SUBSETS budget."""
     if not solidity(cone):
         raise NotSolid("facet enumeration needs a solid cone")
     if is_whole_space(cone):
         raise TrivialRegion("the whole space has no facets")
-    return _solid_normals(cone)
+    N = _inspan_hrep(cone)[1]
+    if N is None:
+        subsets = math.comb(cone.n_rays, cone.dim - 1)
+        raise DimensionTooHigh(
+            f"facet enumeration would test {subsets} generator subsets, "
+            f"over the budget of {MAX_FACET_SUBSETS}"
+        )
+    return N
 
 
 def facets(cone: PolyCone) -> BoundaryDecomposition:
@@ -403,6 +357,6 @@ def strictly_interior(cone: PolyCone, x) -> bool:
         return False
     if is_whole_space(cone):
         return True
-    N = _solid_normals(cone)
+    N = facet_normals(cone)
     scale = max(1.0, float(np.linalg.norm(x)))
     return float((N @ x).min()) > MEMBERSHIP_TOL * scale

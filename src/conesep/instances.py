@@ -26,7 +26,7 @@ _REGION_KINDS = ("convex", "union", "complement", "boundary")
 
 _TOP_KEYS = {"dim", "norm", "cones", "options"}
 _CONE_KEYS = {"kind", "pieces"}
-_PIECE_KEYS = {"generators", "facets"}
+_PIECE_KEYS = {"generators"}
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,7 @@ def _build_piece(raw: dict, dim: int, where: str) -> PolyCone:
         raise InstanceError(
             f"{where}.generators: vectors have length {gens.shape[1]}, dim is {dim}"
         )
-    facets = None
-    if "facets" in raw:
-        facets = _matrix(raw["facets"], f"{where}.facets")
-        if facets.shape[1] != dim:
-            raise InstanceError(f"{where}.facets: wrong vector length")
-    return geometry.make_polycone(gens, facets=facets)
+    return geometry.make_polycone(gens)
 
 
 def _build_region(name: str, raw: dict, dim: int) -> tuple[ConeRegion, str]:
@@ -182,12 +177,8 @@ def load_instance(path: str) -> Instance:
 
 
 def _region_doc(region: ConeRegion, kind: str) -> dict:
-    pieces = []
-    for leaf in region.leaves:
-        piece = {"generators": leaf.cone.generators.T.tolist()}
-        if leaf.cone.facet_normals is not None:
-            piece["facets"] = leaf.cone.facet_normals.tolist()
-        pieces.append(piece)
+    pieces = [{"generators": leaf.cone.generators.T.tolist()}
+              for leaf in region.leaves]
     return {"kind": kind, "pieces": pieces}
 
 

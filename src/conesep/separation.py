@@ -126,16 +126,23 @@ def bishop_phelps(x_star, alpha: float, norm: Norm = Norm.EUCLIDEAN) -> BishopPh
     return BishopPhelpsCone(functional=f, family_flags=bp_family_flags(f))
 
 
-def bp_membership(bp: BishopPhelpsCone, x) -> Membership:
-    """Interior / boundary / exterior of C(x*, a), band +-1e-10*(1+|x|).
-
-    Only defined for non-degenerate cones: a in (-|x*|_*, |x*|_*).
-    """
+def _classifiable(bp: BishopPhelpsCone) -> NormLinearFunctional:
+    """bp's functional; DegenerateCone unless -|x*|_* < alpha < |x*|_*,
+    where membership is defined."""
     f = bp.functional
     if f.is_trivial_cone or f.is_whole_space:
         raise DegenerateCone(
             "membership classification needs -|x*|_* < alpha < |x*|_*"
         )
+    return f
+
+
+def bp_membership(bp: BishopPhelpsCone, x) -> Membership:
+    """Interior / boundary / exterior of C(x*, a), band +-1e-10*(1+|x|).
+
+    Only defined for non-degenerate cones: a in (-|x*|_*, |x*|_*).
+    """
+    f = _classifiable(bp)
     x = np.asarray(x, dtype=float)
     if x.shape != (f.dim,):
         raise DimensionMismatch("point dimension does not match the cone")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conesep import basis, kernels
 from conesep.basis import (
     BaseKind,
     _bp_base_samples,
@@ -169,6 +170,58 @@ def test_interpolate_rejects_non_nested():
         interpolate(ConeRegion.piece(make_polycone([[0.0, -1.0]])), ORTHANT)
 
 
+def _counting_nnls(monkeypatch):
+    calls = []
+    real = kernels.nnls
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "nnls", counted)
+    return calls
+
+
+def test_interpolate_nesting_check_screens_with_the_facets(monkeypatch):
+    ax = [0.3, -0.2, 1.0]
+    K = cone_about(ax, 40.0, 10)
+    N = facet_normals(K)
+    assert not is_whole_space(K)  # cached, as the complement leaf reads it
+    g = K.generators
+    mid = (g[:, 0] + g[:, 1]) / np.linalg.norm(g[:, 0] + g[:, 1])
+    n = N[int(np.argmin(np.abs(N @ mid)))]
+    calls = _counting_nnls(monkeypatch)
+    # NNLS calls made by the nesting check, which runs before the solve
+    seen = []
+    monkeypatch.setattr(basis, "separate_nonsym",
+                        lambda *a, **kw: seen.append(len(calls)))
+    assert interpolate(cone_about(ax, 15.0, 7), K) is None
+    assert seen == [0]
+    # 1e-12 outside a facet is within the membership tolerance: NNLS decides
+    interpolate(make_polycone([mid - 1e-12 * n, ax]), K)
+    assert len(seen) == 2 and seen[1] > 0
+    with pytest.raises(NotNested):
+        interpolate(make_polycone([mid - 1e-7 * n, ax]), K)
+    assert len(seen) == 2
+
+
+def _cross_cone_5d(t):
+    # the cone over a cross-polytope of radius t about e5: 2 * 4 rays and
+    # 16 facets
+    e = np.eye(5)
+    return make_polycone([e[4] + s * t * e[i] for i in range(4) for s in (1.0, -1.0)])
+
+
+def test_nested_5d_cones_interpolate():
+    inner, outer = _cross_cone_5d(0.2), _cross_cone_5d(0.8)
+    assert len(facet_normals(outer)) == 16
+    gamma = interpolate(inner, outer)
+    assert gamma is not None
+    check = verify_interpolation(gamma, inner, outer, count=400,
+                                 rng=np.random.default_rng(5))
+    assert check.ok and check.min_inner_margin > 0
+
+
 def test_interpolate_union_inner_region():
     inner = union_of_rays([[0.2, 1.0], [-0.2, 1.0]])
     gamma = interpolate(inner, HALF_PLANE)
@@ -277,22 +330,27 @@ def test_verify_interpolation_rejects_a_bp_cone_wider_than_the_outer():
 
 
 
-@pytest.mark.parametrize("case", ["nested", "wider"])
+@pytest.mark.parametrize("case", ["nested", "wider", "narrower"])
 def test_verify_interpolation_verdicts_match_a_cone_membership_loop(case):
     if case == "nested":
         ax = np.random.default_rng(3).standard_normal(3)
         inner, outer = cone_about(ax, 20, 8), cone_about(ax, 50, 12)
         gamma = interpolate(inner, outer)
     else:
-        # a 1.5-degree cone about the axis of a 1-degree outer cone
+        # a 1.5-degree (or 0.1-degree, narrower than the 0.2-degree inner
+        # cone) cone about the axis of a 1-degree outer cone
         inner, outer = cone_about(E3, 0.2, 6), cone_about(E3, 1.0, 12)
-        gamma = bishop_phelps(E3, math.cos(math.radians(1.5)))
+        angle = 1.5 if case == "wider" else 0.1
+        gamma = bishop_phelps(E3, math.cos(math.radians(angle)))
     check = verify_interpolation(gamma, inner, outer, count=400,
                                  rng=np.random.default_rng(9))
     # the same draws: the inner samples come first from the generator
     rng = np.random.default_rng(9)
-    sample_norm_base(ConeRegion.piece(inner), count=400, rng=rng)
+    inner_pts = sample_norm_base(ConeRegion.piece(inner), count=400, rng=rng).points
     base = _bp_base_samples(gamma, 400, rng)
+    inner_loop = [bp_membership(gamma, x) is not Membership.INTERIOR for x in inner_pts]
+    assert check.inner_violations == sum(inner_loop)
+    assert (check.inner_violations > 0) == (case == "narrower")
     # plus the outer cone's rays and points off the middle of one of its
     # facets, inside and on both sides of the membership tolerance outside,
     # where the facet screen defers to NNLS; and one point off a ray whose

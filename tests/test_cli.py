@@ -149,6 +149,34 @@ def test_render_rejects_non_euclidean(capsys, tmp_path):
     assert not out.exists()
 
 
+def _cross_5d(t):
+    # the cone over a cross-polytope of radius t about e5
+    rays = []
+    for i in range(4):
+        for s in (1.0, -1.0):
+            ray = [0.0, 0.0, 0.0, 0.0, 1.0]
+            ray[i] = s * t
+            rays.append(ray)
+    return rays
+
+
+def test_separate_from_a_5d_complement(capsys, tmp_path):
+    # the complement's facets are enumerated in 5-D, so the file gets a
+    # verdict instead of exiting 3 with DimensionTooHigh
+    path = _write(tmp_path, "complement5.json", {
+        "dim": 5,
+        "cones": {
+            "C": {"pieces": [{"generators": _cross_5d(0.2)}]},
+            "K": {"kind": "complement", "pieces": [{"generators": _cross_5d(0.8)}]},
+        },
+    })
+    code, doc = _run(capsys, ["separate", path, "--pair", "C,K",
+                              "--verify-samples", "200"])
+    assert code == 0
+    assert doc["verdict"] == "separated"
+    assert doc["verification"]["ok"]
+
+
 def test_missing_file(capsys, tmp_path):
     code, doc = _run(capsys, ["separate", str(tmp_path / "nope.json"),
                               "--pair", "C,K"])

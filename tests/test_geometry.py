@@ -49,20 +49,6 @@ def test_make_polycone_dedups_parallel_rays():
     assert cone.generators.shape == (2, 1)
 
 
-def test_make_polycone_accepts_consistent_facets():
-    cone = make_polycone([[1.0, 0.0], [0.0, 1.0]], facets=[[1.0, 0.0], [0.0, 1.0]])
-    assert cone.facet_normals is not None
-    assert cone.facet_normals.shape == (2, 2)
-
-
-def test_make_polycone_rejects_facets_of_a_non_solid_cone():
-    # the normals of the line y = 0 pass the slack check and, as that line
-    # has measure zero, the sampled cross-check too; (-1, 0) meets them but
-    # lies outside the ray
-    with pytest.raises(NotSolid):
-        make_polycone([[1, 0]], facets=[[0, 1], [0, -1]])
-
-
 def test_make_polycone_rejects_zero_generator():
     with pytest.raises(ZeroGenerator):
         make_polycone([[0.0, 0.0]])
@@ -369,8 +355,7 @@ def test_solid_cone_enumerates_its_facets_once(monkeypatch):
 
 
 def test_solid_hrep_is_the_facet_normals():
-    for cone in (cone_about([1.0, -2.0, 0.5], 25.0, 9), _cap_cone_48(),
-                 make_polycone(np.eye(2), facets=np.eye(2))):
+    for cone in (cone_about([1.0, -2.0, 0.5], 25.0, 9), _cap_cone_48()):
         B, N = _inspan_hrep(cone)
         assert N is facet_normals(cone)
         assert np.array_equal(B, np.eye(cone.dim))
@@ -385,7 +370,9 @@ def _orthant_points(rng, d, n):
 
 
 def test_supplied_facets_decide_batch_membership_above_the_cap(monkeypatch):
-    cone = make_polycone(np.eye(5), facets=np.eye(5))
+    # the 5-D orthant, once above the dimension cap, now has enumerated
+    # normals
+    cone = make_polycone(np.eye(5))
     X = _orthant_points(np.random.default_rng(3), 5, 200)
     by_nnls = np.array([cone_membership(x, cone) for x in X])
     assert 0 < by_nnls[200:].sum() < 200
@@ -394,15 +381,26 @@ def test_supplied_facets_decide_batch_membership_above_the_cap(monkeypatch):
     assert not calls
 
 
-def test_facet_cap_is_on_the_span_dimension():
-    # above the cap: no normals, NNLS membership, DimensionTooHigh
+def test_facet_cap_is_on_the_span_dimension(monkeypatch):
+    # within the subset budget: the 5-D orthant is enumerated
     orthant = make_polycone(np.eye(5))
-    assert _inspan_hrep(orthant)[1] is None
-    with pytest.raises(DimensionTooHigh):
-        facet_normals(orthant)
-    X = _orthant_points(np.random.default_rng(4), 5, 20)
-    assert np.array_equal(contains_batch(orthant, X),
-                          [cone_membership(x, orthant) for x in X])
+    assert np.array_equal(facet_normals(orthant), np.eye(5)[::-1])
+    # over it: 60 rays in 6-D make C(60, 5) ~ 5.5e6 subsets, so no normals,
+    # NNLS membership, DimensionTooHigh, and no enumeration is started
+    calls = _counting(monkeypatch, geometry, "_enumerate_facet_normals")
+    heavy = random_pointed_cone(np.random.default_rng(4), 6, n_rays=60)
+    assert heavy.n_rays == 60 and solidity(heavy)
+    assert math.comb(60, 5) > geometry.MAX_FACET_SUBSETS
+    assert _inspan_hrep(heavy)[1] is None
+    with pytest.raises(DimensionTooHigh, match="over the budget"):
+        facet_normals(heavy)
+    X = np.concatenate([_orthant_points(np.random.default_rng(4), 6, 20),
+                        heavy.generators.T[:10] @ np.ones((6, 6)) / 6])
+    nnls = _counting(monkeypatch, kernels, "nnls")
+    assert np.array_equal(contains_batch(heavy, X),
+                          [cone_membership(x, heavy) for x in X])
+    assert len(nnls) == 2 * len(X)
+    assert not calls
     # a 4-D orthant inside R^5 spans 4 dimensions and is enumerated there
     flat = make_polycone(np.eye(5)[:4])
     B, N = _inspan_hrep(flat)
@@ -414,10 +412,10 @@ def test_facet_cap_is_on_the_span_dimension():
         True, False]
 
 
-@pytest.mark.parametrize("dim, rank", [(3, 3), (3, 2), (5, 5)])
+@pytest.mark.parametrize("dim, rank", [(3, 3), (3, 2), (5, 5), (6, 6)])
 def test_cone_membership_batch_matches_the_nnls_loop(dim, rank):
     # solid, non-solid (a wedge in a plane of R^3, so points also leave its
-    # span) and above MAX_FACET_DIM, where every row goes to NNLS
+    # span) and solid in 5-D and 6-D
     rng = np.random.default_rng(13)
     cone = random_pointed_cone(rng, rank, n_rays=rank + 2)
     G = np.vstack([cone.generators, np.zeros((dim - rank, cone.n_rays))])
@@ -436,15 +434,27 @@ def test_cone_membership_batch_raises_on_a_non_finite_row():
         cone_membership_batch([[1.0, 1.0, 1.0], [np.nan, 0.0, 1.0]], cone)
 
 
-def test_cone_membership_batch_does_not_trust_supplied_normals():
-    # a pyramid with its (1, 1, 1) corner chamfered, given only its four
-    # side normals: they pass the sampled cross-check, but the corner
-    # direction has slack 0 against them and lies outside the generators
+def test_chamfered_pyramid_corner_is_outside():
+    # a square pyramid with its (1, 1, 1) corner chamfered: the corner
+    # direction has slack 0 against the four side normals, and y, tilted
+    # 1e-4 toward the axis, has slack 4e-5 against them, yet both lie
+    # outside the generators; every description built from them says so
     e = 1e-3
     G = [[-1, 1, 1], [-1, -1, 1], [1, -1, 1], [1, 1 - e, 1], [1 - e, 1, 1]]
-    N = np.array([[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1]]) / math.sqrt(2)
-    cone = make_polycone(G, facets=N)
+    cone = make_polycone(G)
     x = np.ones(3) / math.sqrt(3)
-    assert (N @ x).min() >= -1e-15
-    assert not cone_membership(x, cone)
-    assert cone_membership_batch([x, [0.0, 0.0, 1.0]], cone).tolist() == [False, True]
+    y = np.array([1.0, 1.0, 1.0 + 1e-4])
+    y /= np.linalg.norm(y)
+    sides = np.array([[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1]]) / math.sqrt(2)
+    assert (sides @ x).min() >= -1e-15 and (sides @ y).min() > 1e-5
+    assert not cone_membership(x, cone) and not cone_membership(y, cone)
+    assert len(facet_normals(cone)) == 5
+    pts = [x, y, [0.0, 0.0, 1.0]]
+    assert contains_batch(cone, pts).tolist() == [False, False, True]
+    assert cone_membership_batch(pts, cone).tolist() == [False, False, True]
+    assert not strictly_interior(cone, y)
+    complement = ConeRegion.complement(cone)
+    assert complement.contains_unit_batch(np.stack(pts), tol=-1e-6).tolist() == [
+        True, True, False]
+    # the free minimizer y lies outside K, so it is the complement's answer
+    assert complement.lmo(-y).value == -1.0

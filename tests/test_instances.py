@@ -57,30 +57,6 @@ def test_serialize_parse_fixpoint():
                 assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_facets_round_trip():
-    text = """
-    {"dim": 2, "cones": {"C": {"pieces": [{"generators": [[3, 0], [0, 5]],
-     "facets": [[1, 0], [0, 1]]}]}}}
-    """
-    s1 = serialize_instance(parse_instance(text))
-    assert "facets" in s1
-    assert s1 == serialize_instance(parse_instance(s1))
-
-
-def test_facets_round_trip_keeps_one_normal_per_row():
-    # four facets in R^3: written transposed, the normals re-parse as three
-    # vectors of length 4
-    text = """
-    {"dim": 3, "cones": {"C": {"pieces": [{
-     "generators": [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
-     "facets": [[-1, -1, 1], [1, -1, 1], [-1, 1, 1], [1, 1, 1]]}]}}}
-    """
-    inst = parse_instance(text)
-    again = parse_instance(serialize_instance(inst))
-    assert np.array_equal(again.regions["C"].single_cone().facet_normals,
-                          inst.regions["C"].single_cone().facet_normals)
-
-
 def test_kind_defaults_to_convex():
     inst = parse_instance('{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0]]}]}}}')
     assert inst.kinds["C"] == "convex"
@@ -99,10 +75,14 @@ def test_unknown_field_cone_level():
 
 
 def test_unknown_field_piece_level():
-    with pytest.raises(InstanceError, match=r"unknown field 'rays' in cones\.C\.pieces\[0\]"):
-        parse_instance(
-            '{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0]], "rays": []}]}}}'
-        )
+    # a piece is its generators alone: facet normals are always enumerated
+    for field in ("rays", "facets"):
+        with pytest.raises(InstanceError,
+                           match=rf"unknown field '{field}' in cones\.C\.pieces\[0\]"):
+            parse_instance(
+                '{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0]], '
+                f'"{field}": [[0, 1]]}}]}}}}}}'
+            )
 
 
 def test_unknown_field_options():

@@ -230,6 +230,14 @@ def _closed_form_cases():
         cone = random_pointed_cone(rng, 4, n_rays=int(rng.integers(4, 9)))
         if solidity(cone):
             yield cone
+    # solid 5-D and 6-D cones, whose facets are enumerated within the budget
+    rng = np.random.default_rng(41)
+    for dim in (5, 6):
+        for _ in range(3):
+            n_rays = int(rng.integers(dim + 1, 2 * dim + 1))
+            cone = random_pointed_cone(rng, dim, n_rays=n_rays)
+            assert solidity(cone)
+            yield cone
 
 
 @pytest.mark.parametrize("kind", ["complement", "boundary"])
