@@ -318,6 +318,8 @@ def facets(cone: PolyCone) -> BoundaryDecomposition:
     """Boundary decomposition into facet cones.
 
     A non-solid cone is its own boundary and is returned as a single piece.
+    A solid ray in R^1 has the one facet {0}, whose base is empty, and so
+    no pieces.
     """
     out = cone._cache.get("facets")
     if out is None:
@@ -326,9 +328,10 @@ def facets(cone: PolyCone) -> BoundaryDecomposition:
             pieces = []
             for nrm in facet_normals(cone):
                 on = np.abs(nrm @ cone.generators) <= 1e-9
-                if not on.any():
+                if on.any():
+                    pieces.append(make_polycone(cone.generators[:, on].T))
+                elif cone.dim > 1:
                     raise NotSolid("facet normal with no incident generators")
-                pieces.append(make_polycone(cone.generators[:, on].T))
         out = cone._cache["facets"] = BoundaryDecomposition(tuple(pieces))
     return out
 

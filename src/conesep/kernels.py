@@ -3,6 +3,11 @@
 Everything in this module works on raw numpy arrays so the geometric layers
 above stay free of solver detail.  All solvers return a ``certified`` flag;
 callers must treat non-certified results as best-effort iterates.
+
+Least squares on one column has a closed form (``_ray_coeff``), used in
+place of ``np.linalg.lstsq`` wherever the two solvers meet one: NNLS's
+first Lawson-Hanson step, which frees one column from lam = 0 and usually
+ends the solve, and Wolfe's affine step on a corral of two points.
 """
 from __future__ import annotations
 
@@ -29,23 +34,42 @@ class NnlsResult:
     iterations: int
 
 
+def _ray_coeff(ab: float, aa: float) -> float:
+    """Least squares on one column a: argmin_x |x a - b| = (a . b) / (a . a).
+
+    Takes the two inner products.  a = 0 gives x = 0, which is what
+    ``np.linalg.lstsq`` returns there.  The column alone has condition
+    number 1, so this form squares no conditioning.
+    """
+    return ab / aa if aa > 0.0 else 0.0
+
+
 def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
     """Solve min ||G @ lam - y||_2 subject to lam >= 0 (Lawson-Hanson).
 
     Active-set method: repeatedly move the most violated dual coordinate into
     the passive set, solve the unconstrained least squares on the passive
     columns, and walk back to feasibility when that solution leaves the
-    nonnegative orthant.  The KKT residual reported is relative to the data
-    scale, so ``certified`` means the stationarity and complementarity
-    conditions hold to roughly machine precision.  A non-finite target
-    raises ZeroDirection.
+    nonnegative orthant.  The first step is taken in closed form.  At
+    lam = 0 the dual vector is w0 = G.T @ y, already formed for the scale;
+    if w0_j = max w0 exceeds the KKT slack, column j turns passive with
+    lam_j = w0_j / (g_j . g_j) > 0, which needs no walk back.  The solve
+    ends there, after one iteration, when no other coordinate of
+    G.T @ (y - lam_j g_j) exceeds the slack; otherwise the loop continues
+    it, solving on two or more passive columns with ``np.linalg.lstsq``.
+    The KKT residual reported is relative to the data scale, so
+    ``certified`` means the stationarity and complementarity conditions
+    hold to roughly machine precision.  A non-finite target raises
+    ZeroDirection.
     """
     G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=float)
     if G.ndim != 2 or y.ndim != 1 or G.shape[0] != y.shape[0]:
         raise ValueError("nnls expects G with shape (d, n) and y with shape (d,)")
     d, n = G.shape
-    scale = float(np.abs(G.T @ y).max(initial=0.0))
+    resid = y
+    w = G.T @ y
+    scale = float(np.abs(w).max(initial=0.0))
     if not scale < np.inf:
         raise ZeroDirection("nnls needs a finite target")
     scale = max(1.0, scale)
@@ -55,11 +79,22 @@ def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
     passive = np.zeros(n, dtype=bool)
     outer = 0
     certified = True
-    while outer < 3 * n + 30:
-        w = G.T @ (y - G @ lam)
+    j = int(np.argmax(w))
+    if w[j] > tol_w:
+        g = G[:, j]
+        lam[j] = _ray_coeff(float(w[j]), float(g @ g))
+        passive[j] = True
+        outer = 1
+        resid = y - lam[j] * g
+        w = G.T @ resid
+    while True:
+        # w is the dual vector G.T @ (y - G @ lam) at the current lam
         w_free = np.where(passive, -np.inf, w)
         j = int(np.argmax(w_free))
         if w_free[j] <= tol_w:
+            break
+        if outer >= 3 * n + 30:
+            certified = False
             break
         outer += 1
         passive[j] = True
@@ -82,17 +117,15 @@ def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
             if not passive.any():
                 lam = np.zeros(n)
                 break
-    else:
-        certified = False
+        resid = y - G @ lam
+        w = G.T @ resid
 
-    resid_vec = y - G @ lam
-    w = G.T @ resid_vec
     kkt = max(float(w.max(initial=0.0)), float(np.abs(w[lam > 0.0]).max(initial=0.0)))
     kkt = max(kkt, 0.0) / scale
     certified = certified and kkt <= 10.0 * KKT_TOL
     return NnlsResult(
         coeffs=lam,
-        residual=float(np.linalg.norm(resid_vec)),
+        residual=float(np.linalg.norm(resid)),
         kkt_residual=kkt,
         certified=certified,
         iterations=outer,
@@ -156,7 +189,13 @@ def _affine_min_norm(Q: np.ndarray) -> np.ndarray:
     squares that condition number, which on a nearly flat corral (support
     points 1e-4 apart on a curved cap) flips the sign of a weight and makes
     the minor cycle drop and re-add the same vertex until the cycle cap.
+    A corral of two points has the one column D = q_1 - q_0 and the closed
+    form mu = -(D . q_0) / (D . D), with mu = 0 for duplicate points.
     """
+    if len(Q) == 2:
+        D = Q[1] - Q[0]
+        mu = _ray_coeff(-float(D @ Q[0]), float(D @ D))
+        return np.array([1.0 - mu, mu])
     D = (Q[1:] - Q[0]).T
     mu, *_ = np.linalg.lstsq(D, -Q[0], rcond=None)
     return np.concatenate(([1.0 - mu.sum()], mu))

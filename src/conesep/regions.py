@@ -84,6 +84,8 @@ class _BoundaryLeaf(_Leaf):
     def __init__(self, cone: PolyCone):
         self.cone = cone
         self.pieces = geometry.facets(cone).pieces
+        if not self.pieces:
+            raise TrivialRegion("the boundary of a ray in R^1 is {0}, whose base is empty")
         self.normals = geometry.facet_normals(cone) if geometry.solidity(cone) else None
 
     def lmo(self, f: np.ndarray) -> LmoResult:
@@ -149,7 +151,11 @@ class _ComplementLeaf(_Leaf):
         The free minimizer u = -f/|f| wins unless it is strictly interior
         to K (the test ``geometry.strictly_interior`` makes on a unit
         vector); then the minimum is the closed form of
-        ``_lmo_across_facet``, one product N @ u for all facets.
+        ``_lmo_across_facet``, one product N @ u for all facets.  When that
+        finds K a half-space with inward normal n = u, the minimum, 0, is
+        attained on the facet; a ray in R^1 has only the facet {0}, with an
+        empty base, and the complement's base is the single point -n, where
+        <f, -n> = |f|.
         """
         N = self.normals
         fn = float(np.linalg.norm(f))
@@ -158,7 +164,9 @@ class _ComplementLeaf(_Leaf):
         if float(s.min()) <= geometry.MEMBERSHIP_TOL:
             return LmoResult(-fn, u)
         res = _lmo_across_facet(N, s, u, fn)
-        return res if res is not None else _lmo_min(self.facets, f)
+        if res is None:
+            res = _lmo_min(self.facets, f) if self.facets else LmoResult(fn, -N[0])
+        return res
 
     def contains_unit_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
         N = self.normals
@@ -166,7 +174,8 @@ class _ComplementLeaf(_Leaf):
         return (X @ N.T).min(axis=1) <= tol * scale
 
     def anchor_points(self) -> np.ndarray:
-        return np.concatenate([p.generators.T for p in self.facets], axis=0)
+        pts = [p.generators.T for p in self.facets] or [-self.normals]
+        return np.concatenate(pts, axis=0)
 
     def centroid(self) -> np.ndarray:
         return -self.cone.generators.mean(axis=1)

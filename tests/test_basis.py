@@ -33,7 +33,13 @@ from conesep.oracle import (
     union_of_rays,
 )
 from conesep.regions import ConeRegion
-from conesep.separation import Membership, Orientation, bishop_phelps, bp_membership
+from conesep.separation import (
+    BishopPhelpsCone,
+    Membership,
+    Orientation,
+    bishop_phelps,
+    bp_membership,
+)
 
 ORTHANT = make_polycone([[1.0, 0.0], [0.0, 1.0]])
 HALF_PLANE = make_polycone([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
@@ -379,3 +385,17 @@ def test_verify_interpolation_raises_for_a_one_dimensional_cone():
     gamma = bishop_phelps(np.array([1.0]), 0.5)
     with pytest.warns(RuntimeWarning), pytest.raises(ZeroDirection):
         verify_interpolation(gamma, ray, ray, count=10)
+
+
+def test_interpolate_between_two_one_dimensional_rays():
+    # the complement of the ray [0, inf) has the base {-1}: its facet {0}
+    # has an empty base, so the complement LMO answers in closed form
+    ray = make_polycone([[1.0]])
+    gamma = interpolate(ray, make_polycone([[1.0]]))
+    assert isinstance(gamma, BishopPhelpsCone)
+    f = gamma.functional
+    # the base of gamma is {x*/|x*|} = {+1}: the ray lies in gamma's
+    # interior and gamma in the ray
+    assert f.x_star[0] > 0.0 and 0.0 < f.alpha < f.x_star[0]
+    assert bp_membership(gamma, np.array([1.0])) == Membership.INTERIOR
+    assert bp_membership(gamma, np.array([-1.0])) == Membership.EXTERIOR

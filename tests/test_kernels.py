@@ -151,3 +151,134 @@ def test_min_norm_point_is_hull_optimal(seed, dim, n_pts):
     # optimality: no vertex improves the first-order gap
     gaps = P @ res.point - res.point @ res.point
     assert gaps.min(initial=0.0) >= -1e-8 * max(1.0, res.norm**2)
+
+
+def _reference_nnls(G, y):
+    """Lawson-Hanson with every least squares solve on np.linalg.lstsq:
+    the loop ``nnls`` runs, without its closed-form first step."""
+    n = G.shape[1]
+    scale = max(1.0, float(np.abs(G.T @ y).max(initial=0.0)))
+    tol_w = kernels.KKT_TOL * scale
+    lam = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    outer = 0
+    certified = True
+    while outer < 3 * n + 30:
+        w = np.where(passive, -np.inf, G.T @ (y - G @ lam))
+        j = int(np.argmax(w))
+        if w[j] <= tol_w:
+            break
+        outer += 1
+        passive[j] = True
+        for _ in range(n + 1):
+            idx = np.flatnonzero(passive)
+            z = np.zeros(n)
+            z[idx] = np.linalg.lstsq(G[:, idx], y, rcond=None)[0]
+            if z[idx].min() > 0.0:
+                lam = z
+                break
+            blocking = passive & (z <= 0.0)
+            theta = float((lam[blocking] / (lam[blocking] - z[blocking])).min())
+            lam = lam + theta * (z - lam)
+            drop = passive & (lam <= kernels.WEIGHT_FLOOR * max(1.0, lam.max()))
+            lam[drop] = 0.0
+            passive[drop] = False
+            if not passive.any():
+                lam = np.zeros(n)
+                break
+    else:
+        certified = False
+    w = G.T @ (y - G @ lam)
+    kkt = max(float(w.max(initial=0.0)), float(np.abs(w[lam > 0.0]).max(initial=0.0)))
+    return lam, outer, certified and kkt / scale <= 10.0 * kernels.KKT_TOL
+
+
+def _threshold_case(rng, dim, n_gens, offset):
+    """G and y on which Lawson-Hanson's first step takes column 0 and then
+    column 1 scores tol_w + offset: the step is accepted iff offset <= 0.
+
+    y = 4 g_0 + b v with v the unit part of g_1 orthogonal to g_0, so the
+    step leaves the residual b v and column 1 scores b (g_1 . v).  The other
+    columns are orthogonal to v and score about 0 after the step.
+    """
+    G = rng.standard_normal((dim, n_gens))
+    G /= np.linalg.norm(G, axis=0)
+    g0 = G[:, 0]
+    v = G[:, 1] - (G[:, 1] @ g0) * g0
+    v /= np.linalg.norm(v)
+    G[:, 2:] -= np.outer(v, v @ G[:, 2:])
+    G[:, 2:] /= np.linalg.norm(G[:, 2:], axis=0)
+    tol_w = kernels.KKT_TOL * 4.0  # the scale is |g_0 . y| = 4
+    y = 4.0 * g0 + (tol_w + offset) / (G[:, 1] @ v) * v
+    return G, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 9),
+       st.sampled_from(["random", "tie", "mirror", "threshold"]),
+       st.sampled_from([-1e-10, -1e-11, -1e-12, -1e-13, 1e-13, 1e-12, 1e-11, 1e-10]))
+def test_nnls_matches_the_lstsq_reference_loop(seed, dim, n_gens, case, offset):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((dim, n_gens))
+    y = rng.standard_normal(dim)
+    if case == "tie" and n_gens >= 2:
+        G[:, 1] = G[:, 0]  # an exact tie in argmax at lam = 0
+    elif case == "mirror" and dim >= 2 and n_gens >= 2:
+        # column 1 is column 0 with two coordinates swapped, on which y is
+        # symmetric: the two score alike up to the order of summation
+        y[1] = y[0]
+        G[:, 1] = G[[1, 0, *range(2, dim)], 0]
+    elif case == "threshold" and dim >= 2 and n_gens >= 2:
+        G, y = _threshold_case(rng, dim, n_gens, offset)
+        w = G.T @ (y - (G[:, 0] @ y) * G[:, 0])
+        assert (w[1] > kernels.KKT_TOL * 4.0) == (offset > 0)
+    ref, iters, certified = _reference_nnls(G, y)
+    res = nnls(G, y)
+    assert np.abs(res.coeffs - ref).max() <= 1e-12 * np.abs(ref).max(initial=0.0)
+    assert res.certified == certified
+    assert res.iterations == iters
+    if case == "threshold" and dim >= 2 and n_gens >= 2:
+        assert iters == (1 if offset < 0 else 2)
+
+
+def test_one_column_solves_make_no_lstsq_call(monkeypatch):
+    calls = []
+    real = np.linalg.lstsq
+    monkeypatch.setattr(kernels.np.linalg, "lstsq",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    g = np.array([[3.0], [4.0], [0.0]])
+    res = nnls(g, np.array([1.0, 2.0, 5.0]))
+    assert res.coeffs[0] == pytest.approx(11.0 / 25.0, rel=1e-15)
+    assert res.iterations == 1 and res.certified
+    # two rays, the first step accepted: the second ray scores below zero
+    res = nnls(np.array([[1.0, -1.0], [0.0, 1.0]]), np.array([2.0, -1.0]))
+    assert np.array_equal(res.coeffs, [2.0, 0.0])
+    assert res.iterations == 1 and res.certified
+    # Wolfe on a segment: its only corral of two points
+    P = np.array([[1.0, 1.0], [1.0, -1.0]])
+    assert np.allclose(min_norm_point(P).point, [1.0, 0.0], atol=1e-15)
+    assert np.allclose(kernels._affine_min_norm(P), [0.5, 0.5], atol=1e-15)
+    assert calls == []
+
+
+def _lstsq_affine_weights(Q):
+    D = (Q[1:] - Q[0]).T
+    mu = np.linalg.lstsq(D, -Q[0], rcond=None)[0]
+    return np.concatenate(([1.0 - mu.sum()], mu))
+
+
+def test_two_point_affine_step_on_duplicate_points():
+    Q = np.array([[0.3, -1.2, 2.0], [0.3, -1.2, 2.0]])
+    assert np.array_equal(kernels._affine_min_norm(Q), [1.0, 0.0])
+    assert np.array_equal(_lstsq_affine_weights(Q), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_two_point_affine_step_on_points_1e_8_apart(seed):
+    rng = np.random.default_rng(seed)
+    q0 = rng.standard_normal(int(rng.integers(2, 7)))
+    Q = np.stack([q0, q0 + 1e-8 * rng.standard_normal(q0.size)])
+    # the weights grow like |q_0| / |q_1 - q_0|, and so does their error
+    scale = np.abs(Q).max() / np.abs(Q[1] - Q[0]).max()
+    got, ref = kernels._affine_min_norm(Q), _lstsq_affine_weights(Q)
+    assert np.abs(got - ref).max() <= 1e-15 * scale

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conesep import kernels
-from conesep.errors import NotConvex, NotSolid, ZeroDirection
+from conesep.errors import NotConvex, NotSolid, TrivialRegion, ZeroDirection
 from conesep.geometry import (
     cone_membership,
     facets,
@@ -330,3 +330,19 @@ def test_piece_lmo_matches_the_nnls_route_bit_for_bit():
             res, ref = _lmo_piece(cone, f), _lmo_piece_via_nnls(cone, f)
             assert res.value == ref.value
             assert res.witness.tobytes() == ref.witness.tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_complement_of_a_one_dimensional_ray(sign):
+    # the ray's only facet is {0}, with an empty base: no facet pieces, and
+    # the complement's base is the single point -n
+    ray = make_polycone([[sign * 2.0]])
+    assert facets(ray).pieces == ()
+    region = ConeRegion.complement(ray)
+    assert np.array_equal(region.anchor_points(), [[-sign]])
+    for f in (3.0, -3.0):
+        res = region.lmo(np.array([f]))
+        assert np.array_equal(res.witness, [-sign])
+        assert res.value == -sign * f
+    with pytest.raises(TrivialRegion, match="empty"):
+        ConeRegion.boundary(ray)
