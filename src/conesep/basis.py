@@ -135,11 +135,11 @@ def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL,
     For piece/union regions this reduces to the pooled generators: a
     functional is positive on the base exactly when it is positive on every
     generator, so the verdict is whether the origin lies in their convex
-    hull (solved by the min-norm-point kernel, independently of the
-    distance engine used by is_well_based).  Regions with complement or
-    boundary leaves fall back to the hull-body distance, that is to
-    is_well_based; a caller that already holds its certificate for this
-    region and tol passes it as well_based to skip the second solve.
+    hull, solved by Wolfe's method on the explicit generators
+    (``min_norm_point``, whose per-generator weights are the witness).
+    Regions with complement or boundary leaves fall back to is_well_based;
+    a caller that already holds its certificate for this region and tol
+    passes it as well_based to skip the second solve.
     """
     _check_nontrivial(region)
     if region.has_compound_leaves:
@@ -228,18 +228,21 @@ class InterpolationCheck:
 
 def _bp_base_samples(gamma: BishopPhelpsCone, count: int,
                      rng: np.random.Generator | None) -> np.ndarray:
-    """count unit vectors in the base of a Euclidean Bishop-Phelps cone
-    (dimension >= 2), drawn directly.
+    """count unit vectors in the base of a Euclidean Bishop-Phelps cone,
+    drawn directly.
 
     With x^ = x*/|x*| and rim angle t^ = arccos(alpha/|x*|), point i is
     cos(t_i) x^ + sin(t_i) w_i, where w_i is a Gaussian direction with its
     x^ component removed, normalized.  The first ceil(count/2) points take
     t_i = t^ and lie on the rim, where inclusion in an outer cone is
-    tightest; the rest take t_i = t^ u_i with u_i uniform in [0, 1].
+    tightest; the rest take t_i = t^ u_i with u_i uniform in [0, 1].  In
+    R^1 no direction is orthogonal to x^, and the base is the point x^.
     """
     f = gamma.functional
     n = np.linalg.norm(f.x_star)
     xs = f.x_star / n
+    if gamma.dim == 1:
+        return np.tile(xs, (count, 1))
     rng = rng if rng is not None else np.random.default_rng(7)
     W = rng.standard_normal((count, gamma.dim))
     W -= np.outer(W @ xs, xs)

@@ -1,12 +1,12 @@
 """Distance between convex bodies with certified witnesses.
 
-GJK-flavoured fully corrective Frank-Wolfe on the Minkowski difference:
-each iteration adds the support point of A - B against the current iterate
-and recomputes the exact min-norm point of the collected difference points
-(Wolfe's algorithm), so polytopal contact terminates finitely and curved
-spherical-cap contact converges geometrically.  Positive outcomes carry the
-separating functional a - b; zero outcomes carry the common point and the
-convex combination that realizes it.
+Wolfe's min-norm-point method on the Minkowski difference A - B with the
+LMOs as its vertex oracle, as GJK does for convex bodies: each iteration
+adds the support point of A - B against the iterate to a persistent
+corral, and Wolfe's minor cycles (``kernels.corral_step``) move the
+iterate to the min-norm point of the corral's hull.  Positive outcomes
+carry the separating functional a - b; zero outcomes carry the common
+point and the convex combination that realizes it.
 """
 from __future__ import annotations
 
@@ -48,8 +48,6 @@ class DistanceResult:
     # why the solve ended: "certified_zero", "certified_gap", "stalled",
     # "repeat_point" or "max_iter"
     stop: str
-    # inner Wolfe solves (one per FW iteration) that ended uncertified
-    wolfe_uncertified: int
 
 
 def decide_gap(res: DistanceResult, what: str, tol: float) -> bool:
@@ -86,24 +84,21 @@ def body_distance(A, B, tol: float = DEFAULT_TOL) -> DistanceResult:
     their closures.  Terminates when |v| <= tol certifies contact or when
     the duality gap certifies the distance to within tol: the true distance
     lies in [sval/|v|, |v|], an interval of width gap/|v|, so
-    gap <= tol * |v| pins it.  A solve whose gap stops improving before
-    reaching that target exits uncertified instead of spinning.
+    gap <= tol * |v| pins it.  A solve whose gap stops improving, or whose
+    new support point repeats or leaves the corral again, stops there
+    instead of spinning.
     """
     if A.dim != B.dim:
         raise DimensionMismatch("bodies live in different dimensions")
-    d = A.dim
     tol2 = tol * tol
 
     d0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
     if float(np.linalg.norm(d0)) <= 1e-12:
-        d0 = np.zeros(d)
-        d0[0] = 1.0
+        d0 = np.eye(A.dim)[0]
     _, a0, b0 = _support_difference(A, B, d0)
-    pts = [a0 - b0]
-    parents_a = [a0]
-    parents_b = [b0]
-    w = np.array([1.0])
-    v = pts[0].copy()
+    # the corral: A- and B-support points whose differences carry weights w
+    Pa, Pb, w = a0[None, :], b0[None, :], np.array([1.0])
+    v = a0 - b0
 
     lower = 0.0
     gap = float("inf")
@@ -111,7 +106,6 @@ def body_distance(A, B, tol: float = DEFAULT_TOL) -> DistanceResult:
     stalled = 0
     certified = False
     stop = "max_iter"
-    wolfe_uncertified = 0
     it = 0
     while it < MAX_ITER:
         it += 1
@@ -140,30 +134,22 @@ def body_distance(A, B, tol: float = DEFAULT_TOL) -> DistanceResult:
                 # the oracle's precision is exhausted short of the target
                 stop = "stalled"
                 break
-        s = wa - wb
-        dists = [float(np.linalg.norm(s - p)) for p in pts]
-        if min(dists) <= 1e-15 * (1.0 + float(np.linalg.norm(s))):
-            # The oracle repeats a known point: numerically stalled.
+        S = np.vstack((Pa - Pb, wa - wb))
+        fresh = float(np.linalg.norm(S[:-1] - S[-1], axis=1).min()) > 1e-15 * (
+            1.0 + float(np.linalg.norm(S[-1])))
+        if fresh:
+            w_next, keep = kernels.corral_step(S, np.append(w, 0.0))
+        if not fresh or (keep[:-1].all() and not keep[-1]):
+            # The oracle repeats a corral point, or the minor cycles drop
+            # the new one again: either way the next iteration repeats this.
             certified = gap <= max(done, 100.0 * GAP_REL_FLOOR * nv2)
             stop = "repeat_point"
             break
-        pts.append(s)
-        parents_a.append(wa)
-        parents_b.append(wb)
-        mnp = kernels.min_norm_point(np.stack(pts, axis=0))
-        wolfe_uncertified += not mnp.certified
-        v = mnp.point
-        keep = mnp.weights > kernels.WEIGHT_FLOOR
-        if not keep.any():
-            keep[int(np.argmax(mnp.weights))] = True
-        w = mnp.weights[keep]
-        w = w / w.sum()
-        pts = [p for p, k in zip(pts, keep) if k]
-        parents_a = [p for p, k in zip(parents_a, keep) if k]
-        parents_b = [p for p, k in zip(parents_b, keep) if k]
+        w = w_next
+        Pa = np.vstack((Pa, wa))[keep]
+        Pb = np.vstack((Pb, wb))[keep]
+        v = w @ S[keep]
 
-    Pa = np.stack(parents_a, axis=0)
-    Pb = np.stack(parents_b, axis=0)
     a = w @ Pa
     b = w @ Pb
     v = a - b
@@ -183,7 +169,6 @@ def body_distance(A, B, tol: float = DEFAULT_TOL) -> DistanceResult:
         support_b=Pb,
         weights=w,
         stop=stop,
-        wolfe_uncertified=wolfe_uncertified,
     )
 
 

@@ -1,13 +1,14 @@
-"""Dense numerical kernels: NNLS, conic projection, min-norm point.
+"""Dense numerical kernels: NNLS, conic projection, Wolfe's min-norm point.
 
 Everything in this module works on raw numpy arrays so the geometric layers
 above stay free of solver detail.  All solvers return a ``certified`` flag;
 callers must treat non-certified results as best-effort iterates.
 
-Least squares on one column has a closed form (``_ray_coeff``), used in
-place of ``np.linalg.lstsq`` wherever the two solvers meet one: NNLS's
-first Lawson-Hanson step, which frees one column from lam = 0 and usually
-ends the solve, and Wolfe's affine step on a corral of two points.
+Wolfe's minor cycles (``corral_step``) serve two major loops: the scan over
+explicit rows in ``min_norm_point`` and the LMO-driven loop of
+``distance.body_distance``.  Least squares on one column has a closed form
+(``_ray_coeff``), used in place of ``np.linalg.lstsq`` in NNLS's first
+Lawson-Hanson step and in Wolfe's affine step on a corral of two points.
 """
 from __future__ import annotations
 
@@ -201,13 +202,40 @@ def _affine_min_norm(Q: np.ndarray) -> np.ndarray:
     return np.concatenate(([1.0 - mu.sum()], mu))
 
 
+def corral_step(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wolfe's minor cycles on the corral Q (rows) with convex weights w,
+    the last row just added at weight 0: project onto the affine hull and,
+    while that point leaves the simplex, walk toward it until a weight hits
+    zero and drop that vertex.  Returns the new weights and the mask of the
+    rows that stay; each cycle drops a vertex, so at most len(Q) run.
+    """
+    keep = np.ones(len(Q), dtype=bool)
+    for _ in range(len(Q)):
+        a = _affine_min_norm(Q[keep])
+        if a.min() >= -WEIGHT_FLOOR:
+            w = np.clip(a, 0.0, None)
+            s = w.sum()
+            w = w / s if s > 0 else np.full(len(w), 1.0 / len(w))
+            break
+        shrink = a < WEIGHT_FLOOR
+        steps = w[shrink] / (w[shrink] - a[shrink])
+        theta = float(steps.min())
+        w = (1.0 - theta) * w + theta * a
+        stay = w > WEIGHT_FLOOR
+        if not stay.any():
+            stay[int(np.argmax(w))] = True
+        keep[keep] = stay
+        w = w[stay]
+        w = w / w.sum()
+    return w, keep
+
+
 def min_norm_point(P: np.ndarray) -> MinNormResult:
     """Wolfe's algorithm for the least-norm point of conv(rows of P).
 
     Maintains a corral of affinely independent points; each major cycle pulls
-    in the vertex most aligned against the current iterate, each minor cycle
-    projects onto the affine hull of the corral and walks back into the
-    simplex, dropping vertices whose weight hits zero.  Terminates when
+    in the vertex most aligned against the current iterate, and
+    ``corral_step`` runs the minor cycles on it.  Terminates when
     <x, x - p_j> is below a relative tolerance for every vertex p_j, which
     certifies x as the minimum-norm point up to that gap.
     """
@@ -222,7 +250,7 @@ def min_norm_point(P: np.ndarray) -> MinNormResult:
     scale = max(1.0, float(norms2.max()))
     tol = MNP_TOL * scale
 
-    corral = [int(np.argmin(norms2))]
+    corral = np.array([int(np.argmin(norms2))])
     w = np.array([1.0])
     x = P[corral[0]].copy()
     gap = float(x @ x) - float((P @ x).min(initial=0.0))
@@ -240,29 +268,12 @@ def min_norm_point(P: np.ndarray) -> MinNormResult:
             # No vertex improves on the corral: numerically stalled.
             certified = gap <= 100.0 * tol
             break
-        before = list(corral)
-        corral.append(j)
-        w = np.append(w, 0.0)
-        for _ in range(m + 1):
-            Q = P[corral]
-            a = _affine_min_norm(Q)
-            if a.min() >= -WEIGHT_FLOOR:
-                w = np.clip(a, 0.0, None)
-                s = w.sum()
-                w = w / s if s > 0 else np.full(len(corral), 1.0 / len(corral))
-                break
-            shrink = a < WEIGHT_FLOOR
-            steps = w[shrink] / (w[shrink] - a[shrink])
-            theta = float(steps.min())
-            w = (1.0 - theta) * w + theta * a
-            keep = w > WEIGHT_FLOOR
-            if not keep.any():
-                keep[int(np.argmax(w))] = True
-            corral = [c for c, k in zip(corral, keep) if k]
-            w = w[keep]
-            w = w / w.sum()
+        before = corral
+        corral = np.append(corral, j)
+        w, keep = corral_step(P[corral], np.append(w, 0.0))
+        corral = corral[keep]
         x = w @ P[corral]
-        if corral == before:
+        if np.array_equal(corral, before):
             # The minor cycles dropped j again: the next major cycle would
             # pick the same j and repeat this one exactly.
             certified = gap <= 100.0 * tol

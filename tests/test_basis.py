@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from conesep.basis import (
     make_base,
     verify_interpolation,
 )
-from conesep.errors import NonPositiveRay, NotNested, ZeroDirection
+from conesep.errors import NonPositiveRay, NotNested
 from conesep.geometry import (
     cone_membership,
     cone_membership_batch,
@@ -378,13 +379,21 @@ def test_verify_interpolation_verdicts_match_a_cone_membership_loop(case):
     assert (check.base_violations > 0) == (case == "wider")
 
 
-def test_verify_interpolation_raises_for_a_one_dimensional_cone():
-    # no direction is orthogonal to x* in 1-D, so the base sampler yields
-    # NaN points, which must not be counted as violations
+def test_verify_interpolation_passes_for_a_one_dimensional_cone():
+    # no direction is orthogonal to x* in 1-D: the base of gamma is the
+    # single point x*/|x*| = (+1), sampled count times
     ray = make_polycone([[1.0]])
     gamma = bishop_phelps(np.array([1.0]), 0.5)
-    with pytest.warns(RuntimeWarning), pytest.raises(ZeroDirection):
-        verify_interpolation(gamma, ray, ray, count=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        check = verify_interpolation(gamma, ray, ray, count=10)
+        outside = verify_interpolation(gamma, ray, make_polycone([[-1.0]]),
+                                       count=10)
+    assert check.ok
+    assert check.base_count == 10 and check.base_violations == 0
+    # against the opposite ray every base sample is a violation
+    assert not outside.ok
+    assert outside.base_violations == 10
 
 
 def test_interpolate_between_two_one_dimensional_rays():

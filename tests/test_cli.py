@@ -347,6 +347,22 @@ def test_interpolate_command(capsys, tmp_path):
     assert doc["verdict"] == "not_interpolated"
 
 
+def test_interpolate_command_between_two_one_dimensional_rays(capsys, tmp_path):
+    # the base of a cone in R^1 is one point, which the check samples
+    path = _write(tmp_path, "rays.json", {
+        "dim": 1,
+        "cones": {
+            "A": {"pieces": [{"generators": [[1]]}]},
+            "B": {"pieces": [{"generators": [[2]]}]},
+        },
+    })
+    code, doc = _run(capsys, ["interpolate", path, "--inner", "A",
+                              "--outer", "B"])
+    assert code == 0
+    assert doc["verdict"] == "interpolated"
+    assert doc["verification"]["ok"] is True
+
+
 def test_check_command(capsys, sector_vs_line_pair, identical):
     code, doc = _run(capsys, ["check", sector_vs_line_pair, "--report",
                               "bd-equivalence", "--pair", "C,K"])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conesep import kernels
 from conesep.distance import PolytopeBody, body_distance, origin_body
 from conesep.geometry import make_polycone
+from conesep.kernels import min_norm_point
 from conesep.oracle import random_region, sample_norm_base, sector_cone_2d
 from conesep.regions import ConeRegion, body, support_norm_base
 
@@ -22,7 +24,6 @@ def test_ray_vs_origin_adjoined_ray():
     assert np.allclose(res.functional, [0.0, 1.0], atol=1e-9)
     assert res.certified
     assert res.stop == "certified_gap"
-    assert res.wolfe_uncertified == 0
 
 
 def test_overlapping_bodies_report_zero():
@@ -169,6 +170,33 @@ def test_point_vs_polytope_distance():
     res = body_distance(origin_body(2), tri)
     assert res.distance == pytest.approx(np.sqrt(2.0), abs=1e-9)
     assert np.allclose(res.witness_b, [1.0, 1.0], atol=1e-8)
+    # the engine's LMO loop and min_norm_point's scan over rows share
+    # Wolfe's minor cycles and must find the same distance
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        dim, n = int(rng.integers(2, 7)), int(rng.integers(1, 20))
+        P = rng.standard_normal((n, dim)) + rng.uniform(-2.0, 2.0) * rng.standard_normal(dim)
+        res = body_distance(origin_body(dim), PolytopeBody(P))
+        assert res.certified
+        assert res.distance == pytest.approx(min_norm_point(P).norm, abs=1e-9)
+
+
+def test_engine_stops_when_the_corral_comes_back(monkeypatch):
+    # An affine step that always gives the new point a negative weight makes
+    # the minor cycles drop it again at theta = 0: the next iteration would
+    # repeat this one, so the solve stops as a repeated point (it used to
+    # spin until the stall rule, 100 iterations later).
+    def drop_newest(Q):
+        k = len(Q) - 1
+        if k == 0:
+            return np.ones(1)
+        return np.append(np.full(k, 1.5 / k), -0.5)
+
+    monkeypatch.setattr(kernels, "_affine_min_norm", drop_newest)
+    res = body_distance(origin_body(2), PolytopeBody(np.array([[1.0, 0.0], [0.5, 5.0]])))
+    assert res.iterations == 1
+    assert res.stop == "repeat_point" and not res.certified
+    assert np.array_equal(res.witness_b, [1.0, 0.0])
 
 
 def test_iteration_budget_and_gap():
