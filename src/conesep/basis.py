@@ -165,7 +165,8 @@ def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL,
             witness_pair=_maybe_pair(region, pooled, res.weights, tol),
         )
     if t <= DEAD_BAND * tol:
-        raise Inconclusive("generator hull distance is inside the dead-band")
+        raise Inconclusive("generator hull distance is inside the dead-band",
+                           dead_band=True)
     x_star = res.point / t
     x_star.setflags(write=False)
     vals = pooled @ x_star

@@ -52,20 +52,24 @@ class DistanceResult:
 
 def decide_gap(res: DistanceResult, what: str, tol: float) -> bool:
     """The verdict ``res`` supports: False for a certified zero, True for a
-    certified gap beyond the dead band.  Anything else raises Inconclusive,
-    saying whether the solve ended uncertified or inside the dead band."""
-    if not res.certified:
-        if res.kind == ZERO:
+    certified gap beyond the dead band.  Anything else raises Inconclusive:
+    a dead-band one when the distance surely lies in (tol, DEAD_BAND * tol],
+    because the solve certified a gap there or its bracket
+    [lower_bound, distance] lies inside it, and otherwise one saying that
+    the solve ended uncertified."""
+    if res.kind == ZERO:
+        if not res.certified:
             raise Inconclusive(f"{what} did not certify the zero verdict")
+        return False
+    if res.distance <= DEAD_BAND * tol and (res.certified or res.lower_bound > tol):
+        raise Inconclusive(
+            f"{what} {res.distance:.3e} is inside the tolerance dead-band",
+            dead_band=True,
+        )
+    if not res.certified:
         raise Inconclusive(
             f"{what} ended uncertified ({res.stop}); it lies in "
             f"[{res.lower_bound:.3e}, {res.distance:.3e}]"
-        )
-    if res.kind == ZERO:
-        return False
-    if res.distance <= DEAD_BAND * tol:
-        raise Inconclusive(
-            f"{what} {res.distance:.3e} is inside the tolerance dead-band"
         )
     return True
 

@@ -31,8 +31,13 @@ class DegenerateCone(ConesepError):
 
 
 class Inconclusive(ConesepError):
-    """No certified verdict: the distance lies in the tolerance dead band,
-    or the solve ended uncertified; the message says which."""
+    """No certified verdict: the distance lies in the tolerance dead band
+    (``dead_band`` is True), or the solve ended uncertified; the message
+    says which."""
+
+    def __init__(self, *args, dead_band: bool = False):
+        super().__init__(*args)
+        self.dead_band = dead_band
 
 
 class NotSolid(ConesepError):

@@ -202,10 +202,22 @@ def pointedness(cone: PolyCone) -> PointednessResult:
 
 
 def is_whole_space(cone: PolyCone) -> bool:
-    """True iff the cone equals the ambient space."""
+    """True iff the cone is solid and every +-e_i is a member (within
+    MEMBERSHIP_TOL, through NNLS).
+
+    One product decides most cones first: when the generator mean y has
+    y . g > 0 on every generator g, the cone lies in the half-space
+    y . x >= 0, and so cannot be the whole space.  The member test would
+    say no as well: for each i one of +-e_i lies |y_i| / |y| from that
+    half-space, so at least as far from the cone, and these distances
+    cannot all be within MEMBERSHIP_TOL, since their squares sum to 1.
+    Every other cone takes the solidity and membership test.
+    """
     v = cone._cache.get("whole")
     if v is None:
-        v = solidity(cone) and all(
+        G = cone.generators
+        in_half_space = float((G.mean(axis=1) @ G).min()) > 0.0
+        v = not in_half_space and solidity(cone) and all(
             cone_membership(sgn * e, cone)
             for e in np.eye(cone.dim)
             for sgn in (1.0, -1.0)

@@ -131,7 +131,15 @@ class _BoundaryLeaf(_Leaf):
 
 
 class _ComplementLeaf(_Leaf):
-    __slots__ = ("facets", "normals")
+    """The closure of X \\ K with {0}, for a solid K other than the whole
+    space.  It keeps only the unit facet normals of K, from the cached
+    ``_inspan_hrep``: the LMO's closed form, ``centroid`` and membership
+    read nothing else.  K's facet cones (``geometry.facets``, cached on K)
+    are built on first use, by the half-space fallback of ``lmo`` and by
+    ``anchor_points``.
+    """
+
+    __slots__ = ("normals",)
 
     def __init__(self, cone: PolyCone):
         if not geometry.solidity(cone):
@@ -142,7 +150,6 @@ class _ComplementLeaf(_Leaf):
             raise TrivialRegion("cannot take the complement of the whole space")
         self.cone = cone
         self.pieces = ()
-        self.facets = geometry.facets(cone).pieces
         self.normals = geometry.facet_normals(cone)
 
     def lmo(self, f: np.ndarray) -> LmoResult:
@@ -165,7 +172,8 @@ class _ComplementLeaf(_Leaf):
             return LmoResult(-fn, u)
         res = _lmo_across_facet(N, s, u, fn)
         if res is None:
-            res = _lmo_min(self.facets, f) if self.facets else LmoResult(fn, -N[0])
+            facets = geometry.facets(self.cone).pieces
+            res = _lmo_min(facets, f) if facets else LmoResult(fn, -N[0])
         return res
 
     def contains_unit_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
@@ -174,7 +182,8 @@ class _ComplementLeaf(_Leaf):
         return (X @ N.T).min(axis=1) <= tol * scale
 
     def anchor_points(self) -> np.ndarray:
-        pts = [p.generators.T for p in self.facets] or [-self.normals]
+        pts = ([p.generators.T for p in geometry.facets(self.cone).pieces]
+               or [-self.normals])
         return np.concatenate(pts, axis=0)
 
     def centroid(self) -> np.ndarray:

@@ -302,7 +302,8 @@ def separate_sym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     The first certificate is returned as it stands: with exact LMOs its
     non-empty threshold interval (lo, hi) puts the two norm-base hulls at
     least hi - lo apart, so no cross-check could overturn it.  Without one,
-    an Inconclusive from either orientation is re-raised.  Only when both
+    an Inconclusive from either orientation is re-raised, one inside the
+    dead band before an uncertified one.  Only when both
     certified a zero gap is the verdict cross-checked against the plain-body
     distance between the hulls, which is positive exactly when some
     orientation works; a clear positive distance raises Inconclusive.
@@ -312,7 +313,8 @@ def separate_sym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
         try:
             cert = one_sided(C, K, tol=tol)
         except Inconclusive as exc:
-            pending = exc
+            if pending is None or not pending.dead_band:
+                pending = exc
             continue
         if cert is not None:
             return cert

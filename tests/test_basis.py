@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conesep import basis, kernels
+from conesep import basis, geometry, kernels
 from conesep.basis import (
     BaseKind,
     _bp_base_samples,
@@ -210,6 +210,19 @@ def test_interpolate_nesting_check_screens_with_the_facets(monkeypatch):
     with pytest.raises(NotNested):
         interpolate(make_polycone([mid - 1e-7 * n, ax]), K)
     assert len(seen) == 2
+
+
+def test_interpolate_builds_no_facet_cone(monkeypatch):
+    # the complement leaf's LMO reads K's facet normals, not its facet cones
+    ax = [0.2, 0.5, 1.0]
+    inner, K = cone_about(ax, 20.0, 8), cone_about(ax, 50.0, 12)
+    made = []
+    real = geometry.make_polycone
+    monkeypatch.setattr(geometry, "make_polycone",
+                        lambda *a: made.append(1) or real(*a))
+    assert interpolate(inner, K) is not None
+    assert "facets" not in K._cache
+    assert made == []
 
 
 def _cross_cone_5d(t):

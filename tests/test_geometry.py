@@ -95,6 +95,39 @@ def test_whole_space_detection():
     assert not is_whole_space(make_polycone([[1, 0], [-1, 0], [0, 1]]))
 
 
+def _whole_space_cases(dim, rng):
+    eye = np.eye(dim)
+    yield random_pointed_cone(rng, dim, n_rays=dim + 2)
+    yield make_polycone(rng.standard_normal((dim + 3, dim)))
+    n = rng.standard_normal(dim)
+    n /= np.linalg.norm(n)
+    T = np.linalg.svd(n[None, :])[2][1:]  # a basis of the hyperplane n.x = 0
+    yield make_polycone(np.vstack([T, -T, n]))  # a half-space
+    # not pointed, not a half-space: a line through a pointed cone
+    yield make_polycone(np.vstack([eye[0], -eye[0],
+                                   random_pointed_cone(rng, dim).generators.T]))
+    if dim > 1:
+        yield make_polycone(np.vstack([eye[1:], -eye[1:]]))  # not solid
+        yield make_polycone(eye[1:])
+    yield make_polycone(np.vstack([eye, -eye]))
+    yield make_polycone(np.vstack([eye, -eye.sum(axis=0)]))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_whole_space_test_matches_its_definition(dim):
+    # solid, with every +-e_i a member: the definition the one-product
+    # shortcut for pointed cones must agree with
+    rng = np.random.default_rng([59, dim])
+    seen = set()
+    for _ in range(4):
+        for cone in _whole_space_cases(dim, rng):
+            ref = solidity(cone) and all(
+                cone_membership(s * e, cone) for e in np.eye(dim) for s in (1.0, -1.0))
+            assert is_whole_space(make_polycone(cone.generators.T)) == ref
+            seen.add(ref)
+    assert seen == {True, False}
+
+
 def test_facets_first_orthant_2d():
     decomp = facets(make_polycone([[1.0, 0.0], [0.0, 1.0]]))
     rays = sorted(tuple(np.round(p.generators[:, 0], 9)) for p in decomp.pieces)

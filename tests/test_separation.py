@@ -519,6 +519,33 @@ def test_dead_band_ray_pairs_stop_at_once(dim, seed, monkeypatch):
     assert solves and all(r.iterations <= 3 for r in solves)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+@pytest.mark.parametrize("seed", range(3))
+def test_dead_band_is_reported_whenever_a_bracket_shows_it(dim, seed, monkeypatch):
+    # A bracket [lower_bound, distance] inside (tol, DEAD_BAND * tol] from
+    # either orientation, certified or not, makes the message "dead-band";
+    # on (2, 2), (3, 2) and (4, 1) the first orientation certifies it and
+    # the second ends uncertified at lower bound 0.
+    C, K = _thin_ray_pair(dim, seed)
+    solves = []
+    solve = separation.body_distance
+
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        solves.append(res)
+        return res
+
+    monkeypatch.setattr(separation, "body_distance", recording)
+    with pytest.raises(Inconclusive) as exc:
+        separate_sym(C, K)
+    tol = separation.DEFAULT_TOL
+    in_band = any(tol < r.lower_bound and r.distance <= separation.DEAD_BAND * tol
+                  for r in solves)
+    assert exc.value.dead_band == in_band
+    assert ("dead-band" in str(exc.value)) == in_band
+    assert in_band or (dim, seed) == (6, 0)
+
+
 TWO_RAYS_3D = ConeRegion.piece(make_polycone([[1, 0, 1], [0, 1, 1]]))
 HEXAGONAL_CAP = ConeRegion.piece(cone_about([0, 0, 1], 20.0, 6))
 
