@@ -45,8 +45,9 @@ class DistanceResult:
     support_a: np.ndarray
     support_b: np.ndarray
     weights: np.ndarray
-    # why the solve ended: "certified_zero", "certified_gap", "stalled",
-    # "repeat_point" or "max_iter"
+    # why the solve ended: "certified_zero", "certified_gap", "decided"
+    # (the lower bound cleared DEAD_BAND * tol in a solve run until
+    # decided), "stalled", "repeat_point" or "max_iter"
     stop: str
 
 
@@ -81,7 +82,8 @@ def _support_difference(A, B, v: np.ndarray):
     return ra.value + rb.value, ra.witness, rb.witness
 
 
-def body_distance(A, B, tol: float = DEFAULT_TOL) -> DistanceResult:
+def body_distance(A, B, tol: float = DEFAULT_TOL,
+                  until_decided: bool = False) -> DistanceResult:
     """Distance between conv bodies A and B with witnesses.
 
     A and B expose ``dim`` and ``lmo(direction) -> (value, witness)`` over
@@ -90,7 +92,10 @@ def body_distance(A, B, tol: float = DEFAULT_TOL) -> DistanceResult:
     lies in [sval/|v|, |v|], an interval of width gap/|v|, so
     gap <= tol * |v| pins it.  A solve whose gap stops improving, or whose
     new support point repeats or leaves the corral again, stops there
-    instead of spinning.
+    instead of spinning.  With ``until_decided``, for callers that read only
+    the ``decide_gap`` verdict, it also stops, certified, with stop
+    "decided" once the lower bound clears DEAD_BAND * tol: the distance is
+    then surely beyond the dead band, though not pinned to within tol.
     """
     if A.dim != B.dim:
         raise DimensionMismatch("bodies live in different dimensions")
@@ -128,6 +133,10 @@ def body_distance(A, B, tol: float = DEFAULT_TOL) -> DistanceResult:
         if gap <= done:
             certified = True
             stop = "certified_gap"
+            break
+        if until_decided and lower > DEAD_BAND * tol:
+            certified = True
+            stop = "decided"
             break
         if gap < 0.99 * best_gap:
             best_gap = gap

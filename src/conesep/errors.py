@@ -57,8 +57,8 @@ class NonPositiveRay(ConesepError):
 
 
 class DimensionTooHigh(ConesepError):
-    """Facet enumeration of a cone would test more generator subsets,
-    C(rays, dim - 1), than geometry.MAX_FACET_SUBSETS allows."""
+    """Facet enumeration of a cone would hold more rays of its dual cone at
+    one step than geometry.MAX_DD_RAYS allows."""
 
 
 class DimensionNot2D(ConesepError):

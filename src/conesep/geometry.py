@@ -2,20 +2,22 @@
 
 A ``PolyCone`` is its unit, deduplicated generator columns and nothing
 else.  Its one outer description, derived from them and cached, is
-``_inspan_hrep``: inward facet normals within the generators' span,
-enumerated when the (r-1)-subsets of its n rays (r the span dimension)
-number at most MAX_FACET_SUBSETS; batch membership, facet normals, facets
-and the interior test all read it.  Enumeration tests every subset,
-streaming them in chunks of FACET_CHUNK with one cofactor pre-screen and
-one stacked SVD per chunk; the chunk size bounds memory on facet-heavy
-cones.
+``_inspan_hrep``: inward facet normals within the generators' span; batch
+membership, facet normals, facets and the interior test all read it.
+Enumeration takes one of two paths by the count C(n, r-1) of (r-1)-subsets
+of the n rays (r the span dimension).  Up to SUBSET_CROSSOVER it tests every
+subset in one stacked call.  Over it the double-description method finds
+the facets, one ray at a time, and each facet's normal comes from its first
+subset of tight rays; a cone whose enumeration would hold over MAX_DD_RAYS
+rays raises DimensionTooHigh.  Both paths give the normals of testing every
+subset, bit for bit and in the same order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -40,16 +42,21 @@ DEDUP_COS = 1.0 - 1e-12
 MEMBERSHIP_TOL = 1e-9
 # Sign slack for facet normal tests.
 FACET_TOL = 1e-10
-# Generator subsets per stacked SVD in facet enumeration.  The cap bounds
-# memory, not time: taking all C(48, 3) = 17296 subsets of a 48-ray 4-D
-# cone in one SVD ran no faster and raised a CLI batch's peak RSS from 51
-# to 63 MB; from about 128 up the per-call overhead is already amortized.
-FACET_CHUNK = 256
-# Most generator subsets a facet enumeration may test.  A subset costs
-# about 2.4 us in 4-D and 5 us in 6-D (one Xeon core, numpy 2.4), so one
-# enumeration stays near 0.5 s (1 s in 6-D); in 4-D the budget admits up to
-# 107 rays.  Over it a cone has per-point NNLS membership only.
-MAX_FACET_SUBSETS = 200_000
+# Facet enumeration tests every (r-1)-subset of a cone's n rays in one
+# stacked call while C(n, r-1) is at most this, and runs the
+# double-description method over it.  Measured on random cones (CHANGES.md
+# has the table): double description wins from about 500 subsets in 4-D to
+# 6-D; in 3-D from about 800 when few rays are facets, but only near 5000
+# when every ray is one.
+SUBSET_CROSSOVER = 1000
+# Most rays the double-description method may hold at one step; over it
+# facet enumeration raises DimensionTooHigh.  Random 50-ray cones in 8-D
+# have about 4700 facets and take 0.2 s; 60 rays in 6-D have 642 and take
+# 0.04 s.
+MAX_DD_RAYS = 4096
+# Rows per block in the pairwise products of facet enumeration, so that no
+# product holds more than BLOCK * MAX_DD_RAYS entries.
+BLOCK = 256
 
 
 class Norm(Enum):
@@ -157,14 +164,11 @@ def cone_membership_batch(X, cone: PolyCone) -> np.ndarray:
     MEMBERSHIP_TOL is farther than that from it, since the distance to the
     cone is at least the distance to its span and to each facet's
     half-space.  The rows in between, and non-finite rows (where NNLS
-    raises), go to NNLS; so does every row of a cone over the subset
-    budget.
+    raises), go to NNLS.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != cone.dim:
         raise DimensionMismatch("point dimension does not match the cone")
-    if _inspan_hrep(cone)[1] is None:
-        return np.array([cone_membership(x, cone) for x in X], dtype=bool)
     inside = contains_batch(cone, X, 0.0)
     band = ~inside & (contains_batch(cone, X) | ~np.isfinite(X).all(axis=1))
     inside[band] = [cone_membership(x, cone) for x in X[band]]
@@ -226,70 +230,173 @@ def is_whole_space(cone: PolyCone) -> bool:
     return bool(v)
 
 
-def _enumerate_facet_normals(points: np.ndarray) -> list[np.ndarray]:
-    """Inward facet normals of cone(columns) in its own (solid) space.
+def _oriented_normals(points: np.ndarray, idx: np.ndarray):
+    """The null directions of the column subsets idx (k, d-1), from one
+    stacked SVD (the same LAPACK routine per matrix, so the same bits as one
+    call per subset), with a mask of those that are facet normals.
 
-    Classic subset enumeration: every facet of a finitely generated solid
-    cone is spanned by d-1 linearly independent generators, so its normal
-    shows up as the null direction of some (d-1)-subset with all generators
-    on one side.  The columns are unit vectors.  The subsets stream in
-    order, FACET_CHUNK at a time; each chunk takes one stacked SVD (the same
-    LAPACK routine per matrix, so the same bits as one call per subset),
-    run only on the subsets a cofactor pre-screen cannot already reject.  A
-    subset counts when its (d-1)-th singular value exceeds
-    RANK_REL * max(1, largest), and its null direction, or the negation,
-    has every generator at or above -FACET_TOL.  A candidate within cosine
-    1 - 1e-9 of a normal found earlier in subset order is dropped.
+    A subset counts when its (d-1)-th singular value exceeds
+    RANK_REL * max(1, largest) and its null direction, or the negation (the
+    one returned), has every column at or above -FACET_TOL.
+    """
+    d = points.shape[0]
+    _, s, Vt = np.linalg.svd(points.T[idx])
+    nrm = Vt[:, d - 1]
+    slack = nrm @ points
+    lower = slack.min(axis=1) >= -FACET_TOL
+    upper = slack.max(axis=1) <= FACET_TOL
+    ok = (s[:, d - 2] > RANK_REL * np.maximum(1.0, s[:, 0])) & (lower | upper)
+    return np.where(lower[:, None], nrm, -nrm), ok
+
+
+def _first_distinct(normals: np.ndarray) -> np.ndarray:
+    """The rows not within cosine 1 - 1e-9 of an earlier row kept, compared
+    BLOCK rows at a time."""
+    keep = np.ones(len(normals), dtype=bool)
+    for lo in range(0, len(normals), BLOCK):
+        near = np.tril(normals[lo:lo + BLOCK] @ normals.T >= 1.0 - 1e-9, lo - 1)
+        for i in np.flatnonzero(near.any(axis=1)):
+            keep[lo + i] = not (near[i] & keep).any()
+    return normals[keep]
+
+
+def _subset_facets(points: np.ndarray) -> np.ndarray:
+    """Candidate normals from every (d-1)-subset of the columns, in subset
+    order, in one stacked call; a cofactor pre-screen drops the subsets the
+    sign test would reject before the SVD."""
+    d, n = points.shape
+    idx = np.array(list(combinations(range(n), d - 1)), dtype=np.intp)
+    A = points.T[idx]
+    # minors[i]: the columns left when column i is struck out.  The cofactor
+    # vector is normal to the subset and its length is the product of the
+    # singular values, so above 1e-6 (unit rows) the subset is well
+    # conditioned and the SVD null direction lies within about 1e-9 of it:
+    # slack past 1e-6 of its length on both sides means the sign test would
+    # reject it too.
+    minors = np.array([[j for j in range(d) if j != i] for i in range(d)])
+    cof = (-1.0) ** np.arange(d) * np.linalg.det(A[:, :, minors].transpose(0, 2, 1, 3))
+    length = np.linalg.norm(cof, axis=1)
+    slack = cof @ points
+    mixed = ((length > 1e-6) & (slack.min(axis=1) < -1e-6 * length)
+             & (slack.max(axis=1) > 1e-6 * length))
+    nrm, ok = _oriented_normals(points, idx[~mixed])
+    return nrm[ok]
+
+
+def _dd_tight_sets(points: np.ndarray) -> np.ndarray:
+    """The tight columns (m, n) of each extreme ray of the dual cone
+    {y : points.T @ y >= 0}, by the double-description method.
+
+    The columns are added one at a time.  d of them, chosen by pivoted
+    Gram-Schmidt, make the first (simplicial) cone.  Each further column
+    keeps the rays on its nonnegative side and joins every adjacent pair
+    across it; two rays are adjacent when no third ray is tight on every
+    column both are tight on (with at least d-2 of those).  A ray counts as
+    tight on a column within FACET_TOL.  Over MAX_DD_RAYS rays at any step
+    it raises DimensionTooHigh.
     """
     d, n = points.shape
-    found: list[np.ndarray] = []
+    A = points.T
+    first: list[int] = []
+    R = A.copy()
+    for _ in range(d):
+        res = np.linalg.norm(R, axis=1)
+        res[first] = -1.0
+        j = int(np.argmax(res))
+        first.append(j)
+        unit = R[j] / res[j]
+        R -= np.outer(R @ unit, unit)
+    rays = np.linalg.inv(A[first]).T
+    rays /= np.linalg.norm(rays, axis=1)[:, None]
+    # tight[k, i]: ray k is tight on column i, as 0/1 so that products count
+    tight = np.zeros((d, n), dtype=np.float32)
+    tight[:, first] = 1.0 - np.eye(d, dtype=np.float32)
+    for i in np.setdiff1d(np.arange(n), first):
+        s = rays @ A[i]
+        pos = s > FACET_TOL
+        neg = s < -FACET_TOL
+        tight[~pos & ~neg, i] = 1.0
+        if not neg.any():
+            continue
+        P, Q = np.flatnonzero(pos), np.flatnonzero(neg)
+        p, q = np.nonzero(tight[P] @ tight[Q].T >= d - 2)
+        p, q = P[p], Q[q]
+        adj = np.zeros(len(p), dtype=bool)
+        for lo in range(0, len(p), BLOCK):
+            common = tight[p[lo:lo + BLOCK]] * tight[q[lo:lo + BLOCK]]
+            # ray k holds the common set when their overlap is its size;
+            # the pair itself always does
+            holders = (common @ tight.T == common.sum(axis=1)[:, None]).sum(axis=1)
+            adj[lo:lo + BLOCK] = holders == 2
+        p, q = p[adj], q[adj]
+        common = tight[p] * tight[q]
+        new = s[p, None] * rays[q] - s[q, None] * rays[p]
+        new /= np.linalg.norm(new, axis=1)[:, None]
+        common[:, i] = 1.0
+        rays = np.concatenate([rays[~neg], new])
+        tight = np.concatenate([tight[~neg], common])
+        if len(rays) > MAX_DD_RAYS:
+            raise DimensionTooHigh(
+                f"facet enumeration holds over {MAX_DD_RAYS} rays"
+            )
+    return tight.astype(bool)
+
+
+def _dd_facets(points: np.ndarray) -> np.ndarray:
+    """Candidate normals, one a double-description facet, each from the
+    lexicographically first (d-1)-subset of the facet's tight columns that
+    passes ``_oriented_normals``, in the order of those subsets.  That is
+    the first subset of the facet that subset enumeration accepts, so the
+    candidates carry its bits."""
+    d = points.shape[0]
+    pending = [combinations(np.flatnonzero(t), d - 1) for t in _dd_tight_sets(points)]
+    found: list[tuple[tuple, np.ndarray]] = []
+    while pending:
+        live = [(h, it) for it in pending if (h := next(it, None)) is not None]
+        if not live:
+            break
+        heads = np.array([h for h, _ in live], dtype=np.intp)
+        nrm, ok = _oriented_normals(points, heads)
+        found += [(h, v) for (h, _), v, k in zip(live, nrm, ok) if k]
+        pending = [it for (_, it), k in zip(live, ok) if not k]
+    found.sort(key=lambda hv: hv[0])
+    return np.array([v for _, v in found]).reshape(-1, d)
+
+
+def _enumerate_facet_normals(points: np.ndarray) -> np.ndarray:
+    """Inward facet normals (m, d) of cone(columns) in its own (solid) space.
+
+    Every facet of a finitely generated solid cone is spanned by d-1
+    linearly independent generators, so its normal shows up as the null
+    direction of some (d-1)-subset with all generators on one side.  The
+    columns are unit vectors.  Up to SUBSET_CROSSOVER subsets are all
+    tested; over it the double-description method finds the facets and
+    each is tested on its first subsets only.  Either way a candidate
+    within cosine 1 - 1e-9 of a normal kept earlier in subset order is
+    dropped, so both give the normals of testing every subset, bit for bit
+    and in order.
+    """
+    d, n = points.shape
     if d == 1:
-        signs = points[0]
-        if signs.min() > 0:
-            return [np.array([1.0])]
-        if signs.max() < 0:
-            return [np.array([-1.0])]
-        return []
-    rows = points.T
-    subsets = combinations(range(n), d - 1)
-    # minors[i]: the columns left when column i is struck out
-    minors = np.array([[j for j in range(d) if j != i] for i in range(d)])
-    cof_sign = (-1.0) ** np.arange(d)
-    while True:
-        idx = np.fromiter(islice(subsets, FACET_CHUNK), dtype=(np.intp, d - 1))
-        if idx.shape[0] == 0:
-            return found
-        A = rows[idx]
-        # Cofactor pre-screen.  The cofactor vector is normal to the subset
-        # and its length is the product of the singular values, so above
-        # 1e-6 (unit rows) the subset is well conditioned and the SVD null
-        # direction lies within about 1e-9 of it: slack past 1e-6 of its
-        # length on both sides means the sign test would reject it too.
-        cof = cof_sign * np.linalg.det(A[:, :, minors].transpose(0, 2, 1, 3))
-        length = np.linalg.norm(cof, axis=1)
-        slack = cof @ points
-        mixed = ((length > 1e-6) & (slack.min(axis=1) < -1e-6 * length)
-                 & (slack.max(axis=1) > 1e-6 * length))
-        _, s, Vt = np.linalg.svd(A[~mixed])
-        nrm = Vt[:, d - 1]
-        nrm = nrm[s[:, d - 2] > RANK_REL * np.maximum(1.0, s[:, 0])]
-        slack = nrm @ points
-        lower = slack.min(axis=1) >= -FACET_TOL
-        upper = slack.max(axis=1) <= FACET_TOL
-        for cand in np.where(lower[:, None], nrm, -nrm)[lower | upper]:
-            if not any(float(cand @ f) >= 1.0 - 1e-9 for f in found):
-                found.append(cand)
+        if points[0].min() > 0:
+            return np.array([[1.0]])
+        if points[0].max() < 0:
+            return np.array([[-1.0]])
+        return np.zeros((0, 1))
+    if math.comb(n, d - 1) <= SUBSET_CROSSOVER:
+        return _first_distinct(_subset_facets(points))
+    return _first_distinct(_dd_facets(points))
 
 
-def _inspan_hrep(cone: PolyCone) -> tuple[np.ndarray, np.ndarray | None]:
+def _inspan_hrep(cone: PolyCone) -> tuple[np.ndarray, np.ndarray]:
     """The cone's cached outer description (B, N).
 
     B (d, r) is an orthonormal basis of the generators' span, the identity
     when the cone is solid, and N (m, r) holds the inward facet normals of
     the cone within that span: x is in the cone iff x lies in the span and
-    N @ (B.T @ x) >= 0.  N is enumerated when C(n, r - 1) subsets of the n
-    rays are within MAX_FACET_SUBSETS and is None over it; it has zero rows
-    when the cone fills its span.
+    N @ (B.T @ x) >= 0.  N has zero rows when the cone fills its span.
+    Enumeration raises DimensionTooHigh when it would hold over MAX_DD_RAYS
+    rays.
     """
     cached = cone._cache.get("hrep")
     if cached is not None:
@@ -297,12 +404,8 @@ def _inspan_hrep(cone: PolyCone) -> tuple[np.ndarray, np.ndarray | None]:
     B = _span_basis(cone)
     r = B.shape[1]
     solid = r == cone.dim
-    if math.comb(cone.n_rays, r - 1) > MAX_FACET_SUBSETS:
-        N = None
-    else:
-        points = cone.generators if solid else B.T @ cone.generators
-        N = np.array(_enumerate_facet_normals(points)).reshape(-1, r)
-        N.setflags(write=False)
+    N = _enumerate_facet_normals(cone.generators if solid else B.T @ cone.generators)
+    N.setflags(write=False)
     if solid:
         B = np.eye(r)
     cone._cache["hrep"] = (B, N)
@@ -311,19 +414,12 @@ def _inspan_hrep(cone: PolyCone) -> tuple[np.ndarray, np.ndarray | None]:
 
 def facet_normals(cone: PolyCone) -> np.ndarray:
     """Inward facet normals (m, d) of a solid cone other than the whole
-    space, enumerated within the MAX_FACET_SUBSETS budget."""
+    space."""
     if not solidity(cone):
         raise NotSolid("facet enumeration needs a solid cone")
     if is_whole_space(cone):
         raise TrivialRegion("the whole space has no facets")
-    N = _inspan_hrep(cone)[1]
-    if N is None:
-        subsets = math.comb(cone.n_rays, cone.dim - 1)
-        raise DimensionTooHigh(
-            f"facet enumeration would test {subsets} generator subsets, "
-            f"over the budget of {MAX_FACET_SUBSETS}"
-        )
-    return N
+    return _inspan_hrep(cone)[1]
 
 
 def facets(cone: PolyCone) -> BoundaryDecomposition:
@@ -356,8 +452,6 @@ def contains_batch(cone: PolyCone, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -
     if X.shape[1] != cone.dim:
         raise DimensionMismatch("point dimension does not match the cone")
     B, N = _inspan_hrep(cone)
-    if N is None:
-        return np.array([cone_membership(x, cone, tol) for x in X])
     coords = X @ B
     resid = np.linalg.norm(X - coords @ B.T, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(X, axis=1))

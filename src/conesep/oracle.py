@@ -53,7 +53,16 @@ def _fib_count(resolution_deg: float) -> int:
 
 
 def _dedupe_rows(X: np.ndarray) -> np.ndarray:
-    _, idx = np.unique(np.round(X, 9), axis=0, return_index=True)
+    """The rows of X, in order, less any that round (to 9 decimals) to the
+    same row as an earlier one.
+
+    The rounded rows are compared as raw bytes, one void item a row, which
+    sorts much faster than ``np.unique(..., axis=0)``; adding 0.0 turns
+    -0.0 into 0.0, so that the two still count as one row.
+    """
+    R = np.ascontiguousarray(np.round(X, 9) + 0.0)
+    rows = R.view(np.dtype((np.void, R.itemsize * R.shape[1]))).ravel()
+    _, idx = np.unique(rows, return_index=True)
     return X[np.sort(idx)]
 
 
@@ -112,7 +121,8 @@ def _leaf_cloud(leaf, resolution: float, rng) -> np.ndarray:
 
 def _piece_count_cloud(cone: PolyCone, per: int, rng: np.random.Generator) -> np.ndarray:
     """Random base points of one piece: normalized convex combinations of
-    the generators (every base point is one), plus the generators."""
+    the generators (every base point is one), plus the generators.  They
+    lie in the cone by construction, so no membership test filters them."""
     gens = cone.generators.T
     if len(gens) == 1:
         return gens.copy()
@@ -121,8 +131,7 @@ def _piece_count_cloud(cone: PolyCone, per: int, rng: np.random.Generator) -> np
     nn = np.linalg.norm(pts, axis=1)
     keep = nn > 1e-9
     pts = pts[keep] / nn[keep, None]
-    pts = np.concatenate([pts, gens], axis=0)
-    return pts[geometry.contains_batch(cone, pts)]
+    return np.concatenate([pts, gens], axis=0)
 
 
 def _membership_count_cloud(leaf, per: int, rng: np.random.Generator) -> np.ndarray:

@@ -378,6 +378,9 @@ def boundary_region(region: ConeRegion) -> ConeRegion:
 
 
 def _pieces_meet_only_at_origin(P: PolyCone, Q: PolyCone, tol: float) -> bool:
+    """The ``decide_gap`` verdict on the distance from hull(P's or Q's unit
+    generators, whichever piece is pointed) to the other piece; the solve
+    stops at the first bracket that decides it."""
     if geometry.pointedness(P).pointed:
         hull, other = P, Q
     elif geometry.pointedness(Q).pointed:
@@ -388,6 +391,7 @@ def _pieces_meet_only_at_origin(P: PolyCone, Q: PolyCone, tol: float) -> bool:
         PolytopeBody(hull.generators.T.copy()),
         body(ConeRegion.piece(other), adjoin_origin=True),
         tol=tol,
+        until_decided=True,
     )
     return decide_gap(res, "intersection distance", tol)
 

@@ -15,12 +15,16 @@ from conesep.errors import (
     ZeroGenerator,
 )
 from conesep.geometry import (
-    FACET_CHUNK,
     FACET_TOL,
+    MAX_DD_RAYS,
     RANK_REL,
+    SUBSET_CROSSOVER,
     Norm,
+    _dd_facets,
     _enumerate_facet_normals,
+    _first_distinct,
     _inspan_hrep,
+    _subset_facets,
     cone_membership,
     cone_membership_batch,
     contains_batch,
@@ -237,8 +241,9 @@ def test_facets_union_covers_sampled_boundary():
 
 
 def _facet_normals_per_subset(points):
-    """Reference: one SVD per (d-1)-subset, the loop that the chunked
-    enumeration replaced, kept here to pin its output bit for bit."""
+    """Reference: one SVD per (d-1)-subset, the loop that the stacked subset
+    path and the double-description path replaced, kept here to pin their
+    output bit for bit."""
     d, n = points.shape
     if d == 1:
         if points[0].min() > 0:
@@ -296,13 +301,34 @@ def _enumeration_cases():
     return cases
 
 
-def test_chunked_enumeration_matches_per_subset_loop():
-    for points in _enumeration_cases():
-        got = _enumerate_facet_normals(points)
-        ref = _facet_normals_per_subset(points)
-        assert len(got) == len(ref)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b)
+def test_both_enumeration_paths_match_per_subset_loop():
+    cases = _enumeration_cases()
+    for points in cases:
+        d = points.shape[0]
+        ref = np.array(_facet_normals_per_subset(points)).reshape(-1, d)
+        assert np.array_equal(_enumerate_facet_normals(points), ref)
+        if d > 1:
+            assert np.array_equal(_first_distinct(_subset_facets(points)), ref)
+            assert np.array_equal(_first_distinct(_dd_facets(points)), ref)
+    # _enumerate_facet_normals took both paths
+    sizes = [math.comb(p.shape[1], p.shape[0] - 1) for p in cases]
+    assert min(sizes) <= SUBSET_CROSSOVER < max(sizes)
+
+
+def test_double_description_keeps_the_first_of_near_duplicate_facets():
+    # 30 rays in 6-D where double description finds two facets 1.8e-5
+    # apart (cosine 1 - 1.7e-10); the subset path drops the later one, and
+    # so must this one.  The stacked subset path stands in for the
+    # per-subset loop (which takes seconds on C(30, 5) subsets); the test
+    # above pins the two to the same bits.
+    X = np.random.default_rng(0).standard_normal((30, 6))
+    X[:, -1] = np.abs(X[:, -1]) + 1.0
+    points = make_polycone(X).generators
+    candidates = _dd_facets(points)
+    got = _first_distinct(candidates)
+    assert len(candidates) == 198 and len(got) == 197
+    assert np.array_equal(got, _first_distinct(_subset_facets(points)))
+    assert np.array_equal(_enumerate_facet_normals(points), got)
 
 
 def test_inspan_hrep_matches_per_subset_loop():
@@ -315,7 +341,7 @@ def test_inspan_hrep_matches_per_subset_loop():
     assert np.array_equal(N, np.stack(ref))
 
 
-def test_enumeration_takes_one_svd_per_chunk(monkeypatch):
+def test_enumeration_takes_one_stacked_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd
 
@@ -324,11 +350,14 @@ def test_enumeration_takes_one_svd_per_chunk(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    normals = _enumerate_facet_normals(_cap_cone_48().generators)
-    assert normals
-    subsets = math.comb(48, 3)
-    assert len(calls) <= math.ceil(subsets / FACET_CHUNK)
-    assert len(calls) <= subsets // 100
+    # subset path: all 66 subsets of a 12-ray 3-D cone in one call
+    small = cone_about([0.2, 0.3, 1.0], 30.0, 12).generators
+    assert len(_enumerate_facet_normals(small)) == 12
+    assert len(calls) == 1
+    # double description: the 48 simplicial facets' subsets in one call
+    calls.clear()
+    assert len(_enumerate_facet_normals(_cap_cone_48().generators)) == 48
+    assert len(calls) == 1
 
 
 def test_hrep_membership_agrees_with_nnls_on_facet_heavy_cone():
@@ -414,26 +443,20 @@ def test_supplied_facets_decide_batch_membership_above_the_cap(monkeypatch):
     assert not calls
 
 
-def test_facet_cap_is_on_the_span_dimension(monkeypatch):
-    # within the subset budget: the 5-D orthant is enumerated
+def test_facet_enumeration_is_in_the_span_dimension():
     orthant = make_polycone(np.eye(5))
     assert np.array_equal(facet_normals(orthant), np.eye(5)[::-1])
-    # over it: 60 rays in 6-D make C(60, 5) ~ 5.5e6 subsets, so no normals,
-    # NNLS membership, DimensionTooHigh, and no enumeration is started
-    calls = _counting(monkeypatch, geometry, "_enumerate_facet_normals")
+    # 60 rays in 6-D make C(60, 5) ~ 5.5e6 subsets: double description
+    # enumerates them, and batch membership agrees with NNLS
     heavy = random_pointed_cone(np.random.default_rng(4), 6, n_rays=60)
     assert heavy.n_rays == 60 and solidity(heavy)
-    assert math.comb(60, 5) > geometry.MAX_FACET_SUBSETS
-    assert _inspan_hrep(heavy)[1] is None
-    with pytest.raises(DimensionTooHigh, match="over the budget"):
-        facet_normals(heavy)
+    assert len(facet_normals(heavy)) == 642
     X = np.concatenate([_orthant_points(np.random.default_rng(4), 6, 20),
-                        heavy.generators.T[:10] @ np.ones((6, 6)) / 6])
-    nnls = _counting(monkeypatch, kernels, "nnls")
-    assert np.array_equal(contains_batch(heavy, X),
-                          [cone_membership(x, heavy) for x in X])
-    assert len(nnls) == 2 * len(X)
-    assert not calls
+                        heavy.generators.T[:10] @ np.ones((6, 6)) / 6,
+                        heavy.generators.T])
+    by_nnls = [cone_membership(x, heavy) for x in X]
+    assert np.array_equal(contains_batch(heavy, X), by_nnls)
+    assert np.array_equal(cone_membership_batch(X, heavy), by_nnls)
     # a 4-D orthant inside R^5 spans 4 dimensions and is enumerated there
     flat = make_polycone(np.eye(5)[:4])
     B, N = _inspan_hrep(flat)
@@ -443,6 +466,16 @@ def test_facet_cap_is_on_the_span_dimension(monkeypatch):
     assert _inspan_hrep(plane)[1].shape == (0, 2)
     assert contains_batch(plane, [[3.0, -2.0, 0.0], [0.0, 0.0, 1.0]]).tolist() == [
         True, False]
+
+
+def test_double_description_bound():
+    # 50 random rays in 8-D have about 4700 facets, so enumeration would
+    # hold more than MAX_DD_RAYS rays; it stops, and membership tests say so
+    heavy = random_pointed_cone(np.random.default_rng(4), 8, n_rays=50)
+    with pytest.raises(DimensionTooHigh, match=f"over {MAX_DD_RAYS} rays"):
+        facet_normals(heavy)
+    with pytest.raises(DimensionTooHigh):
+        contains_batch(heavy, heavy.generators.T)
 
 
 @pytest.mark.parametrize("dim, rank", [(3, 3), (3, 2), (5, 5), (6, 6)])

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conesep.errors import DimensionMismatch
-from conesep.geometry import make_polycone
+from conesep.geometry import cone_membership_batch, make_polycone
 from conesep.oracle import (
+    _dedupe_rows,
+    _piece_count_cloud,
     cone_about,
     covering_bound,
     oracle_separation,
     oracle_support,
+    random_pointed_cone,
     random_region,
     ray_region,
     sample_norm_base,
@@ -60,6 +63,31 @@ def test_count_mode_reaches_target():
     region3 = ConeRegion.piece(cone_about([0.0, 0.0, 1.0], 30.0))
     cloud3 = sample_norm_base(region3, count=400)
     assert len(cloud3.points) == 400
+
+
+def test_count_cloud_points_stay_in_their_cones():
+    # the count= sampler keeps its normalized convex combinations without a
+    # membership filter; none may leave its piece by more than
+    # MEMBERSHIP_TOL (what cone_membership_batch decides)
+    rng = np.random.default_rng(17)
+    for dim in (2, 3, 4, 6):
+        for _ in range(6):
+            cone = random_pointed_cone(rng, dim, n_rays=int(rng.integers(1, 9)))
+            pts = _piece_count_cloud(cone, 200, rng)
+            assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
+            assert cone_membership_batch(pts, cone).all()
+
+
+def test_dedupe_rows_matches_unique_rows():
+    # -0.0 and 0.0 are one row, as they are to np.unique(..., axis=0)
+    X = np.array([[0.0, 1.0], [-0.0, 1.0], [-1e-12, 1.0], [1.0, 0.0],
+                  [0.0, 1.0 + 4e-10], [1.0, 0.0]])
+    assert np.array_equal(_dedupe_rows(X), X[[0, 3]])
+    rng = np.random.default_rng(3)
+    Y = np.round(rng.standard_normal((500, 3)), 1)
+    assert (np.signbit(Y) & (Y == 0.0)).any()
+    _, idx = np.unique(np.round(Y, 9), axis=0, return_index=True)
+    assert np.array_equal(_dedupe_rows(Y), Y[np.sort(idx)])
 
 
 def test_sample_requires_exactly_one_mode():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conesep import basis, separation
+from conesep.cli import main
 from conesep.errors import DegenerateCone, Inconclusive, NotConvex, TrivialRegion
 from conesep.geometry import make_polycone
 from conesep.instances import load_instance
@@ -326,6 +328,53 @@ def test_meet_only_at_origin_through_complement_and_boundary_leaves():
     assert cones_meet_only_at_origin(NARROW_SECTOR, edges)
     with pytest.raises(Inconclusive):
         cones_meet_only_at_origin(outside, outside)
+
+
+def test_intersection_test_stops_once_decided(monkeypatch, capsys, tmp_path):
+    # _pieces_meet_only_at_origin reads only decide_gap's bool, so its solve
+    # stops at the first bracket that decides it.  The bools, and the CLI
+    # check documents, are those of solves run to the end, in fewer FW
+    # iterations.
+    rng = np.random.default_rng(23)
+    pairs = [(random_pointed_cone(rng, d), random_pointed_cone(rng, d))
+             for d in (2, 3, 4) for _ in range(12)]
+    paths = []
+    for k, (P, Q) in enumerate(pairs[::4]):
+        path = tmp_path / f"pair{k}.json"
+        path.write_text(json.dumps({"dim": P.dim, "cones": {
+            "C": {"pieces": [{"generators": P.generators.T.tolist()}]},
+            "K": {"pieces": [{"generators": Q.generators.T.tolist()}]}}}))
+        paths.append(str(path))
+    real = separation.body_distance
+    log = []
+
+    def outcomes():
+        log.clear()
+        bools = []
+        for P, Q in pairs:
+            try:
+                bools.append(separation._pieces_meet_only_at_origin(P, Q, 1e-9))
+            except Inconclusive:
+                bools.append(None)
+        main(["check", *paths, "--pair", "C,K"])
+        return bools, capsys.readouterr().out, list(log)
+
+    def early(*args, **kwargs):
+        log.append(real(*args, **kwargs))
+        return log[-1]
+
+    def to_the_end(*args, until_decided=False, **kwargs):
+        return early(*args, **kwargs)
+
+    monkeypatch.setattr(separation, "body_distance", early)
+    bools, docs, solves = outcomes()
+    monkeypatch.setattr(separation, "body_distance", to_the_end)
+    ref_bools, ref_docs, ref_solves = outcomes()
+    assert bools == ref_bools and docs == ref_docs
+    assert True in bools and False in bools
+    assert "decided" in {r.stop for r in solves}
+    assert "decided" not in {r.stop for r in ref_solves}
+    assert sum(r.iterations for r in solves) < sum(r.iterations for r in ref_solves)
 
 
 def test_boundary_report_rays():
