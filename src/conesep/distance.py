@@ -10,6 +10,7 @@ point and the convex combination that realizes it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
     tol2 = tol * tol
 
     d0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
-    if float(np.linalg.norm(d0)) <= 1e-12:
+    if math.sqrt(float(d0 @ d0)) <= 1e-12:
         d0 = np.eye(A.dim)[0]
     _, a0, b0 = _support_difference(A, B, d0)
     # the corral: A- and B-support points whose differences carry weights w
@@ -125,7 +126,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
             gap = 0.0
             break
         sval, wa, wb = _support_difference(A, B, v)
-        nv = float(np.sqrt(nv2))
+        nv = math.sqrt(nv2)
         if sval > 0.0:
             lower = max(lower, sval / nv)
         gap = nv2 - sval
@@ -149,7 +150,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
                 break
         S = np.vstack((Pa - Pb, wa - wb))
         fresh = float(np.linalg.norm(S[:-1] - S[-1], axis=1).min()) > 1e-15 * (
-            1.0 + float(np.linalg.norm(S[-1])))
+            1.0 + math.sqrt(float(S[-1] @ S[-1])))
         if fresh:
             w_next, keep = kernels.corral_step(S, np.append(w, 0.0))
         if not fresh or (keep[:-1].all() and not keep[-1]):
@@ -166,7 +167,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
     a = w @ Pa
     b = w @ Pb
     v = a - b
-    dist = float(np.linalg.norm(v))
+    dist = math.sqrt(float(v @ v))
     kind = ZERO if dist <= tol else POSITIVE
     return DistanceResult(
         distance=dist,

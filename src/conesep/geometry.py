@@ -36,8 +36,10 @@ from .errors import (
 TOL_POINT = 1e-9
 # Relative singular value cutoff used for rank decisions.
 RANK_REL = 1e-10
-# Rays whose cosine exceeds this collapse to a single generator.
+# Rays whose cosine reaches this collapse to a single generator.
 DEDUP_COS = 1.0 - 1e-12
+# Facet normals whose cosine reaches this collapse to the first one.
+FACET_DEDUP_COS = 1.0 - 1e-9
 # Default membership tolerance (distance of x to the cone).
 MEMBERSHIP_TOL = 1e-9
 # Sign slack for facet normal tests.
@@ -57,6 +59,9 @@ MAX_DD_RAYS = 4096
 # Rows per block in the pairwise products of facet enumeration, so that no
 # product holds more than BLOCK * MAX_DD_RAYS entries.
 BLOCK = 256
+# Row i of a block is compared with the rows before it: the strict lower
+# triangle of its own columns.
+_EARLIER = np.tri(BLOCK, k=-1, dtype=bool)
 
 
 class Norm(Enum):
@@ -138,11 +143,7 @@ def make_polycone(generators) -> PolyCone:
     # the last ulp back and forth)
     scale = np.where(np.abs(norms - 1.0) <= 8 * np.finfo(float).eps, 1.0, norms)
     U = G / scale[:, None]
-    kept: list[np.ndarray] = []
-    for row in U:
-        if not any(float(row @ other) >= DEDUP_COS for other in kept):
-            kept.append(row)
-    cols = np.stack(kept, axis=1)
+    cols = np.ascontiguousarray(_first_distinct(U, DEDUP_COS).T)
     cols.setflags(write=False)
     return PolyCone(cols)
 
@@ -195,14 +196,22 @@ def pointedness(cone: PolyCone) -> PointednessResult:
     """Decide pointedness via the distance from 0 to conv(normalized rays).
 
     When the hull reaches the origin, the zero convex combination yields a
-    witness ray x with both x and -x in the cone.
+    witness ray x with both x and -x in the cone.  The result is cached on
+    the cone, with a read-only witness.
     """
-    res = kernels.min_norm_point(cone.generators.T)
-    dist = res.norm
-    if dist > TOL_POINT:
-        return PointednessResult(True, dist, None)
-    k = int(np.argmax(res.weights))
-    return PointednessResult(False, dist, cone.generators[:, k].copy())
+    out = cone._cache.get("pointed")
+    if out is None:
+        res = kernels.min_norm_point(cone.generators.T)
+        dist = res.norm
+        if dist > TOL_POINT:
+            out = PointednessResult(True, dist, None)
+        else:
+            k = int(np.argmax(res.weights))
+            witness = cone.generators[:, k].copy()
+            witness.setflags(write=False)
+            out = PointednessResult(False, dist, witness)
+        cone._cache["pointed"] = out
+    return out
 
 
 def is_whole_space(cone: PolyCone) -> bool:
@@ -249,15 +258,19 @@ def _oriented_normals(points: np.ndarray, idx: np.ndarray):
     return np.where(lower[:, None], nrm, -nrm), ok
 
 
-def _first_distinct(normals: np.ndarray) -> np.ndarray:
-    """The rows not within cosine 1 - 1e-9 of an earlier row kept, compared
-    BLOCK rows at a time."""
-    keep = np.ones(len(normals), dtype=bool)
-    for lo in range(0, len(normals), BLOCK):
-        near = np.tril(normals[lo:lo + BLOCK] @ normals.T >= 1.0 - 1e-9, lo - 1)
-        for i in np.flatnonzero(near.any(axis=1)):
-            keep[lo + i] = not (near[i] & keep).any()
-    return normals[keep]
+def _first_distinct(rows: np.ndarray, cos: float = FACET_DEDUP_COS) -> np.ndarray:
+    """The unit rows whose cosine with every earlier row kept is below cos,
+    compared BLOCK rows at a time.  Most blocks hold no near pair, and one
+    product with the rows up to the block's end settles them."""
+    keep = np.ones(len(rows), dtype=bool)
+    for lo in range(0, len(rows), BLOCK):
+        near = rows[lo:lo + BLOCK] @ rows[:lo + BLOCK].T >= cos
+        m = len(near)
+        near[:, lo:] &= _EARLIER[:m, :m]
+        if near.any():
+            for i in np.flatnonzero(near.any(axis=1)):
+                keep[lo + i] = not (near[i] & keep[:lo + m]).any()
+    return rows[keep]
 
 
 def _subset_facets(points: np.ndarray) -> np.ndarray:
@@ -372,9 +385,9 @@ def _enumerate_facet_normals(points: np.ndarray) -> np.ndarray:
     columns are unit vectors.  Up to SUBSET_CROSSOVER subsets are all
     tested; over it the double-description method finds the facets and
     each is tested on its first subsets only.  Either way a candidate
-    within cosine 1 - 1e-9 of a normal kept earlier in subset order is
-    dropped, so both give the normals of testing every subset, bit for bit
-    and in order.
+    within cosine FACET_DEDUP_COS of a normal kept earlier in subset order
+    is dropped, so both give the normals of testing every subset, bit for
+    bit and in order.
     """
     d, n = points.shape
     if d == 1:

@@ -7,11 +7,16 @@ callers must treat non-certified results as best-effort iterates.
 Wolfe's minor cycles (``corral_step``) serve two major loops: the scan over
 explicit rows in ``min_norm_point`` and the LMO-driven loop of
 ``distance.body_distance``.  Least squares on one column has a closed form
-(``_ray_coeff``), used in place of ``np.linalg.lstsq`` in NNLS's first
-Lawson-Hanson step and in Wolfe's affine step on a corral of two points.
+(``_ray_coeff``), used in place of ``np.linalg.lstsq`` in Wolfe's affine
+step on a corral of two points and in Lawson-Hanson's first step
+(``first_step``).  That step has two callers: ``nnls`` takes it before its
+active-set loop, and the piece LMO (``regions._lmo_piece``) takes it in
+place, calling ``nnls`` only when the projection lies on a face of two or
+more rays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,19 +50,36 @@ def _ray_coeff(ab: float, aa: float) -> float:
     return ab / aa if aa > 0.0 else 0.0
 
 
+def first_step(G: np.ndarray, y: np.ndarray, wj: float,
+               j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lawson-Hanson's first step from lam = 0, in closed form.
+
+    wj is the dual coordinate (G.T @ y)_j of the column j that turns
+    passive, the largest one, and a positive one.  Least squares on that
+    column alone gives lam_j = wj / (g_j . g_j) > 0, which needs no walk
+    back.  Returns lam, zero but for lam_j, the residual y - lam_j g_j and
+    the dual vector G.T @ (y - lam_j g_j).  The step is the whole solve
+    when no other coordinate of that dual vector exceeds the KKT slack.
+    """
+    g = G[:, j]
+    lam = np.zeros(G.shape[1])
+    lam[j] = _ray_coeff(wj, float(g @ g))
+    resid = y - lam[j] * g
+    return lam, resid, G.T @ resid
+
+
 def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
     """Solve min ||G @ lam - y||_2 subject to lam >= 0 (Lawson-Hanson).
 
     Active-set method: repeatedly move the most violated dual coordinate into
     the passive set, solve the unconstrained least squares on the passive
     columns, and walk back to feasibility when that solution leaves the
-    nonnegative orthant.  The first step is taken in closed form.  At
-    lam = 0 the dual vector is w0 = G.T @ y, already formed for the scale;
-    if w0_j = max w0 exceeds the KKT slack, column j turns passive with
-    lam_j = w0_j / (g_j . g_j) > 0, which needs no walk back.  The solve
-    ends there, after one iteration, when no other coordinate of
-    G.T @ (y - lam_j g_j) exceeds the slack; otherwise the loop continues
-    it, solving on two or more passive columns with ``np.linalg.lstsq``.
+    nonnegative orthant.  At lam = 0 the dual vector is w0 = G.T @ y,
+    already formed for the scale; if w0_j = max w0 exceeds the KKT slack,
+    ``first_step`` takes column j in closed form.  The solve ends there,
+    after one iteration, when no other dual coordinate exceeds the slack;
+    otherwise the loop continues it, solving on two or more passive columns
+    with ``np.linalg.lstsq``.
     The KKT residual reported is relative to the data scale, so
     ``certified`` means the stationarity and complementarity conditions
     hold to roughly machine precision.  A non-finite target raises
@@ -82,12 +104,9 @@ def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
     certified = True
     j = int(np.argmax(w))
     if w[j] > tol_w:
-        g = G[:, j]
-        lam[j] = _ray_coeff(float(w[j]), float(g @ g))
+        lam, resid, w = first_step(G, y, float(w[j]), j)
         passive[j] = True
         outer = 1
-        resid = y - lam[j] * g
-        w = G.T @ resid
     while True:
         # w is the dual vector G.T @ (y - G @ lam) at the current lam
         w_free = np.where(passive, -np.inf, w)
@@ -126,7 +145,7 @@ def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
     certified = certified and kkt <= 10.0 * KKT_TOL
     return NnlsResult(
         coeffs=lam,
-        residual=float(np.linalg.norm(resid)),
+        residual=math.sqrt(float(resid @ resid)),
         kkt_residual=kkt,
         certified=certified,
         iterations=outer,

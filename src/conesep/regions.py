@@ -104,7 +104,7 @@ class _BoundaryLeaf(_Leaf):
         """
         N = self.normals
         if N is not None:
-            fn = float(np.linalg.norm(f))
+            fn = math.sqrt(float(f @ f))
             u = -f / fn
             s = N @ u
             if float(s.min()) > geometry.MEMBERSHIP_TOL:
@@ -165,7 +165,7 @@ class _ComplementLeaf(_Leaf):
         <f, -n> = |f|.
         """
         N = self.normals
-        fn = float(np.linalg.norm(f))
+        fn = math.sqrt(float(f @ f))
         u = -f / fn
         s = N @ u
         if float(s.min()) <= geometry.MEMBERSHIP_TOL:
@@ -193,7 +193,7 @@ class _ComplementLeaf(_Leaf):
 class ConeRegion:
     """Union-of-leaves view of a cone region; LMO = min over the leaves."""
 
-    __slots__ = ("leaves", "dim")
+    __slots__ = ("leaves", "dim", "_centroid")
 
     def __init__(self, leaves):
         leaves = tuple(leaves)
@@ -204,6 +204,7 @@ class ConeRegion:
             raise DimensionMismatch("region leaves live in different dimensions")
         self.leaves = leaves
         self.dim = dim
+        self._centroid = None
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -248,13 +249,16 @@ class ConeRegion:
         f = np.asarray(direction, dtype=float)
         if f.shape != (self.dim,):
             raise DimensionMismatch("direction dimension does not match the region")
-        fn = float(np.linalg.norm(f))
+        fn = math.sqrt(float(f @ f))
         if not 1e-300 < fn < math.inf:
             raise ZeroDirection(
                 "LMO needs a nonzero direction" if fn <= 1e-300
                 else "LMO needs a finite direction"
             )
-        return min((leaf.lmo(f) for leaf in self.leaves), key=lambda r: r.value)
+        leaves = self.leaves
+        if len(leaves) == 1:
+            return leaves[0].lmo(f)
+        return min((leaf.lmo(f) for leaf in leaves), key=lambda r: r.value)
 
     def contains_unit_batch(self, X, tol: float = geometry.MEMBERSHIP_TOL) -> np.ndarray:
         """Membership of unit vectors in the closure of the region's base."""
@@ -271,7 +275,12 @@ class ConeRegion:
         return np.concatenate([leaf.anchor_points() for leaf in self.leaves], axis=0)
 
     def centroid(self) -> np.ndarray:
-        c = np.mean([leaf.centroid() for leaf in self.leaves], axis=0)
+        """Mean of the leaf centroids, computed once; the array is read-only."""
+        c = self._centroid
+        if c is None:
+            c = self._centroid = np.mean([leaf.centroid() for leaf in self.leaves],
+                                         axis=0)
+            c.setflags(write=False)
         return c
 
 
@@ -283,21 +292,33 @@ def _lmo_piece(cone: PolyCone, f: np.ndarray) -> LmoResult:
     f lies in the dual cone and the minimum is attained at a unit extreme
     ray, hence at a stored generator (triangle inequality argument).
 
-    NNLS runs only when some generator scores below
-    -KKT_TOL * max(1, max |f @ G|).  That is the test Lawson-Hanson makes
-    at its start, lambda = 0, where its dual vector is G.T @ -f: otherwise
-    it would return lambda = 0 and p = 0, so skipping it changes no bit.
+    The projection is Lawson-Hanson NNLS of -f on the generators, whose
+    dual vector at its start, lambda = 0, is G.T @ -f = -(f @ G), bit for
+    bit.  When no generator scores below -KKT_TOL * max(1, max |f @ G|),
+    NNLS would return lambda = 0 and p = 0, so f is taken to be in the dual
+    cone with no solve.  Otherwise the best-scoring generator j turns
+    passive: NNLS's closed-form first step (``kernels.first_step``) is
+    taken here, and when no other generator's dual then exceeds the KKT
+    slack, lambda is that one coefficient, as NNLS would return it.  Only
+    a projection onto a face of two or more rays calls ``kernels.nnls``.
+    Either way the coefficients, and so p, are NNLS's to the bit.
     """
     G = cone.generators
     vals = f @ G
-    if -float(vals.min()) > kernels.KKT_TOL * max(1.0, float(np.abs(vals).max())):
-        # kernels.project_onto_cone would also form the Moreau residuals,
-        # which this hot path never reads
-        p = G @ kernels.nnls(G, -f).coeffs
-        pn = float(np.linalg.norm(p))
-        if pn > PROJ_ZERO_TOL * max(1.0, float(np.linalg.norm(f))):
-            return LmoResult(-pn, p / pn)
     j = int(np.argmin(vals))
+    tol_w = kernels.KKT_TOL * max(1.0, float(np.abs(vals).max()))
+    if -float(vals[j]) > tol_w:
+        y = -f
+        lam, _, w = kernels.first_step(G, y, -float(vals[j]), j)
+        w[j] = -np.inf
+        if float(w.max()) > tol_w:
+            # kernels.project_onto_cone would also form the Moreau
+            # residuals, which this hot path never reads
+            lam = kernels.nnls(G, y).coeffs
+        p = G @ lam
+        pn = math.sqrt(float(p @ p))
+        if pn > PROJ_ZERO_TOL * max(1.0, math.sqrt(float(f @ f))):
+            return LmoResult(-pn, p / pn)
     return LmoResult(float(vals[j]), G[:, j].copy())
 
 
@@ -326,7 +347,7 @@ def _lmo_across_facet(N: np.ndarray, s: np.ndarray, u: np.ndarray,
     # |u| = 1, which matters when u is close to n_i: one pass left a
     # witness 8e-8 outside the base 2e-11 rad off a half-plane's normal.
     p -= float(N[i] @ p) * N[i]
-    pn = float(np.linalg.norm(p))
+    pn = math.sqrt(float(p @ p))
     if pn <= PROJ_ZERO_TOL:
         return None
     return LmoResult(-fn * pn, p / pn)

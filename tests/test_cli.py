@@ -295,8 +295,7 @@ def test_base_on_complement_solves_once(capsys, tmp_path, monkeypatch):
     assert doc["convex_base"]["kind"] == "NoConvexBase"
 
 
-def test_batch_honors_thread_env(capsys, monkeypatch, rays, identical):
-    monkeypatch.setenv("CONESEP_THREADS", "1")
+def test_batch_prints_one_line_per_file(capsys, rays, identical):
     code = main(["separate", rays, identical, rays, "--mode", "sym",
                  "--pair", "C,K"])
     out = capsys.readouterr().out

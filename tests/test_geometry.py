@@ -15,6 +15,7 @@ from conesep.errors import (
     ZeroGenerator,
 )
 from conesep.geometry import (
+    DEDUP_COS,
     FACET_TOL,
     MAX_DD_RAYS,
     RANK_REL,
@@ -48,9 +49,35 @@ def test_make_polycone_normalizes():
     assert np.allclose(cone.generators[:, 0], [1.0, 0.0])
 
 
+def _dedup_by_pairs(U):
+    # make_polycone's dedupe as it was, one Python comparison per pair
+    kept = []
+    for row in U:
+        if not any(float(row @ other) >= DEDUP_COS for other in kept):
+            kept.append(row)
+    return np.stack(kept, axis=1)
+
+
 def test_make_polycone_dedups_parallel_rays():
     cone = make_polycone([[1.0, 0.0], [3.0, 0.0]])
     assert cone.generators.shape == (2, 1)
+    # many near-duplicates: n directions, each repeated at cosines on both
+    # sides of DEDUP_COS, shuffled, over more than one BLOCK of rows
+    rng = np.random.default_rng(5)
+    for dim, n in ((3, 40), (5, 120)):
+        base = rng.standard_normal((n, dim))
+        base /= np.linalg.norm(base, axis=1)[:, None]
+        rays = [base]
+        for eps in (1e-13, 1e-7, 2e-6):
+            jitter = rng.standard_normal((n, dim))
+            rays.append(base + eps * jitter)
+        U = np.concatenate(rays * 3)
+        U = U[rng.permutation(len(U))] * rng.uniform(0.5, 2.0, (len(U), 1))
+        cone = make_polycone(U)
+        ref = _dedup_by_pairs(U / np.linalg.norm(U, axis=1)[:, None])
+        assert cone.generators.flags.c_contiguous
+        assert np.array_equal(cone.generators, ref)
+        assert n < cone.n_rays < len(U)
 
 
 def test_make_polycone_rejects_zero_generator():
@@ -86,6 +113,19 @@ def test_pointedness_witness_is_lineality_direction():
     w = pointedness(cone).witness
     assert cone_membership(w, cone)
     assert cone_membership(-w, cone)
+
+
+def test_pointedness_is_cached_with_a_read_only_witness(monkeypatch):
+    calls = []
+    real = kernels.min_norm_point
+    monkeypatch.setattr(kernels, "min_norm_point", lambda X: calls.append(1) or real(X))
+    cone = make_polycone([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+    first = pointedness(cone)
+    assert pointedness(cone) is first
+    assert calls == [1]
+    assert not first.pointed
+    with pytest.raises(ValueError):
+        first.witness[0] = 0.0
 
 
 def test_solidity_examples():

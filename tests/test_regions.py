@@ -308,8 +308,14 @@ def test_piece_lmo_in_the_dual_cone_makes_no_nnls_call(monkeypatch):
     res = region.lmo(np.array([1.0, 2.0]))
     assert calls == []
     assert (res.value, res.witness.tolist()) == (1.0, [1.0, 0.0])
-    region.lmo(np.array([1.0, -2.0]))
+    # -f = (-1, 2) projects onto one ray, (0, 2): the closed-form step
+    res = region.lmo(np.array([1.0, -2.0]))
+    assert calls == []
+    assert (res.value, res.witness.tolist()) == (-2.0, [0.0, 1.0])
+    # -f = (1, 2) is its own projection, on the face of both rays: NNLS
+    res = region.lmo(np.array([-1.0, -2.0]))
     assert calls == [1]
+    assert res.value == -float(np.sqrt(5.0))
 
 
 def test_piece_lmo_matches_the_nnls_route_bit_for_bit():
@@ -330,6 +336,36 @@ def test_piece_lmo_matches_the_nnls_route_bit_for_bit():
             res, ref = _lmo_piece(cone, f), _lmo_piece_via_nnls(cone, f)
             assert res.value == ref.value
             assert res.witness.tobytes() == ref.witness.tobytes()
+
+
+def test_piece_lmo_one_ray_projections_match_the_nnls_route_bit_for_bit(monkeypatch):
+    # -f projects onto the ray g0 of a two-ray cone, and the dual of g1,
+    # G.T @ (-f - lam g0), sits a factor t from the KKT slack of NNLS,
+    # KKT_TOL * max(1, max |f @ G|): below it the closed-form step settles
+    # the projection, above it NNLS does
+    calls = []
+    real = kernels.nnls
+    monkeypatch.setattr(kernels, "nnls", lambda G, y: calls.append(1) or real(G, y))
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        dim = int(rng.integers(2, 5))
+        cone = make_polycone(rng.standard_normal((2, dim)))
+        G = cone.generators
+        g0, g1 = G[:, 0], G[:, 1]
+        # e is orthogonal to g0 with e . g1 = 1: t e moves the dual of g1 by
+        # t and leaves the projection of -f on g0
+        e = g1 - float(g0 @ g1) * g0
+        e /= float(e @ e)
+        for scale in (0.5, 1.0, 3.0):
+            tol_w = kernels.KKT_TOL * max(1.0, float(np.abs(scale * g0 @ G).max()))
+            for t in (-2.0, 0.5, 0.9, 1.1, 2.0):
+                f = -(scale * g0 + t * tol_w * e)
+                calls.clear()
+                res = _lmo_piece(cone, f)
+                assert len(calls) == (t > 1.0)
+                ref = _lmo_piece_via_nnls(cone, f)
+                assert res.value == ref.value
+                assert res.witness.tobytes() == ref.witness.tobytes()
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conesep import basis, separation
+from conesep import basis, kernels, separation
 from conesep.cli import main
 from conesep.errors import DegenerateCone, Inconclusive, NotConvex, TrivialRegion
 from conesep.geometry import make_polycone
@@ -328,6 +328,19 @@ def test_meet_only_at_origin_through_complement_and_boundary_leaves():
     assert cones_meet_only_at_origin(NARROW_SECTOR, edges)
     with pytest.raises(Inconclusive):
         cones_meet_only_at_origin(outside, outside)
+
+
+def test_intersection_test_solves_a_shared_cone_once(monkeypatch):
+    # geometry.pointedness caches its min-norm-point solve on the cone: the
+    # two pairs (P, Q1) and (P, Q2) test the pointed piece P, and solve it once
+    calls = []
+    real = kernels.min_norm_point
+    monkeypatch.setattr(kernels, "min_norm_point", lambda X: calls.append(1) or real(X))
+    P = make_polycone([[1.0, 0.2], [0.2, 1.0]])
+    K = ConeRegion.union(ConeRegion.piece(sector_cone_2d(180.0, 10.0)),
+                         ConeRegion.piece(sector_cone_2d(270.0, 10.0)))
+    assert cones_meet_only_at_origin(ConeRegion.piece(P), K)
+    assert calls == [1]
 
 
 def test_intersection_test_stops_once_decided(monkeypatch, capsys, tmp_path):
