@@ -97,6 +97,11 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
     the ``decide_gap`` verdict, it also stops, certified, with stop
     "decided" once the lower bound clears DEAD_BAND * tol: the distance is
     then surely beyond the dead band, though not pinned to within tol.
+
+    The corral lives in buffers of d + 2 rows: the support points of A and
+    of B, and their differences, each formed once.  A new point is written
+    into the next row, and the rows are compacted in place only when the
+    minor cycles drop a vertex.
     """
     if A.dim != B.dim:
         raise DimensionMismatch("bodies live in different dimensions")
@@ -106,9 +111,14 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
     if math.sqrt(float(d0 @ d0)) <= 1e-12:
         d0 = np.eye(A.dim)[0]
     _, a0, b0 = _support_difference(A, B, d0)
-    # the corral: A- and B-support points whose differences carry weights w
-    Pa, Pb, w = a0[None, :], b0[None, :], np.array([1.0])
+    # The first k rows hold the corral, with weights w.  A corral of d + 1
+    # affinely independent points and a new point fill the d + 2 rows; the
+    # buffers double should a degenerate corral keep more.
+    Pa, Pb, S = (np.empty((A.dim + 2, A.dim)) for _ in range(3))
     v = a0 - b0
+    Pa[0], Pb[0], S[0] = a0, b0, v
+    k = 1
+    w = np.array([1.0])
 
     lower = 0.0
     gap = float("inf")
@@ -148,22 +158,35 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
                 # the oracle's precision is exhausted short of the target
                 stop = "stalled"
                 break
-        S = np.vstack((Pa - Pb, wa - wb))
-        fresh = float(np.linalg.norm(S[:-1] - S[-1], axis=1).min()) > 1e-15 * (
-            1.0 + math.sqrt(float(S[-1] @ S[-1])))
+        s = wa - wb
+        D = S[:k] - s
+        # the nearest corral point, compared by its squared distance: the
+        # square root is monotone and correctly rounded, so the minimum's
+        # root is the minimum of the roots
+        fresh = math.sqrt(float(np.add.reduce(D * D, axis=1).min())) > 1e-15 * (
+            1.0 + math.sqrt(float(s @ s)))
         if fresh:
-            w_next, keep = kernels.corral_step(S, np.append(w, 0.0))
-        if not fresh or (keep[:-1].all() and not keep[-1]):
+            if k == len(S):
+                Pa, Pb, S = (np.concatenate((X, np.empty_like(X))) for X in (Pa, Pb, S))
+            Pa[k], Pb[k], S[k] = wa, wb, s
+            w_next, keep = kernels.corral_step(S[:k + 1], w)
+        if not fresh or (keep is not None and keep[:-1].all() and not keep[-1]):
             # The oracle repeats a corral point, or the minor cycles drop
             # the new one again: either way the next iteration repeats this.
             certified = gap <= max(done, 100.0 * GAP_REL_FLOOR * nv2)
             stop = "repeat_point"
             break
         w = w_next
-        Pa = np.vstack((Pa, wa))[keep]
-        Pb = np.vstack((Pb, wb))[keep]
-        v = w @ S[keep]
+        if keep is None:
+            k += 1
+        else:
+            # a vertex left: close the gaps, in order
+            for X in (Pa, Pb, S):
+                X[:len(w)] = X[:k + 1][keep]
+            k = len(w)
+        v = w @ S[:k]
 
+    Pa, Pb = Pa[:k], Pb[:k]
     a = w @ Pa
     b = w @ Pb
     v = a - b

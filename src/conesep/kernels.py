@@ -221,21 +221,27 @@ def _affine_min_norm(Q: np.ndarray) -> np.ndarray:
     return np.concatenate(([1.0 - mu.sum()], mu))
 
 
-def corral_step(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Wolfe's minor cycles on the corral Q (rows) with convex weights w,
-    the last row just added at weight 0: project onto the affine hull and,
-    while that point leaves the simplex, walk toward it until a weight hits
-    zero and drop that vertex.  Returns the new weights and the mask of the
-    rows that stay; each cycle drops a vertex, so at most len(Q) run.
+def corral_step(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Wolfe's minor cycles on the corral Q (rows), the last row just added
+    at weight 0 and the others at convex weights w: project onto the affine
+    hull and, while that point leaves the simplex, walk toward it until a
+    weight hits zero and drop that vertex.  Returns the new weights and the
+    mask of the rows that stay, or None when all stay: the first
+    projection, on the whole corral, usually lies in the simplex, and then
+    neither the mask nor the walk's weights are made.  Each cycle drops a
+    vertex, so at most len(Q) run.
     """
-    keep = np.ones(len(Q), dtype=bool)
+    keep = None
     for _ in range(len(Q)):
-        a = _affine_min_norm(Q[keep])
+        a = _affine_min_norm(Q if keep is None else Q[keep])
         if a.min() >= -WEIGHT_FLOOR:
-            w = np.clip(a, 0.0, None)
+            w = np.maximum(a, 0.0)
             s = w.sum()
             w = w / s if s > 0 else np.full(len(w), 1.0 / len(w))
             break
+        if keep is None:
+            keep = np.ones(len(Q), dtype=bool)
+            w = np.append(w, 0.0)
         shrink = a < WEIGHT_FLOOR
         steps = w[shrink] / (w[shrink] - a[shrink])
         theta = float(steps.min())
@@ -289,10 +295,11 @@ def min_norm_point(P: np.ndarray) -> MinNormResult:
             break
         before = corral
         corral = np.append(corral, j)
-        w, keep = corral_step(P[corral], np.append(w, 0.0))
-        corral = corral[keep]
+        w, keep = corral_step(P[corral], w)
+        if keep is not None:
+            corral = corral[keep]
         x = w @ P[corral]
-        if np.array_equal(corral, before):
+        if keep is not None and np.array_equal(corral, before):
             # The minor cycles dropped j again: the next major cycle would
             # pick the same j and repeat this one exactly.
             certified = gap <= 100.0 * tol

@@ -255,10 +255,13 @@ class ConeRegion:
                 "LMO needs a nonzero direction" if fn <= 1e-300
                 else "LMO needs a finite direction"
             )
-        leaves = self.leaves
-        if len(leaves) == 1:
-            return leaves[0].lmo(f)
-        return min((leaf.lmo(f) for leaf in leaves), key=lambda r: r.value)
+        # the earliest leaf wins a tie, as with min()
+        best = self.leaves[0].lmo(f)
+        for leaf in self.leaves[1:]:
+            res = leaf.lmo(f)
+            if res.value < best.value:
+                best = res
+        return best
 
     def contains_unit_batch(self, X, tol: float = geometry.MEMBERSHIP_TOL) -> np.ndarray:
         """Membership of unit vectors in the closure of the region's base."""
@@ -296,30 +299,35 @@ def _lmo_piece(cone: PolyCone, f: np.ndarray) -> LmoResult:
     dual vector at its start, lambda = 0, is G.T @ -f = -(f @ G), bit for
     bit.  When no generator scores below -KKT_TOL * max(1, max |f @ G|),
     NNLS would return lambda = 0 and p = 0, so f is taken to be in the dual
-    cone with no solve.  Otherwise the best-scoring generator j turns
-    passive: NNLS's closed-form first step (``kernels.first_step``) is
-    taken here, and when no other generator's dual then exceeds the KKT
-    slack, lambda is that one coefficient, as NNLS would return it.  Only
-    a projection onto a face of two or more rays calls ``kernels.nnls``.
-    Either way the coefficients, and so p, are NNLS's to the bit.
+    cone with no solve.  A best score of 0 or more settles that before the
+    slack is formed; most calls end there.  Otherwise the best-scoring
+    generator j turns passive: NNLS's closed-form first step
+    (``kernels.first_step``) is taken here, and when no other generator's
+    dual then exceeds the KKT slack, lambda is that one coefficient, as
+    NNLS would return it.  Only a projection onto a face of two or more
+    rays calls ``kernels.nnls``.  Either way the coefficients, and so p,
+    are NNLS's to the bit.
     """
     G = cone.generators
     vals = f @ G
-    j = int(np.argmin(vals))
-    tol_w = kernels.KKT_TOL * max(1.0, float(np.abs(vals).max()))
-    if -float(vals[j]) > tol_w:
-        y = -f
-        lam, _, w = kernels.first_step(G, y, -float(vals[j]), j)
-        w[j] = -np.inf
-        if float(w.max()) > tol_w:
-            # kernels.project_onto_cone would also form the Moreau
-            # residuals, which this hot path never reads
-            lam = kernels.nnls(G, y).coeffs
-        p = G @ lam
-        pn = math.sqrt(float(p @ p))
-        if pn > PROJ_ZERO_TOL * max(1.0, math.sqrt(float(f @ f))):
-            return LmoResult(-pn, p / pn)
-    return LmoResult(float(vals[j]), G[:, j].copy())
+    j = int(vals.argmin())
+    vj = float(vals[j])
+    # a best score of 0 or more is never below -slack
+    if vj < 0.0:
+        tol_w = kernels.KKT_TOL * max(1.0, float(np.abs(vals).max()))
+        if -vj > tol_w:
+            y = -f
+            lam, _, w = kernels.first_step(G, y, -vj, j)
+            w[j] = -np.inf
+            if float(w.max()) > tol_w:
+                # kernels.project_onto_cone would also form the Moreau
+                # residuals, which this hot path never reads
+                lam = kernels.nnls(G, y).coeffs
+            p = G @ lam
+            pn = math.sqrt(float(p @ p))
+            if pn > PROJ_ZERO_TOL * max(1.0, math.sqrt(float(f @ f))):
+                return LmoResult(-pn, p / pn)
+    return LmoResult(vj, G[:, j].copy())
 
 
 def _lmo_min(pieces, f: np.ndarray) -> LmoResult:

@@ -1,11 +1,23 @@
+import dataclasses
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conesep import kernels
+from conesep import distance, kernels, separation
 from conesep.distance import PolytopeBody, body_distance, origin_body
+from conesep.errors import TrivialRegion
 from conesep.geometry import make_polycone
+from conesep.instances import load_instance
 from conesep.kernels import min_norm_point
-from conesep.oracle import random_region, sample_norm_base, sector_cone_2d
+from conesep.oracle import (
+    random_pointed_cone,
+    random_region,
+    sample_norm_base,
+    sector_cone_2d,
+    sphere_grid,
+)
 from conesep.regions import ConeRegion, body, support_norm_base
 
 
@@ -209,3 +221,197 @@ def test_iteration_budget_and_gap():
         if res.kind == "positive":
             assert res.gap <= max(1e-9, 1e-7 * res.distance)
             assert res.lower_bound <= res.distance + 1e-12
+
+
+def _reference_corral_step(Q, w):
+    # Wolfe's minor cycles as they were before the no-drop signal: a mask
+    # of the rows that stay on every call
+    keep = np.ones(len(Q), dtype=bool)
+    for _ in range(len(Q)):
+        a = kernels._affine_min_norm(Q[keep])
+        if a.min() >= -kernels.WEIGHT_FLOOR:
+            w = np.clip(a, 0.0, None)
+            s = w.sum()
+            w = w / s if s > 0 else np.full(len(w), 1.0 / len(w))
+            break
+        shrink = a < kernels.WEIGHT_FLOOR
+        steps = w[shrink] / (w[shrink] - a[shrink])
+        theta = float(steps.min())
+        w = (1.0 - theta) * w + theta * a
+        stay = w > kernels.WEIGHT_FLOOR
+        if not stay.any():
+            stay[int(np.argmax(w))] = True
+        keep[keep] = stay
+        w = w[stay]
+        w = w / w.sum()
+    return w, keep
+
+
+def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False):
+    # the engine as it was before its corral lived in fixed buffers: the
+    # corral rebuilt with vstack, and its differences formed anew, on
+    # every iteration
+    tol2 = tol * tol
+    d0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
+    if math.sqrt(float(d0 @ d0)) <= 1e-12:
+        d0 = np.eye(A.dim)[0]
+    _, a0, b0 = distance._support_difference(A, B, d0)
+    Pa, Pb, w = a0[None, :], b0[None, :], np.array([1.0])
+    v = a0 - b0
+    lower = 0.0
+    gap = float("inf")
+    best_gap = float("inf")
+    stalled = 0
+    certified = False
+    stop = "max_iter"
+    it = 0
+    while it < distance.MAX_ITER:
+        it += 1
+        nv2 = float(v @ v)
+        if nv2 <= tol2:
+            certified = True
+            stop = "certified_zero"
+            gap = 0.0
+            break
+        sval, wa, wb = distance._support_difference(A, B, v)
+        nv = math.sqrt(nv2)
+        if sval > 0.0:
+            lower = max(lower, sval / nv)
+        gap = nv2 - sval
+        done = max(tol * nv, tol2, distance.GAP_REL_FLOOR * nv2)
+        if gap <= done:
+            certified = True
+            stop = "certified_gap"
+            break
+        if until_decided and lower > distance.DEAD_BAND * tol:
+            certified = True
+            stop = "decided"
+            break
+        if gap < 0.99 * best_gap:
+            best_gap = gap
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= 100:
+                stop = "stalled"
+                break
+        S = np.vstack((Pa - Pb, wa - wb))
+        fresh = float(np.linalg.norm(S[:-1] - S[-1], axis=1).min()) > 1e-15 * (
+            1.0 + math.sqrt(float(S[-1] @ S[-1])))
+        if fresh:
+            w_next, keep = _reference_corral_step(S, np.append(w, 0.0))
+        if not fresh or (keep[:-1].all() and not keep[-1]):
+            certified = gap <= max(done, 100.0 * distance.GAP_REL_FLOOR * nv2)
+            stop = "repeat_point"
+            break
+        w = w_next
+        Pa = np.vstack((Pa, wa))[keep]
+        Pb = np.vstack((Pb, wb))[keep]
+        v = w @ S[keep]
+    a = w @ Pa
+    b = w @ Pb
+    v = a - b
+    dist = math.sqrt(float(v @ v))
+    kind = distance.ZERO if dist <= tol else distance.POSITIVE
+    return distance.DistanceResult(
+        distance=dist,
+        kind=kind,
+        witness_a=a,
+        witness_b=b,
+        functional=v.copy() if kind == distance.POSITIVE else None,
+        gap=max(gap, 0.0) if np.isfinite(gap) else 0.0,
+        lower_bound=lower,
+        iterations=it,
+        certified=certified,
+        support_a=Pa,
+        support_b=Pb,
+        weights=w,
+        stop=stop,
+    )
+
+
+def _assert_same_bits(res, ref):
+    for field in dataclasses.fields(distance.DistanceResult):
+        x, y = getattr(res, field.name), getattr(ref, field.name)
+        assert type(x) is type(y), field.name
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), \
+                field.name
+        elif isinstance(x, float):
+            assert np.float64(x).tobytes() == np.float64(y).tobytes(), field.name
+        else:
+            assert x == y, field.name
+
+
+def _random_body(rng, dim):
+    """A body of one of the engine's kinds: the base hull of a piece or a
+    union, of a complement or of a boundary, with or without the origin;
+    explicit points; or the origin alone."""
+    kind = rng.choice(["region", "complement", "boundary", "points", "origin"])
+    if kind == "points":
+        n = int(rng.integers(1, 9))
+        shift = rng.uniform(-2.0, 2.0) * rng.standard_normal(dim)
+        return PolytopeBody(rng.standard_normal((n, dim)) + shift)
+    if kind == "origin":
+        return origin_body(dim)
+    if kind == "region":
+        region = random_region(rng, dim)
+    else:
+        cone = random_pointed_cone(rng, dim, n_rays=dim + int(rng.integers(0, 3)))
+        try:
+            region = (ConeRegion.complement(cone) if kind == "complement"
+                      else ConeRegion.boundary(cone))
+        except (TrivialRegion, ValueError):
+            region = random_region(rng, dim)
+    return body(region, adjoin_origin=bool(rng.integers(0, 2)))
+
+
+def test_buffered_corral_matches_the_rebuilt_corral_bit_for_bit():
+    checked = 0
+    for seed in range(200):
+        rng = np.random.default_rng([5, seed])
+        dim = 1 + seed % 6
+        A, B = _random_body(rng, dim), _random_body(rng, dim)
+        until_decided = bool(rng.integers(0, 2))
+        res = body_distance(A, B, until_decided=until_decided)
+        ref = _reference_body_distance(A, B, until_decided=until_decided)
+        _assert_same_bits(res, ref)
+        checked += res.iterations > 1
+    assert checked >= 120
+
+
+@pytest.mark.parametrize("name", ["sym_stall_3_932.json", "sym_stall_4_322.json",
+                                  "sym_stall_fail_3_95.json"])
+def test_buffered_corral_matches_on_the_solves_of_stalling_pairs(name, monkeypatch):
+    # every solve separate_sym makes on a pair that once stalled, where the
+    # minor cycles drop vertices often
+    inst = load_instance(str(Path(__file__).parent / "data" / name))
+    calls = []
+    solve = separation.body_distance
+
+    def recording(A, B, **kwargs):
+        calls.append((A, B, kwargs))
+        return solve(A, B, **kwargs)
+
+    monkeypatch.setattr(separation, "body_distance", recording)
+    separation.separate_sym(inst.region("C"), inst.region("K"))
+    assert calls
+    for A, B, kwargs in calls:
+        _assert_same_bits(body_distance(A, B, **kwargs),
+                          _reference_body_distance(A, B, **kwargs))
+
+
+def test_buffered_corral_grows_past_d_plus_2_rows(monkeypatch):
+    # Uniform affine weights never leave the simplex, so no vertex drops and
+    # the corral keeps every new support point until one repeats: on points
+    # spread over a sphere about the origin it outgrows its d + 2 rows.
+    monkeypatch.setattr(kernels, "_affine_min_norm", lambda Q: np.full(len(Q), 1.0 / len(Q)))
+    rows = []
+    for dim, shift in ((3, 0.0), (3, 0.3), (4, 0.0), (4, 0.3)):
+        A = PolytopeBody(sphere_grid(dim, count=200) + shift * np.eye(dim)[0])
+        for X, Y in ((A, origin_body(dim)), (origin_body(dim), A)):
+            res = body_distance(X, Y)
+            _assert_same_bits(res, _reference_body_distance(X, Y))
+            rows.append(len(res.support_a) / (dim + 2))
+    # grown once (over d + 2 rows) and more than once (over 2 (d + 2))
+    assert max(rows) > 2.0 and sum(r > 1.0 for r in rows) >= 4

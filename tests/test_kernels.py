@@ -133,6 +133,24 @@ def test_min_norm_point_stops_when_the_corral_comes_back(monkeypatch, gap_in_tol
     assert np.array_equal(res.weights, [1.0, 0.0])
 
 
+def test_corral_step_no_drop_and_drop_paths():
+    # Weights pinned to the bit.  The origin lies inside the triangle, so no
+    # vertex drops and no mask is made; the new row comes in at weight 0.
+    Q = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+    w, keep = kernels.corral_step(Q, np.array([0.25, 0.75]))
+    assert keep is None
+    assert w.tolist() == [0.5000000000000001, 0.24999999999999994, 0.24999999999999994]
+    # the origin's affine weight on (1, -1) is negative: that vertex goes
+    Q = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -3.0]])
+    w, keep = kernels.corral_step(Q, np.array([0.5, 0.5]))
+    assert keep.tolist() == [True, False, True]
+    assert w.tolist() == [0.7, 0.3]
+    Q = np.array([[1.0, 2.0, 0.5], [0.5, -1.0, 2.0], [2.0, 0.3, 1.0], [0.1, 0.2, -3.0]])
+    w, keep = kernels.corral_step(Q, np.array([0.2, 0.3, 0.5]))
+    assert keep.tolist() == [True, True, False, True]
+    assert w.tolist() == [0.15334865572719036, 0.4809182746271846, 0.36573306964562496]
+
+
 def test_min_norm_point_hull_contains_origin():
     P = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
     res = min_norm_point(P)

@@ -368,6 +368,47 @@ def test_piece_lmo_one_ray_projections_match_the_nnls_route_bit_for_bit(monkeypa
                 assert res.witness.tobytes() == ref.witness.tobytes()
 
 
+class _ProjectionStep(Exception):
+    pass
+
+
+def test_piece_lmo_leaves_at_once_in_the_dual_cone(monkeypatch):
+    # A best score of 0 or more, or above -KKT_TOL * max(1, max |f @ G|),
+    # puts f in the dual cone: the LMO returns the best generator and never
+    # reaches the projection step.
+    def step(*args):
+        raise _ProjectionStep
+
+    monkeypatch.setattr(kernels, "first_step", step)
+    monkeypatch.setattr(kernels, "nnls", step)
+    cone = make_polycone([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, 0.8]])
+    G = cone.generators
+    # f is orthogonal to the first generator and scores 0.8 and 0.36 on the
+    # others: a min score of exactly 0.0
+    for f in (np.array([0.0, 1.0, -0.3]), np.array([1.0, 1.0, 1.0])):
+        vals = f @ G
+        j = int(np.argmin(vals))
+        assert vals[j] >= 0.0
+        res = _lmo_piece(cone, f)
+        assert res.value == float(vals[j]) and res.witness.tobytes() == G[:, j].tobytes()
+    assert float(np.array([0.0, 1.0, -0.3]) @ G[:, 0]) == 0.0
+    # a min score in (-slack, 0) on the first generator, and one just past
+    # the slack; the largest |score| is 2, so the slack is 2 KKT_TOL
+    f0 = np.array([0.0, 2.5, 0.0])
+    slack = kernels.KKT_TOL * float(np.abs(f0 @ G).max())
+    assert slack == 2.0 * kernels.KKT_TOL
+    for t in (1e-3, 0.5, 0.999):
+        f = f0 - t * slack * np.array([1.0, 0.0, 0.0])
+        vals = f @ G
+        assert -slack < vals[0] < 0.0 and int(np.argmin(vals)) == 0
+        res = _lmo_piece(cone, f)
+        assert res.value == float(vals[0]) and res.witness.tobytes() == G[:, 0].tobytes()
+    f = f0 - 1.001 * slack * np.array([1.0, 0.0, 0.0])
+    assert float(f @ G[:, 0]) < -slack
+    with pytest.raises(_ProjectionStep):
+        _lmo_piece(cone, f)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_complement_of_a_one_dimensional_ray(sign):
     # the ray's only facet is {0}, with an empty base: no facet pieces, and
