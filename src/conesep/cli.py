@@ -20,6 +20,7 @@ file's options of the same names; a bad value is an input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields, replace
@@ -274,8 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; returns the worst exit code of its files.
+
+    The parser is built once per process and serves every later call:
+    parsing keeps no state on it, and building it costs more than parsing.
+    """
+    args = _parser().parse_args(argv)
     paths = args.instance if isinstance(args.instance, list) else [args.instance]
     if len(paths) == 1:
         doc, code = _evaluate(paths[0], args)

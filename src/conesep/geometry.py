@@ -440,7 +440,9 @@ def facets(cone: PolyCone) -> BoundaryDecomposition:
 
     A non-solid cone is its own boundary and is returned as a single piece.
     A solid ray in R^1 has the one facet {0}, whose base is empty, and so
-    no pieces.
+    no pieces.  Each facet cone holds a read-only copy of the parent's
+    columns on that facet, as it is: they are already unit and pairwise
+    distinct, so ``make_polycone`` would return the same bits.
     """
     out = cone._cache.get("facets")
     if out is None:
@@ -450,7 +452,9 @@ def facets(cone: PolyCone) -> BoundaryDecomposition:
             for nrm in facet_normals(cone):
                 on = np.abs(nrm @ cone.generators) <= 1e-9
                 if on.any():
-                    pieces.append(make_polycone(cone.generators[:, on].T))
+                    cols = np.ascontiguousarray(cone.generators[:, on])
+                    cols.setflags(write=False)
+                    pieces.append(PolyCone(cols))
                 elif cone.dim > 1:
                     raise NotSolid("facet normal with no incident generators")
         out = cone._cache["facets"] = BoundaryDecomposition(tuple(pieces))

@@ -4,7 +4,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conesep.cli import main
+from conesep import cli
+from conesep.cli import build_parser, main
 
 
 def _write(tmp_path, name, doc):
@@ -207,6 +208,22 @@ def test_help_exits_0():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_one_parser_serves_repeated_calls(capsys, rays):
+    first = _run(capsys, ["separate", rays, "--pair", "C,K"])
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    # a usage error after a flag that has been parsed leaves no trace of it
+    with pytest.raises(SystemExit) as exc:
+        main(["separate", rays, "--mode", "sym", "--pair", "only-one-name"])
+    assert exc.value.code == 3
+    capsys.readouterr()
+    again = _run(capsys, ["separate", rays, "--pair", "C,K"])
+    assert again == first and again[1]["mode"] == "nonsym"
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
 
 
 def test_batch_ndjson_and_exit_max(capsys, rays, identical):

@@ -463,6 +463,41 @@ def test_solid_hrep_is_the_facet_normals():
         assert np.array_equal(B, np.eye(cone.dim))
 
 
+def _facet_view_cases():
+    rng = np.random.default_rng(23)
+    cones = [random_pointed_cone(rng, d, n_rays=int(rng.integers(d, d + 7)))
+             for d in range(2, 7) for _ in range(4)]
+    # coplanar rays: edge midpoints lie on the facets of a square pyramid
+    # and of a cube's cone, rotated so that no facet normal is an axis
+    square = [[a, b, 1.0] for a in (-1, 1) for b in (-1, 1)]
+    cones.append(make_polycone(square + [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]))
+    cube = [[a, b, c, 1.0] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+    mids = [[a, b, 0, 1.0] for a in (-1, 1) for b in (-1, 1)]
+    mids += [[a, 0, c, 1.0] for a in (-1, 1) for c in (-1, 1)]
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    cones.append(make_polycone(np.array(cube + mids) @ Q.T))
+    cones.append(_cap_cone_48())
+    return cones
+
+
+def test_facet_cones_are_the_parents_columns_bit_for_bit():
+    coplanar = False
+    for cone in _facet_view_cases():
+        assert solidity(cone)
+        pieces = facets(cone).pieces
+        assert pieces
+        for piece in pieces:
+            G = piece.generators
+            ref = make_polycone(G.T).generators
+            assert (G.dtype, G.shape) == (ref.dtype, ref.shape)
+            assert G.tobytes() == ref.tobytes()
+            assert not G.flags.writeable and G.flags.c_contiguous
+            # each column is one of the parent's, bit for bit
+            assert all((cone.generators == g[:, None]).all(axis=0).any() for g in G.T)
+            coplanar |= piece.n_rays >= cone.dim
+    assert coplanar
+
+
 def _orthant_points(rng, d, n):
     # random directions, then points within 1e-6 of a facet on either side
     X = rng.standard_normal((n, d))

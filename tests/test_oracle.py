@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conesep.basis import interpolate, verify_interpolation
 from conesep.errors import DimensionMismatch
 from conesep.geometry import cone_membership_batch, make_polycone
 from conesep.oracle import (
     _dedupe_rows,
     _piece_count_cloud,
+    _thin_indices,
     cone_about,
     covering_bound,
     oracle_separation,
@@ -25,6 +27,7 @@ from conesep.separation import (
     bp_boundary_rays_2d,
     bp_membership,
     separate_nonsym,
+    verify_certificate,
 )
 
 ORTHANT_REGION = ConeRegion.piece(make_polycone([[1.0, 0.0], [0.0, 1.0]]))
@@ -95,6 +98,97 @@ def test_sample_requires_exactly_one_mode():
         sample_norm_base(ORTHANT_REGION)
     with pytest.raises(ValueError):
         sample_norm_base(ORTHANT_REGION, resolution=1.0, count=10)
+
+
+def _void_dedupe_rows(X):
+    # the void-view path alone: the reference for the sorted-pass fast path
+    R = np.ascontiguousarray(np.round(X, 9) + 0.0)
+    rows = R.view(np.dtype((np.void, R.itemsize * R.shape[1]))).ravel()
+    _, idx = np.unique(rows, return_index=True)
+    return X[np.sort(idx)]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_dedupe_rows_matches_the_void_view_bit_for_bit():
+    rng = np.random.default_rng(29)
+    distinct = rng.standard_normal((1003, 3))
+    tied = distinct.copy()
+    tied[:, 0] = np.round(tied[:, 0], 1)  # ties in column 0, rows distinct
+    repeated = np.concatenate([distinct[:40], distinct[:40] + 1e-12, distinct[5:9]])
+    cases = {
+        "no ties": distinct,
+        "ties in column 0": tied,
+        "rows equal after rounding": repeated,
+        "signed zeros in column 0, distinct rows": np.array(
+            [[0.0, 1.0], [-0.0, 2.0], [1.0, 0.0]]),
+        "signed zeros in column 0, one row": np.array(
+            [[-0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+        "signed zeros in a later column, distinct rows": np.array(
+            [[1.0, -0.0, 0.5], [2.0, 0.0, 0.5]]),
+        "signed zeros in a later column, one row": np.array(
+            [[1.0, -0.0, 0.5], [1.0, 0.0, 0.5], [2.0, 0.0, 0.5]]),
+        "nan in column 0": np.array([[np.nan, 1.0], [np.nan, 1.0], [0.0, 1.0]]),
+        "0 rows": np.empty((0, 3)),
+        "1 row": distinct[:1].copy(),
+        "1 column": np.round(rng.standard_normal((50, 1)), 1),
+        "1 column, distinct": rng.standard_normal((50, 1)),
+    }
+    for name, X in cases.items():
+        assert _same_bits(_dedupe_rows(X), _void_dedupe_rows(X)), name
+    # the sorted pass settles a cloud with a tie-free first column alone
+    assert _dedupe_rows(distinct) is distinct
+    assert len(_dedupe_rows(repeated)) == 40
+
+
+def test_thinning_keeps_the_indices_of_np_unique():
+    for count in range(1, 400):
+        top = 3 * count + 2
+        lengths = range(count + 1, top + 1)
+        # column k: np.linspace(0, n - 1, count) rounded, for n = lengths[k]
+        spaced = np.linspace(0, np.array(lengths) - 1, count).round().astype(int)
+        # no column decreases, so np.unique of one keeps exactly its entries
+        # unequal to the entry before
+        assert (np.diff(spaced, axis=0) >= 0).all(), count
+        # every length at once: column k shifted into [k * top, (k + 1) * top)
+        flat = (spaced + top * np.arange(len(lengths))).T.ravel()
+        first = np.ones(len(flat), dtype=bool)
+        first[1:] = flat[1:] != flat[:-1]
+        ours = np.concatenate([_thin_indices(n, count) + k * top
+                               for k, n in enumerate(lengths)])
+        assert np.array_equal(ours, flat[first]), count
+        for n in (count + 1, 2 * count + 1, top):
+            ref = np.unique(np.linspace(0, n - 1, count).round().astype(int))
+            assert _same_bits(_thin_indices(n, count), ref), (count, n)
+
+
+def test_sampler_rejects_bad_count_and_resolution():
+    for count in (0, -3, 2.5, "10"):
+        with pytest.raises(ValueError, match="count="):
+            sample_norm_base(ORTHANT_REGION, count=count)
+    for resolution in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="resolution="):
+            sample_norm_base(ORTHANT_REGION, resolution=resolution)
+    # a cloud of rays ignores count= but still checks it
+    with pytest.raises(ValueError, match="count="):
+        sample_norm_base(ray_region([0.0, 1.0]), count=0)
+    assert len(sample_norm_base(ORTHANT_REGION, count=np.int64(1)).points) == 1
+
+
+def test_verifiers_reject_count_zero():
+    C, K = ray_region([1.0, 1.0]), union_of_rays([[1.0, -1.0], [-1.0, 1.0]])
+    cert = separate_nonsym(C, K)
+    assert cert is not None
+    with pytest.raises(ValueError, match="count="):
+        verify_certificate(cert, C, K, count=0)
+    wedge = make_polycone([[-1.0, 1.0], [1.0, 1.0]])
+    half_plane = make_polycone([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    gamma = interpolate(wedge, half_plane)
+    assert gamma is not None
+    with pytest.raises(ValueError, match="count="):
+        verify_interpolation(gamma, wedge, half_plane, count=0)
 
 
 def test_support_orthant_diagonal_quarter_degree():
