@@ -7,11 +7,14 @@ how often the independent routes agree:
   * certificate existence vs. positivity of the hull-body distance,
   * the symmetric verdict vs. the OR of the two one-sided verdicts,
   * pairwise agreement of the five boundary-based conditions on convex
-    pairs that meet only at the origin.
+    pairs that meet only at the origin,
+  * the certified bracket DEAD_BAND * tol < hi - lo <= distance of every
+    certificate drawn: its threshold interval's width is a lower bound on
+    the hull distance, its witnesses' gap an upper bound.
 
 Draws whose reference distance solve did not certify, and pairs that raise
 Inconclusive, are counted and reported rather than compared.  Exits 1 when
-any agreement count falls short of its total.
+any agreement count falls short of its total or any bracket is violated.
 """
 import argparse
 import sys
@@ -19,7 +22,7 @@ import time
 
 import numpy as np
 
-from conesep.distance import body_distance
+from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance
 from conesep.errors import Inconclusive
 from conesep.oracle import random_pointed_cone, random_region
 from conesep.regions import ConeRegion, body
@@ -32,8 +35,20 @@ from conesep.separation import (
 )
 
 
+# hi, lo and the distance each come out of products of unit vectors a few
+# ulps off, so where a solve ends on the max-margin functional, hi - lo and
+# the distance agree only to about 1e-16
+ROUNDING = 1e-14
+
+
+def bracketed(cert) -> bool:
+    lo, hi = cert.alpha_interval
+    return DEAD_BAND * DEFAULT_TOL < hi - lo <= cert.distance + ROUNDING
+
+
 def existence_study(dims, per_dim, margin, rng):
     total = agree = verified = certs = skipped = uncertified = 0
+    brackets = bracket_ok = 0
     sym_total = sym_agree = sym_inconclusive = 0
     vrng = np.random.default_rng(rng.integers(2**32))
     for dim in dims:
@@ -59,12 +74,17 @@ def existence_study(dims, per_dim, margin, rng):
                 certs += 1
                 if verify_certificate(cert, C, K, count=1000, rng=vrng).ok:
                     verified += 1
+                brackets += 1
+                bracket_ok += bracketed(cert)
             try:
                 kc = separate_nonsym(K, C)
                 sym = separate_sym(C, K)
             except Inconclusive:
                 sym_inconclusive += 1
                 continue
+            drawn = [c for c in (kc, sym) if c is not None]
+            brackets += len(drawn)
+            bracket_ok += sum(map(bracketed, drawn))
             sym_total += 1
             if (sym is not None) == ((cert is not None) or (kc is not None)):
                 sym_agree += 1
@@ -73,6 +93,8 @@ def existence_study(dims, per_dim, margin, rng):
         "existence_agree": agree,
         "certificates": certs,
         "verified": verified,
+        "brackets": brackets,
+        "bracket_ok": bracket_ok,
         "sym_pairs": sym_total,
         "sym_agree": sym_agree,
         "sym_inconclusive": sym_inconclusive,
@@ -132,6 +154,8 @@ def main() -> int:
           f"{ex['existence_agree']}/{ex['pairs']}")
     print(f"  certificates verified (1000 samples): "
           f"{ex['verified']}/{ex['certificates']}")
+    print(f"  DEAD_BAND * tol < hi - lo <= distance + {ROUNDING:g}: "
+          f"{ex['bracket_ok']}/{ex['brackets']} certificates")
     print(f"  sym = OR of one-sided: {ex['sym_agree']}/{ex['sym_pairs']} "
           f"({ex['sym_inconclusive']} Inconclusive, not counted)")
     print(f"  boundary conditions consistent: "
@@ -142,6 +166,7 @@ def main() -> int:
     print(f"  total time: {elapsed:.1f} s")
     short = (ex["existence_agree"] < ex["pairs"]
              or ex["verified"] < ex["certificates"]
+             or ex["bracket_ok"] < ex["brackets"]
              or ex["sym_agree"] < ex["sym_pairs"]
              or bd["consistent"] < bd["pairs"])
     return 1 if short else 0

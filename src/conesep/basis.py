@@ -182,11 +182,14 @@ def interpolate(C: ConeRegion | PolyCone, K: PolyCone,
     """Squeeze a Bishop-Phelps cone G strictly between nested cones:
     C minus the origin inside the interior of G and G inside K.
 
-    Works by separating C from the closed complement of K; the resulting
-    certificate (attached to the returned cone) carries the whole interval
-    of admissible thresholds.  Returns None when the hull bodies of C and
-    of the complement's base touch, which happens exactly when C reaches
-    the boundary of K.
+    Works by separating C from the closed complement of K with
+    separate_nonsym.  The resulting certificate (attached to the returned
+    cone) holds a separating functional, not the max-margin one, and the
+    exact interval of thresholds for it.  The interval's width is a
+    certified lower bound on the distance between the hull bodies, and the
+    certificate's distance, the witnesses' gap, an upper bound.  Returns
+    None when the hull bodies of C and of the complement's base touch,
+    which happens exactly when C reaches the boundary of K.
     """
     region = ConeRegion.piece(C) if isinstance(C, PolyCone) else C
     if region.has_compound_leaves:

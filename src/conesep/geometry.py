@@ -425,6 +425,19 @@ def _inspan_hrep(cone: PolyCone) -> tuple[np.ndarray, np.ndarray]:
     return B, N
 
 
+def dual_generators(cone: PolyCone) -> np.ndarray:
+    """Rows generating the dual cone {y : y . x >= 0 on the cone}: the
+    inward facet normals within the span, and +- a basis of the span's
+    orthogonal complement when the cone is not solid."""
+    B, N = _inspan_hrep(cone)
+    rows = [N @ B.T]
+    r = B.shape[1]
+    if r < cone.dim:
+        perp = np.linalg.svd(B, full_matrices=True)[0][:, r:].T
+        rows += [perp, -perp]
+    return np.concatenate(rows)
+
+
 def facet_normals(cone: PolyCone) -> np.ndarray:
     """Inward facet normals (m, d) of a solid cone other than the whole
     space."""

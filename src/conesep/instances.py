@@ -211,7 +211,8 @@ def jsonable(value):
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
+        # tolist already gives plain Python floats, ints and bools
+        return value.tolist()
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):

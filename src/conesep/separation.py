@@ -3,12 +3,13 @@
 A Bishop-Phelps cone is the sublevel set C(x*, a) = {x : x*(x) >= a*|x|}.
 This module decides whether two cone regions C and K admit such a cone G
 with C \\ {0} inside its interior and K touching it only at the origin, and
-when they do, it returns a checkable certificate: the functional x*, the
-whole admissible interval of thresholds a, and the augmented-dual classes
-the pair (x*, a) lands in.  The criterion is reduced to a single convex
-distance: a certificate exists exactly when the distance between the hull
-body of C's norm-base and the origin-adjoined hull body of K's norm-base is
-positive, and the optimal displacement is itself the functional.
+when they do, it returns a checkable certificate: a functional x*, the
+exact interval of thresholds a that work for it, and the augmented-dual
+classes the pair (x*, a) lands in.  The criterion is reduced to a single
+convex distance: a certificate exists exactly when the distance between the
+hull body of C's norm-base and the origin-adjoined hull body of K's
+norm-base is positive, and any displacement whose Frank-Wolfe lower bound
+is positive is itself a functional.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .errors import (
     NotConvex,
     TrivialRegion,
 )
-from .geometry import Norm, PolyCone, dual_norm, norm_value
+from .geometry import Norm, PolyCone, dual_norm, make_polycone, norm_value
 from .regions import ConeRegion, body
 
 # classification band for membership queries, scaled by 1 + |x|
@@ -214,9 +215,13 @@ def _dual_flags(m: float, alpha: float) -> dict[str, bool]:
 class SeparationCertificate:
     """Witness that a Bishop-Phelps cone strictly separates two regions.
 
-    Any alpha in the open alpha_interval works; the stored alpha is the
-    midpoint.  witnesses are the nearest points of the two hull bodies whose
-    gap produced x_star.
+    x_star separates the two norm-base hulls, but it is the displacement at
+    the bracket that decided the distance solve, not the max-margin
+    functional.  alpha_interval is the exact interval of thresholds for that
+    x_star: any alpha in it works, and the stored alpha is the midpoint.
+    Its width is a certified lower bound on the distance between the hulls.
+    witnesses are points of the two hull bodies whose gap produced x_star,
+    and distance, that gap, is an upper bound.
     """
 
     orientation: Orientation
@@ -249,10 +254,25 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     C minus the origin while K meets it only at the origin.
 
     Decided through a single distance: the gap between the hull body of
-    C's norm-base and the origin-adjoined hull body of K's.  A positive gap
-    yields the functional (the optimal displacement) and the full interval
-    of admissible thresholds; a certified zero gap proves no certificate
-    exists.  Gaps inside the tolerance dead-band raise Inconclusive.
+    C's norm-base and the origin-adjoined hull body of K's.  The solve stops
+    at the first bracket that decides it.  A positive gap yields a
+    separating functional x* (the unit displacement at that bracket, not
+    the max-margin one) and the exact interval (lo, hi) of thresholds that
+    work for that x*.  Its width hi - lo is a certified lower bound on the
+    gap, and the certificate's distance, the gap between its witnesses, an
+    upper bound.  A certified zero gap proves no certificate exists.  Gaps
+    inside the tolerance dead-band raise Inconclusive.
+    """
+    return _separate_one_sided(C, K, tol, until_decided=True)
+
+
+def _separate_one_sided(C: ConeRegion, K: ConeRegion, tol: float,
+                        until_decided: bool) -> SeparationCertificate | None:
+    """separate_nonsym, with the distance solve run to its end unless
+    ``until_decided``; run to the end, x* is the max-margin functional.
+
+    The bracket holds either way: for unit x*, every c in conv B_C and every
+    k in conv(B_K u {0}) satisfy x*(c - k) >= hi - lo.
     """
     if C.dim != K.dim:
         raise DimensionMismatch("regions live in different dimensions")
@@ -260,7 +280,7 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     _check_nontrivial(K)
     body_c = body(C, adjoin_origin=False)
     body_k0 = body(K, adjoin_origin=True)
-    res = body_distance(body_c, body_k0, tol=tol)
+    res = body_distance(body_c, body_k0, tol=tol, until_decided=until_decided)
     if not decide_gap(res, "distance", tol):
         return None
     x_star = res.functional / np.linalg.norm(res.functional)
@@ -286,10 +306,11 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     )
 
 
-def _separate_k_from_c(C: ConeRegion, K: ConeRegion, tol: float
+def _separate_k_from_c(C: ConeRegion, K: ConeRegion, tol: float,
+                       until_decided: bool = True
                        ) -> SeparationCertificate | None:
     """separate_nonsym(K, C), labelled as the K-from-C orientation of (C, K)."""
-    cert = separate_nonsym(K, C, tol=tol)
+    cert = _separate_one_sided(K, C, tol, until_decided)
     if cert is None:
         return None
     return replace(cert, orientation=Orientation.K_FROM_C)
@@ -299,13 +320,16 @@ def separate_sym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
                  ) -> SeparationCertificate | None:
     """Separation in either orientation: C from K first, then K from C.
 
-    The first certificate is returned as it stands: with exact LMOs its
-    non-empty threshold interval (lo, hi) puts the two norm-base hulls at
-    least hi - lo apart, so no cross-check could overturn it.  Without one,
-    an Inconclusive from either orientation is re-raised, one inside the
-    dead band before an uncertified one.  Only when both
-    certified a zero gap is the verdict cross-checked against the plain-body
-    distance between the hulls, which is positive exactly when some
+    Each orientation is separate_nonsym's: its x* separates but need not be
+    the max-margin functional, and its alpha_interval is the exact threshold
+    interval for that x*.  The first certificate is returned as it stands:
+    with exact LMOs its non-empty threshold interval (lo, hi) puts the two
+    norm-base hulls at least hi - lo apart, so no cross-check could
+    overturn it; its distance, the witnesses' gap, bounds theirs from
+    above.  Without one, an Inconclusive from either orientation is
+    re-raised, one inside the dead band before an uncertified one.  Only
+    when both certified a zero gap is the verdict cross-checked against the
+    plain-body distance between the hulls, which is positive exactly when some
     orientation works; a clear positive distance raises Inconclusive.
     """
     pending: Inconclusive | None = None
@@ -340,13 +364,16 @@ def separate_convex_bidirectional(C: ConeRegion, K: ConeRegion,
     """Both one-sided certificates for a convex pair, plus the strictly
     separating linear functional their difference induces when both exist.
 
+    Unlike separate_nonsym, both distance solves run to the end, so the two
+    functionals are the max-margin ones and the linear part is theirs.
+
     The linear part is verified exactly: its infimum over C's base hull must
     be positive and its supremum over K's base hull negative.
     """
     if not (C.is_single_piece and K.is_single_piece):
         raise NotConvex("bidirectional separation needs single convex pieces")
-    cfromk = separate_nonsym(C, K, tol=tol)
-    kfromc = _separate_k_from_c(C, K, tol=tol)
+    cfromk = _separate_one_sided(C, K, tol, until_decided=False)
+    kfromc = _separate_k_from_c(C, K, tol, until_decided=False)
     linear = None
     if cfromk is not None and kfromc is not None:
         v = cfromk.x_star - kfromc.x_star
@@ -378,15 +405,22 @@ def boundary_region(region: ConeRegion) -> ConeRegion:
 
 
 def _pieces_meet_only_at_origin(P: PolyCone, Q: PolyCone, tol: float) -> bool:
-    """The ``decide_gap`` verdict on the distance from hull(P's or Q's unit
-    generators, whichever piece is pointed) to the other piece; the solve
-    stops at the first bracket that decides it."""
+    """Whether pieces P and Q meet only at the origin.
+
+    When one piece is pointed: the ``decide_gap`` verdict on the distance
+    from hull(its unit generators) to the other piece; the solve stops at
+    the first bracket that decides it.  Otherwise exactly through the duals:
+    P and Q meet only at the origin iff P* + Q* is the whole space.
+    """
     if geometry.pointedness(P).pointed:
         hull, other = P, Q
     elif geometry.pointedness(Q).pointed:
         hull, other = Q, P
     else:
-        raise Inconclusive("intersection test needs a pointed piece in each pair")
+        rows = np.concatenate([geometry.dual_generators(P),
+                               geometry.dual_generators(Q)])
+        # no rows: both pieces are the whole space
+        return len(rows) > 0 and geometry.is_whole_space(make_polycone(rows))
     res = body_distance(
         PolytopeBody(hull.generators.T.copy()),
         body(ConeRegion.piece(other), adjoin_origin=True),
@@ -407,17 +441,21 @@ def cones_meet_only_at_origin(C: ConeRegion, K: ConeRegion,
 
     Every ray of a cone crosses the convex hull of its unit generators, and
     for a pointed cone that hull misses the origin; so piece P meets piece Q
-    beyond the origin exactly when hull(P's generators) touches Q.  One of
-    the two pieces in each pair must be pointed for the reduction to apply.
-    A piece meets the closed complement of a solid cone only at the origin
-    exactly when its generators are interior to that cone; two complements
-    raise Inconclusive.
+    beyond the origin exactly when hull(P's generators) touches Q.  A pair
+    of non-pointed pieces is decided through their duals instead.  A piece
+    meets the closed complement of a solid cone only at the origin exactly
+    when its generators are interior to that cone.  Two closed complements
+    always meet beyond the origin in d >= 2: each excluded cone lies in a
+    half-space a.x >= 0, and some x != 0 has a.x <= 0 and b.x <= 0.  In
+    R^1 they are the rays opposite the excluded ones, and meet only at the
+    origin when those are opposite.
     """
     for a in C.leaves:
         for b in K.leaves:
             if not (a.pieces or b.pieces):
-                raise Inconclusive("intersection test cannot pair two complements")
-            if not b.pieces:
+                ok = C.dim == 1 and float(
+                    a.cone.generators[0, 0] * b.cone.generators[0, 0]) < 0.0
+            elif not b.pieces:
                 ok = all(_inside_interior(P, b.cone) for P in a.pieces)
             elif not a.pieces:
                 ok = all(_inside_interior(Q, a.cone) for Q in b.pieces)

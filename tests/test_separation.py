@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conesep import basis, kernels, separation
 from conesep.cli import main
+from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance, decide_gap
 from conesep.errors import DegenerateCone, Inconclusive, NotConvex, TrivialRegion
 from conesep.geometry import make_polycone
 from conesep.instances import load_instance
@@ -17,11 +18,12 @@ from conesep.oracle import (
     cone_about,
     oracle_separation,
     random_pointed_cone,
+    random_region,
     ray_region,
     sector_cone_2d,
     union_of_rays,
 )
-from conesep.regions import ConeRegion, support_norm_base
+from conesep.regions import ConeRegion, body, support_norm_base
 from conesep.separation import (
     Membership,
     NormLinearFunctional,
@@ -326,8 +328,50 @@ def test_meet_only_at_origin_through_complement_and_boundary_leaves():
     edges = ConeRegion.boundary(sector_cone_2d(0.0, 10.0))
     assert not cones_meet_only_at_origin(C, edges)
     assert cones_meet_only_at_origin(NARROW_SECTOR, edges)
-    with pytest.raises(Inconclusive):
-        cones_meet_only_at_origin(outside, outside)
+    # two closed complements always meet beyond the origin in d >= 2
+    assert not cones_meet_only_at_origin(outside, outside)
+
+
+# two non-pointed 3-D wedges: z >= |y| on C and z <= -|x| on K
+WEDGE_C = ConeRegion.piece(make_polycone(
+    [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]]))
+WEDGE_K = ConeRegion.piece(make_polycone(
+    [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, -1.0], [-1.0, 0.0, -1.0]]))
+
+
+def test_intersection_of_non_pointed_pieces_is_decided_through_duals():
+    assert cones_meet_only_at_origin(WEDGE_C, WEDGE_K)
+    assert cones_meet_only_at_origin(WEDGE_K, WEDGE_C)
+    # the CLI's check reaches the same test; every form is negative, since
+    # each wedge holds a line
+    report = boundary_equivalence_report(WEDGE_C, WEDGE_K)
+    assert report.meet_only_at_origin and report.consistent
+    # flipped in z, K shares the rays (+-1, 0, 1) with C
+    overlapping = ConeRegion.piece(make_polycone(
+        [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]))
+    assert not cones_meet_only_at_origin(WEDGE_C, overlapping)
+    # non-solid pieces: a line through C, a line missing K, a plane it crosses
+    x_axis = ConeRegion.piece(make_polycone([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+    yz_plane = ConeRegion.piece(make_polycone(
+        [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    assert not cones_meet_only_at_origin(x_axis, WEDGE_C)
+    assert cones_meet_only_at_origin(x_axis, WEDGE_K)
+    assert cones_meet_only_at_origin(yz_plane, x_axis)
+    assert not cones_meet_only_at_origin(yz_plane, yz_plane)
+
+
+def test_intersection_of_two_complements():
+    for d in (2, 3):
+        outside = ConeRegion.complement(make_polycone(np.eye(d)))
+        opposite = ConeRegion.complement(make_polycone(-np.eye(d)))
+        assert not cones_meet_only_at_origin(outside, opposite)
+        assert not cones_meet_only_at_origin(outside, outside)
+    # in R^1 the closed complement of a ray is the opposite ray
+    right = ConeRegion.complement(make_polycone([[1.0]]))
+    left = ConeRegion.complement(make_polycone([[-1.0]]))
+    assert cones_meet_only_at_origin(right, left)
+    assert not cones_meet_only_at_origin(right, right)
+    assert not cones_meet_only_at_origin(left, left)
 
 
 def test_intersection_test_solves_a_shared_cone_once(monkeypatch):
@@ -479,7 +523,12 @@ def test_stalling_pairs_decide_in_few_iterations(name, monkeypatch):
         one_sided = [separate_nonsym(C, K), separate_nonsym(K, C)]
     assert solves and all(r.iterations < 100 for r in solves)
     assert all(r.certified for r in solves)
-    assert {r.stop for r in solves} <= {"certified_gap", "certified_zero"}
+    # a solve may stop "decided" only once its positive bracket has
+    # cleared the dead band
+    assert all(r.stop in {"certified_gap", "certified_zero"}
+               or (r.stop == "decided" and r.kind == "positive"
+                   and r.lower_bound > DEAD_BAND * DEFAULT_TOL)
+               for r in solves)
     assert sym is not None
     assert verify_certificate(sym, C, K, count=1000,
                               rng=np.random.default_rng(0)).ok
@@ -490,6 +539,105 @@ def test_stalling_pairs_decide_in_few_iterations(name, monkeypatch):
         if cert is not None:
             assert verify_certificate(cert, X, Y, count=1000,
                                       rng=np.random.default_rng(0)).ok
+
+
+def _contract_pairs():
+    """Both orientations of the stalling pairs, and seeded random_region
+    pairs at d in {2, 3, 4, 6}."""
+    pairs = []
+    for name in STALLING_PAIRS:
+        inst = load_instance(str(Path(__file__).parent / "data" / name))
+        C, K = inst.region("C"), inst.region("K")
+        pairs += [(C, K), (K, C)]
+    rng = np.random.default_rng(2101)
+    for d in (2, 3, 4, 6):
+        pairs += [(random_region(rng, d), random_region(rng, d)) for _ in range(12)]
+    return pairs
+
+
+def _verdict(decide):
+    try:
+        return decide()
+    except Inconclusive:
+        return "inconclusive"
+
+
+def test_early_stop_certificates_keep_the_contract(monkeypatch):
+    # separate_nonsym stops at the first bracket that decides the gap.  Its
+    # verdict is the full solve's, in no more FW iterations, and its
+    # threshold interval is a certified lower bound on the hull distance:
+    # DEAD_BAND * tol < hi - lo <= distance.  Where the solve ends on the
+    # max-margin functional, the two ends agree only to the last bits.
+    tol = DEFAULT_TOL
+    real = separation.body_distance
+    solves = []
+    monkeypatch.setattr(separation, "body_distance",
+                        lambda *a, **k: solves.append(real(*a, **k)) or solves[-1])
+    decided = fewer = certs = 0
+    for C, K in _contract_pairs():
+        full = body_distance(body(C, False), body(K, True), tol=tol,
+                             until_decided=False)
+        solves.clear()
+        cert = _verdict(lambda: separate_nonsym(C, K, tol=tol))
+        (early,) = solves
+        assert _verdict(lambda: decide_gap(full, "distance", tol)) == (
+            cert if cert == "inconclusive" else cert is not None)
+        assert early.iterations <= full.iterations
+        decided += early.stop == "decided"
+        fewer += early.iterations < full.iterations
+        if cert in (None, "inconclusive"):
+            continue
+        certs += 1
+        lo, hi = cert.alpha_interval
+        # to rounding: hi, lo and the distance are products of unit vectors
+        assert DEAD_BAND * tol < hi - lo <= cert.distance + 1e-14
+        assert verify_certificate(cert, C, K, count=1000,
+                                  rng=np.random.default_rng(0)).ok
+    assert certs >= 40 and decided >= 40 and fewer >= 40
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def test_bidirectional_keeps_the_full_solve_certificates(monkeypatch):
+    # separate_convex_bidirectional's linear functional is built from the
+    # two max-margin functionals, so its certificates come from solves run
+    # to the end, bit for bit, where separate_nonsym's stop early
+    rng = np.random.default_rng(2102)
+    pairs = [(ConeRegion.piece(random_pointed_cone(rng, d)),
+              ConeRegion.piece(random_pointed_cone(rng, d)))
+             for d in (2, 3, 4, 6) for _ in range(6)]
+    pairs += [(NARROW_SECTOR, ConeRegion.piece(sector_cone_2d(-90.0, 10.0))),
+              (ORTHANT, ray_region([-1.0, 1.0]))]
+    real = separation.body_distance
+    bidir = [separate_convex_bidirectional(C, K) for C, K in pairs]
+    early = [separate_nonsym(C, K) for C, K in pairs]
+    monkeypatch.setattr(separation, "body_distance",
+                        lambda *a, until_decided=False, **k: real(*a, **k))
+    compared = moved = 0
+    for (C, K), res, first in zip(pairs, bidir, early):
+        full = [separate_nonsym(C, K), separate_nonsym(K, C)]
+        for got, want, orientation in ((res.cfromk, full[0], Orientation.C_FROM_K),
+                                       (res.kfromc, full[1], Orientation.K_FROM_C)):
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            compared += 1
+            assert got.orientation is orientation
+            for f in dataclasses.fields(got):
+                if f.name != "orientation":
+                    assert (_bits(getattr(got, f.name))
+                            == _bits(getattr(want, f.name))), f.name
+        moved += (first is not None
+                  and first.x_star.tobytes() != res.cfromk.x_star.tobytes())
+    assert compared >= 40 and moved >= 20
 
 
 def _uncertified_body_distance(monkeypatch, module):
