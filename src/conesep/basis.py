@@ -17,14 +17,8 @@ from enum import Enum
 import numpy as np
 
 from . import geometry
-from .distance import (
-    DEAD_BAND,
-    DEFAULT_TOL,
-    body_distance,
-    decide_gap,
-    origin_body,
-)
-from .errors import Inconclusive, NonPositiveRay, NotNested, TrivialRegion
+from .distance import DEFAULT_TOL, body_distance, decide_gap, origin_body
+from .errors import NonPositiveRay, NotNested, TrivialRegion
 from .geometry import Norm, PolyCone
 from .kernels import min_norm_point
 from .regions import ConeRegion, body
@@ -135,8 +129,10 @@ def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL,
     For piece/union regions this reduces to the pooled generators: a
     functional is positive on the base exactly when it is positive on every
     generator, so the verdict is whether the origin lies in their convex
-    hull, solved by Wolfe's method on the explicit generators
-    (``min_norm_point``, whose per-generator weights are the witness).
+    hull, solved by the distance engine on the explicit generators
+    (``min_norm_point``) and read by ``decide_gap``, as ``is_well_based``
+    reads its solve.  A NoConvexBase witness is the solve's corral: the
+    generators it kept and their convex weights.
     Regions with complement or boundary leaves fall back to is_well_based;
     a caller that already holds its certificate for this region and tol
     passes it as well_based to skip the second solve.
@@ -153,21 +149,15 @@ def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL,
             witness_pair=probe.witness_pair,
         )
     pooled = np.concatenate([c.generators.T for c in region.piece_cones()], axis=0)
-    res = min_norm_point(pooled)
-    if not res.certified:
-        raise Inconclusive("min-norm solve over the generators did not certify")
-    t = float(np.linalg.norm(res.point))
-    if t <= tol:
+    res = min_norm_point(pooled, tol)
+    if not decide_gap(res, "generator hull distance", tol):
         return BaseCertificate(
             kind=BaseKind.NO_CONVEX_BASE,
-            witness_points=pooled,
+            witness_points=res.support_b,
             witness_weights=res.weights,
-            witness_pair=_maybe_pair(region, pooled, res.weights, tol),
+            witness_pair=_maybe_pair(region, res.support_b, res.weights, tol),
         )
-    if t <= DEAD_BAND * tol:
-        raise Inconclusive("generator hull distance is inside the dead-band",
-                           dead_band=True)
-    x_star = res.point / t
+    x_star = res.witness_b / np.linalg.norm(res.witness_b)
     x_star.setflags(write=False)
     vals = pooled @ x_star
     return BaseCertificate(

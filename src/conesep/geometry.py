@@ -201,13 +201,12 @@ def pointedness(cone: PolyCone) -> PointednessResult:
     """
     out = cone._cache.get("pointed")
     if out is None:
-        res = kernels.min_norm_point(cone.generators.T)
-        dist = res.norm
+        res = kernels.min_norm_point(cone.generators.T, TOL_POINT)
+        dist = res.distance
         if dist > TOL_POINT:
             out = PointednessResult(True, dist, None)
         else:
-            k = int(np.argmax(res.weights))
-            witness = cone.generators[:, k].copy()
+            witness = res.support_b[int(np.argmax(res.weights))].copy()
             witness.setflags(write=False)
             out = PointednessResult(False, dist, witness)
         cone._cache["pointed"] = out

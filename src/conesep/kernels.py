@@ -1,16 +1,16 @@
-"""Dense numerical kernels: NNLS, conic projection, Wolfe's min-norm point.
+"""Dense numerical kernels: NNLS, conic projection, Wolfe's minor cycles.
 
 Everything in this module works on raw numpy arrays so the geometric layers
 above stay free of solver detail.  All solvers return a ``certified`` flag;
 callers must treat non-certified results as best-effort iterates.
 
-Wolfe's minor cycles (``corral_step``) serve two major loops: the scan over
-explicit rows in ``min_norm_point`` and the LMO-driven loop of
-``distance.body_distance``.  Least squares on one column has a closed form
-(``_ray_coeff``), used in place of ``np.linalg.lstsq`` in Wolfe's affine
-step on a corral of two points and in Lawson-Hanson's first step
-(``first_step``).  That step has two callers: ``nnls`` takes it before its
-active-set loop, and the piece LMO (``regions._lmo_piece``) takes it in
+Wolfe's minor cycles (``corral_step``) serve the one major loop,
+``distance.body_distance``; ``min_norm_point`` is that loop run from the
+origin to the hull of explicit rows.  Least squares on one column has a
+closed form (``_ray_coeff``), used in place of ``np.linalg.lstsq`` in
+Wolfe's affine step on a corral of two points and in Lawson-Hanson's first
+step (``first_step``).  That step has two callers: ``nnls`` takes it before
+its active-set loop, and the piece LMO (``regions._lmo_piece``) takes it in
 place, calling ``nnls`` only when the projection lies on a face of two or
 more rays.
 """
@@ -25,8 +25,6 @@ from .errors import ZeroDirection
 
 # Relative KKT slack accepted as "solved" by the active-set NNLS.
 KKT_TOL = 1e-12
-# Relative optimality slack accepted by the min-norm-point loop.
-MNP_TOL = 1e-14
 # Convex weights at or below this are dropped from working sets.
 WEIGHT_FLOOR = 1e-14
 
@@ -80,10 +78,14 @@ def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
     after one iteration, when no other dual coordinate exceeds the slack;
     otherwise the loop continues it, solving on two or more passive columns
     with ``np.linalg.lstsq``.
-    The KKT residual reported is relative to the data scale, so
+    The KKT slack, and the KKT residual reported, are relative to the
+    terms that form the dual vector w = G.T @ y - G.T @ (G @ lam): the
+    scale is max(1, |G.T @ y|, max_j |g_j| * sum_i lam_i |g_i|), so
     ``certified`` means the stationarity and complementarity conditions
-    hold to roughly machine precision.  A non-finite target raises
-    ZeroDirection.
+    hold to roughly machine precision.  On a point deep in the cone, with
+    coefficients far larger than |G.T @ y|, w's rounding error outgrows a
+    slack set by |G.T @ y| alone, and the loop would cycle to its cap.  A
+    non-finite target raises ZeroDirection.
     """
     G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -92,11 +94,14 @@ def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
     d, n = G.shape
     resid = y
     w = G.T @ y
-    scale = float(np.abs(w).max(initial=0.0))
-    if not scale < np.inf:
+    scale_y = float(np.abs(w).max(initial=0.0))
+    if not scale_y < np.inf:
         raise ZeroDirection("nnls needs a finite target")
-    scale = max(1.0, scale)
-    tol_w = KKT_TOL * scale
+    scale_y = max(1.0, scale_y)
+    # gmax * (lam @ gnorm) bounds every term of G.T @ (G @ lam)
+    gnorm = np.sqrt(np.einsum("ij,ij->j", G, G))
+    gmax = float(gnorm.max(initial=0.0))
+    tol_w = KKT_TOL * scale_y
 
     lam = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -108,6 +113,8 @@ def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
         passive[j] = True
         outer = 1
     while True:
+        scale = max(scale_y, gmax * float(lam @ gnorm))
+        tol_w = KKT_TOL * scale
         # w is the dual vector G.T @ (y - G @ lam) at the current lam
         w_free = np.where(passive, -np.inf, w)
         j = int(np.argmax(w_free))
@@ -187,19 +194,6 @@ def project_onto_cone(G: np.ndarray, y: np.ndarray) -> ProjectionResult:
     )
 
 
-@dataclass(frozen=True)
-class MinNormResult:
-    point: np.ndarray
-    weights: np.ndarray
-    gap: float
-    certified: bool
-    iterations: int
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.point))
-
-
 def _affine_min_norm(Q: np.ndarray) -> np.ndarray:
     """Weights of the min-norm point in the affine hull of the rows of Q.
 
@@ -255,61 +249,13 @@ def corral_step(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | 
     return w, keep
 
 
-def min_norm_point(P: np.ndarray) -> MinNormResult:
-    """Wolfe's algorithm for the least-norm point of conv(rows of P).
+def min_norm_point(P: np.ndarray, tol: float):
+    """The least-norm point of conv(rows of P), as the
+    ``distance.DistanceResult`` of the engine's origin-to-polytope solve:
+    ``witness_b`` is the point, ``distance`` its norm, and ``support_b``
+    and ``weights`` the corral that forms it."""
+    # imported here: distance imports this module
+    from .distance import PolytopeBody, body_distance, origin_body
 
-    Maintains a corral of affinely independent points; each major cycle pulls
-    in the vertex most aligned against the current iterate, and
-    ``corral_step`` runs the minor cycles on it.  Terminates when
-    <x, x - p_j> is below a relative tolerance for every vertex p_j, which
-    certifies x as the minimum-norm point up to that gap.
-    """
     P = np.asarray(P, dtype=float)
-    if P.ndim != 2:
-        raise ValueError("min_norm_point expects points as rows of a 2-D array")
-    m, _ = P.shape
-    if m == 0:
-        raise ValueError("min_norm_point needs at least one point")
-
-    norms2 = np.einsum("ij,ij->i", P, P)
-    scale = max(1.0, float(norms2.max()))
-    tol = MNP_TOL * scale
-
-    corral = np.array([int(np.argmin(norms2))])
-    w = np.array([1.0])
-    x = P[corral[0]].copy()
-    gap = float(x @ x) - float((P @ x).min(initial=0.0))
-    certified = False
-    it = 0
-    while it < 16 * m + 64:
-        it += 1
-        scores = P @ x
-        j = int(np.argmin(scores))
-        gap = float(x @ x) - float(scores[j])
-        if gap <= tol:
-            certified = True
-            break
-        if j in corral:
-            # No vertex improves on the corral: numerically stalled.
-            certified = gap <= 100.0 * tol
-            break
-        before = corral
-        corral = np.append(corral, j)
-        w, keep = corral_step(P[corral], w)
-        if keep is not None:
-            corral = corral[keep]
-        x = w @ P[corral]
-        if keep is not None and np.array_equal(corral, before):
-            # The minor cycles dropped j again: the next major cycle would
-            # pick the same j and repeat this one exactly.
-            certified = gap <= 100.0 * tol
-            break
-    weights = np.zeros(m)
-    weights[corral] = w
-    return MinNormResult(
-        point=x,
-        weights=weights,
-        gap=max(gap, 0.0),
-        certified=certified,
-        iterations=it,
-    )
+    return body_distance(origin_body(P.shape[1]), PolytopeBody(P), tol)

@@ -10,7 +10,6 @@ from conesep.distance import PolytopeBody, body_distance, origin_body
 from conesep.errors import TrivialRegion
 from conesep.geometry import make_polycone
 from conesep.instances import load_instance
-from conesep.kernels import min_norm_point
 from conesep.oracle import (
     random_pointed_cone,
     random_region,
@@ -182,15 +181,18 @@ def test_point_vs_polytope_distance():
     res = body_distance(origin_body(2), tri)
     assert res.distance == pytest.approx(np.sqrt(2.0), abs=1e-9)
     assert np.allclose(res.witness_b, [1.0, 1.0], atol=1e-8)
-    # the engine's LMO loop and min_norm_point's scan over rows share
-    # Wolfe's minor cycles and must find the same distance
+    # the optimality certificate, which needs no reference solve: the
+    # corral's weights form the witness x, and no vertex p of P has
+    # p . x < x . x - gap
     rng = np.random.default_rng(5)
     for _ in range(40):
         dim, n = int(rng.integers(2, 7)), int(rng.integers(1, 20))
         P = rng.standard_normal((n, dim)) + rng.uniform(-2.0, 2.0) * rng.standard_normal(dim)
         res = body_distance(origin_body(dim), PolytopeBody(P))
         assert res.certified
-        assert res.distance == pytest.approx(min_norm_point(P).norm, abs=1e-9)
+        x = res.witness_b
+        assert np.allclose(res.support_b.T @ res.weights, x, rtol=0.0, atol=1e-12)
+        assert (P @ x).min() >= x @ x - res.gap - 1e-12
 
 
 def test_engine_stops_when_the_corral_comes_back(monkeypatch):
@@ -205,10 +207,16 @@ def test_engine_stops_when_the_corral_comes_back(monkeypatch):
         return np.append(np.full(k, 1.5 / k), -0.5)
 
     monkeypatch.setattr(kernels, "_affine_min_norm", drop_newest)
-    res = body_distance(origin_body(2), PolytopeBody(np.array([[1.0, 0.0], [0.5, 5.0]])))
-    assert res.iterations == 1
-    assert res.stop == "repeat_point" and not res.certified
-    assert np.array_equal(res.witness_b, [1.0, 0.0])
+    for P, tol, certified in (
+        ([[1.0, 0.0], [0.5, 5.0]], 1e-9, False),
+        # the first gap <x, x - p_1> at x = p_0 is about 1e-13, within the
+        # 100 * GAP_REL_FLOOR * |v|^2 that a repeated point certifies
+        ([[1.0, 0.0], [1.0 - 1e-13, 5.0]], 1e-15, True),
+    ):
+        res = body_distance(origin_body(2), PolytopeBody(np.array(P)), tol)
+        assert res.iterations == 1
+        assert res.stop == "repeat_point" and res.certified is certified
+        assert np.array_equal(res.witness_b, [1.0, 0.0])
 
 
 def test_iteration_budget_and_gap():

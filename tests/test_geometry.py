@@ -118,7 +118,8 @@ def test_pointedness_witness_is_lineality_direction():
 def test_pointedness_is_cached_with_a_read_only_witness(monkeypatch):
     calls = []
     real = kernels.min_norm_point
-    monkeypatch.setattr(kernels, "min_norm_point", lambda X: calls.append(1) or real(X))
+    monkeypatch.setattr(kernels, "min_norm_point",
+                        lambda X, tol: calls.append(1) or real(X, tol))
     cone = make_polycone([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
     first = pointedness(cone)
     assert pointedness(cone) is first

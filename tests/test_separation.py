@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conesep import basis, kernels, separation
+from conesep import basis, distance, kernels, separation
 from conesep.cli import main
 from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance, decide_gap
 from conesep.errors import DegenerateCone, Inconclusive, NotConvex, TrivialRegion
@@ -379,7 +379,8 @@ def test_intersection_test_solves_a_shared_cone_once(monkeypatch):
     # two pairs (P, Q1) and (P, Q2) test the pointed piece P, and solve it once
     calls = []
     real = kernels.min_norm_point
-    monkeypatch.setattr(kernels, "min_norm_point", lambda X: calls.append(1) or real(X))
+    monkeypatch.setattr(kernels, "min_norm_point",
+                        lambda X, tol: calls.append(1) or real(X, tol))
     P = make_polycone([[1.0, 0.2], [0.2, 1.0]])
     K = ConeRegion.union(ConeRegion.piece(sector_cone_2d(180.0, 10.0)),
                          ConeRegion.piece(sector_cone_2d(270.0, 10.0)))
@@ -801,3 +802,8 @@ def test_uncertified_zero_is_inconclusive(monkeypatch):
                  lambda: basis.is_well_based(line)):
         with pytest.raises(Inconclusive, match="did not certify"):
             call()
+    # has_convex_base on a piece region solves through kernels.min_norm_point,
+    # which reads distance.body_distance
+    _uncertified_zero_body_distance(monkeypatch, distance)
+    with pytest.raises(Inconclusive, match="did not certify"):
+        basis.has_convex_base(line)
