@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conesep import geometry, kernels
+from conesep import distance, geometry, kernels
 from conesep.errors import ConesepError
 from conesep.kernels import min_norm_point, nnls, project_onto_cone
 
@@ -110,6 +110,31 @@ def test_min_norm_point_nearly_flat_corral():
     assert res.iterations <= 8
     gaps = P @ res.witness_b - res.witness_b @ res.witness_b
     assert gaps.min() >= -1e-12
+
+
+@pytest.mark.parametrize("gap_in_tols, certified", [(1e12, False), (10.0, True)])
+def test_min_norm_point_stops_when_the_corral_comes_back(monkeypatch, gap_in_tols,
+                                                         certified):
+    # An affine step that always gives the new vertex a negative weight makes
+    # the minor cycles drop it at theta = 0: the corral comes back unchanged,
+    # so the solve stops after one iteration as a repeated point, certified
+    # when the gap is within 100 * GAP_REL_FLOOR * |x|^2.
+    def drop_newest(Q):
+        k = len(Q) - 1
+        if k == 0:
+            return np.ones(1)
+        return np.append(np.full(k, 1.5 / k), -0.5)
+
+    monkeypatch.setattr(kernels, "_affine_min_norm", drop_newest)
+    P = np.array([[1.0, 0.0], [1.0, 5.0]])
+    # x = p_0 has |x|^2 = 1; tol is small enough that the gap rule, at
+    # GAP_REL_FLOOR, does not certify first
+    P[1, 0] = 1.0 - gap_in_tols * distance.GAP_REL_FLOOR  # the first gap, <x, x - p_1>
+    res = min_norm_point(P, 1e-15)
+    assert res.iterations == 1
+    assert res.stop == "repeat_point" and res.certified is certified
+    assert np.array_equal(res.witness_b, P[0])
+    assert np.array_equal(res.weights, [1.0])
 
 
 def test_corral_step_no_drop_and_drop_paths():
