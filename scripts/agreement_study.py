@@ -10,7 +10,10 @@ how often the independent routes agree:
     pairs that meet only at the origin,
   * the certified bracket DEAD_BAND * tol < hi - lo <= distance of every
     certificate drawn: its threshold interval's width is a lower bound on
-    the hull distance, its witnesses' gap an upper bound.
+    the hull distance, its witnesses' gap an upper bound,
+  * the bracket [lower_bounds, distances] of each of the five boundary
+    forms, whose solves stop once decided, against the distance of the
+    same solve run to the end.
 
 Draws whose reference distance solve did not certify, and pairs that raise
 Inconclusive, are counted and reported rather than compared.  Exits 1 when
@@ -28,6 +31,7 @@ from conesep.oracle import random_pointed_cone, random_region
 from conesep.regions import ConeRegion, body
 from conesep.separation import (
     boundary_equivalence_report,
+    boundary_region,
     cones_meet_only_at_origin,
     separate_nonsym,
     separate_sym,
@@ -110,7 +114,7 @@ def boundary_study(dims, count, margin, rng):
         n_rays = int(rng.integers(dim, 2 * dim + 1))
         return ConeRegion.piece(random_pointed_cone(rng, dim, n_rays=n_rays))
 
-    done = consistent = inconclusive = 0
+    done = consistent = inconclusive = brackets = bracket_ok = 0
     while done < count:
         dim = int(rng.choice(dims))
         C, K = draw(dim), draw(dim)
@@ -127,8 +131,18 @@ def boundary_study(dims, count, margin, rng):
         done += 1
         if report.consistent:
             consistent += 1
+        bd_c, bd_k = boundary_region(C), boundary_region(K)
+        forms = {"full": (C, K), "closure": (C, K),
+                 "boundary_boundary": (bd_c, bd_k),
+                 "boundary_closure": (bd_c, K), "closure_boundary": (C, bd_k)}
+        for key, (a, b) in forms.items():
+            full = body_distance(body(a, False), body(b, True)).distance
+            brackets += 1
+            bracket_ok += (report.lower_bounds[key] <= full + ROUNDING
+                           and full <= report.distances[key] + ROUNDING)
     return {"pairs": done, "consistent": consistent,
-            "inconclusive": inconclusive}
+            "inconclusive": inconclusive, "brackets": brackets,
+            "bracket_ok": bracket_ok}
 
 
 def main() -> int:
@@ -161,6 +175,8 @@ def main() -> int:
     print(f"  boundary conditions consistent: "
           f"{bd['consistent']}/{bd['pairs']} "
           f"({bd['inconclusive']} Inconclusive, not counted)")
+    print(f"  boundary forms, lower bound <= distance run to the end <= "
+          f"distance (+ {ROUNDING:g}): {bd['bracket_ok']}/{bd['brackets']}")
     print(f"  margin-filtered draws: {ex['margin_skipped']}")
     print(f"  uncertified distance solves (draw skipped): {ex['uncertified']}")
     print(f"  total time: {elapsed:.1f} s")
@@ -168,7 +184,8 @@ def main() -> int:
              or ex["verified"] < ex["certificates"]
              or ex["bracket_ok"] < ex["brackets"]
              or ex["sym_agree"] < ex["sym_pairs"]
-             or bd["consistent"] < bd["pairs"])
+             or bd["consistent"] < bd["pairs"]
+             or bd["bracket_ok"] < bd["brackets"])
     return 1 if short else 0
 
 

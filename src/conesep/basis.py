@@ -32,7 +32,7 @@ from .separation import (
     separate_sym,
 )
 
-# relative back-off applied to a certified positive distance before it is
+# relative back-off applied to the minimum of x* over the base before it is
 # used as a well-basedness threshold
 ALPHA_BACKOFF = 1e-6
 
@@ -94,13 +94,16 @@ def _maybe_pair(region: ConeRegion, points: np.ndarray, weights: np.ndarray,
 def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertificate:
     """Decide whether some functional is uniformly positive on the norm-base.
 
-    The question is the distance from the origin to the hull of the base:
-    a certified positive gap yields the functional (the near point's
-    direction) and threshold alpha just inside the gap; a certified zero
-    yields the vanishing hull combination.
+    The question is the distance from the origin to the hull of the base,
+    and the solve stops at the first bracket that decides it.  A positive
+    gap yields the functional x* (the unit direction of the near point at
+    that bracket, not the max-margin one) and threshold alpha, the exact
+    minimum of x* over the base, backed off by ALPHA_BACKOFF; a certified
+    zero yields the vanishing hull combination.
     """
     _check_nontrivial(region)
-    res = body_distance(origin_body(region.dim), body(region, False), tol=tol)
+    res = body_distance(origin_body(region.dim), body(region, False), tol=tol,
+                        until_decided=True)
     if not decide_gap(res, "origin-to-base distance", tol):
         return BaseCertificate(
             kind=BaseKind.NOT_WELL_BASED,
@@ -110,7 +113,7 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
         )
     x_star = res.witness_b / np.linalg.norm(res.witness_b)
     x_star.setflags(write=False)
-    alpha = res.distance * (1.0 - ALPHA_BACKOFF)
+    alpha = region.lmo(x_star).value * (1.0 - ALPHA_BACKOFF)
     base_vertices = None
     if region.is_single_piece:
         base_vertices = make_base(region.single_cone(), x_star)
@@ -131,8 +134,10 @@ def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL,
     generator, so the verdict is whether the origin lies in their convex
     hull, solved by the distance engine on the explicit generators
     (``min_norm_point``) and read by ``decide_gap``, as ``is_well_based``
-    reads its solve.  A NoConvexBase witness is the solve's corral: the
-    generators it kept and their convex weights.
+    reads its solve.  The solve stops at the first bracket that decides it,
+    where x* is positive on every pooled generator though not the
+    max-margin functional.  A NoConvexBase witness is the solve's corral:
+    the generators it kept and their convex weights.
     Regions with complement or boundary leaves fall back to is_well_based;
     a caller that already holds its certificate for this region and tol
     passes it as well_based to skip the second solve.
@@ -149,7 +154,7 @@ def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL,
             witness_pair=probe.witness_pair,
         )
     pooled = np.concatenate([c.generators.T for c in region.piece_cones()], axis=0)
-    res = min_norm_point(pooled, tol)
+    res = min_norm_point(pooled, tol, until_decided=True)
     if not decide_gap(res, "generator hull distance", tol):
         return BaseCertificate(
             kind=BaseKind.NO_CONVEX_BASE,

@@ -115,6 +115,12 @@ class PolyCone:
 
 @dataclass(frozen=True)
 class PointednessResult:
+    """Whether a cone is pointed, from the distance between the origin and
+    the hull of its unit rays.  For a pointed cone that solve stops at its
+    first deciding bracket, so hull_distance is an upper bound on the hull
+    distance; otherwise it is at most TOL_POINT, and witness is a ray
+    whose negation is also in the cone."""
+
     pointed: bool
     hull_distance: float
     witness: np.ndarray | None
@@ -195,13 +201,17 @@ def solidity(cone: PolyCone) -> bool:
 def pointedness(cone: PolyCone) -> PointednessResult:
     """Decide pointedness via the distance from 0 to conv(normalized rays).
 
-    When the hull reaches the origin, the zero convex combination yields a
-    witness ray x with both x and -x in the cone.  The result is cached on
-    the cone, with a read-only witness.
+    The solve stops once its lower bound clears ``distance.DEAD_BAND`` *
+    TOL_POINT: the cone is then pointed, and the iterate's norm, above
+    that bound, is the reported hull_distance.  When the hull reaches the
+    origin, the zero convex combination yields a witness ray x with both x
+    and -x in the cone.  The result is cached on the cone, with a
+    read-only witness.
     """
     out = cone._cache.get("pointed")
     if out is None:
-        res = kernels.min_norm_point(cone.generators.T, TOL_POINT)
+        res = kernels.min_norm_point(cone.generators.T, TOL_POINT,
+                                     until_decided=True)
         dist = res.distance
         if dist > TOL_POINT:
             out = PointednessResult(True, dist, None)

@@ -249,13 +249,16 @@ def corral_step(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | 
     return w, keep
 
 
-def min_norm_point(P: np.ndarray, tol: float):
+def min_norm_point(P: np.ndarray, tol: float, until_decided: bool = False):
     """The least-norm point of conv(rows of P), as the
     ``distance.DistanceResult`` of the engine's origin-to-polytope solve:
     ``witness_b`` is the point, ``distance`` its norm, and ``support_b``
-    and ``weights`` the corral that forms it."""
+    and ``weights`` the corral that forms it.  ``until_decided`` goes to
+    ``body_distance``: the solve then stops once its lower bound clears
+    DEAD_BAND * tol, and ``distance`` is an upper bound."""
     # imported here: distance imports this module
     from .distance import PolytopeBody, body_distance, origin_body
 
     P = np.asarray(P, dtype=float)
-    return body_distance(origin_body(P.shape[1]), PolytopeBody(P), tol)
+    return body_distance(origin_body(P.shape[1]), PolytopeBody(P), tol,
+                         until_decided=until_decided)

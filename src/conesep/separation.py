@@ -24,6 +24,7 @@ from . import geometry
 from .distance import (
     DEAD_BAND,
     DEFAULT_TOL,
+    DistanceResult,
     PolytopeBody,
     body_distance,
     decide_gap,
@@ -330,7 +331,8 @@ def separate_sym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     re-raised, one inside the dead band before an uncertified one.  Only
     when both certified a zero gap is the verdict cross-checked against the
     plain-body distance between the hulls, which is positive exactly when some
-    orientation works; a clear positive distance raises Inconclusive.
+    orientation works; a clear positive distance raises Inconclusive, and
+    that solve stops as soon as its lower bound shows one.
     """
     pending: Inconclusive | None = None
     for one_sided in (separate_nonsym, _separate_k_from_c):
@@ -344,7 +346,8 @@ def separate_sym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
             return cert
     if pending is not None:
         raise pending
-    sym = body_distance(body(C, False), body(K, False), tol=tol)
+    sym = body_distance(body(C, False), body(K, False), tol=tol,
+                        until_decided=True)
     if sym.kind == "positive" and sym.distance > DEAD_BAND * tol:
         raise Inconclusive(
             "symmetric distance is positive but neither orientation certified"
@@ -477,11 +480,17 @@ class BoundaryEquivalenceReport:
     conditions[3]: boundary vs closure separation and trivial intersection
     conditions[4]: closure vs boundary separation and trivial intersection
     consistent records whether all five agreed, as equivalent forms must.
+
+    Each form's solve stops at the first bracket that decides it, so
+    distances and lower_bounds, keyed alike, hold the two ends of the
+    certified bracket [lower_bound, distance] on each hull distance:
+    distances is the gap between the final witnesses, an upper bound.
     """
 
     conditions: tuple[bool, bool, bool, bool, bool]
     meet_only_at_origin: bool
     distances: dict[str, float]
+    lower_bounds: dict[str, float]
     consistent: bool
 
 
@@ -498,27 +507,26 @@ def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
     bd_k = boundary_region(K)
 
     @functools.cache
-    def gap(a: ConeRegion, b: ConeRegion) -> tuple[bool, float]:
-        res = body_distance(body(a, False), body(b, True), tol=tol)
-        return decide_gap(res, "boundary-condition distance", tol), res.distance
+    def gap(a: ConeRegion, b: ConeRegion) -> tuple[bool, DistanceResult]:
+        res = body_distance(body(a, False), body(b, True), tol=tol,
+                            until_decided=True)
+        return decide_gap(res, "boundary-condition distance", tol), res
 
     meet = cones_meet_only_at_origin(C, K, tol=tol)
-    c1, d1 = gap(C, K)
-    c2, d2 = gap(C, K)
-    s3, d3 = gap(bd_c, bd_k)
-    s4, d4 = gap(bd_c, K)
-    s5, d5 = gap(C, bd_k)
+    forms = {
+        "full": gap(C, K),
+        "closure": gap(C, K),
+        "boundary_boundary": gap(bd_c, bd_k),
+        "boundary_closure": gap(bd_c, K),
+        "closure_boundary": gap(C, bd_k),
+    }
+    c1, c2, s3, s4, s5 = (ok for ok, _ in forms.values())
     conditions = (c1, c2, s3 and meet, s4 and meet, s5 and meet)
     return BoundaryEquivalenceReport(
         conditions=conditions,
         meet_only_at_origin=meet,
-        distances={
-            "full": d1,
-            "closure": d2,
-            "boundary_boundary": d3,
-            "boundary_closure": d4,
-            "closure_boundary": d5,
-        },
+        distances={k: res.distance for k, (_, res) in forms.items()},
+        lower_bounds={k: res.lower_bound for k, (_, res) in forms.items()},
         consistent=all(conditions) or not any(conditions),
     )
 

@@ -149,6 +149,41 @@ def test_well_based_iff_pointed_iff_convex_base():
         assert wb == pointedness(cone).pointed == cb
 
 
+def _well_based_regions():
+    rng = np.random.default_rng(31)
+    return {
+        "piece": ConeRegion.piece(random_pointed_cone(rng, 3)),
+        "union": ConeRegion.union(*(ConeRegion.piece(random_pointed_cone(rng, 4))
+                                    for _ in range(2))),
+        # in R^1 the closed complement of a ray is the opposite ray
+        "complement": ConeRegion.complement(make_polycone([[1.0]])),
+        "boundary": ConeRegion.boundary(
+            cone_about(rng.standard_normal(3), 40.0, n_rays=7)),
+        # hull distances of about 9e-4, where ALPHA_BACKOFF times the
+        # distance falls below tol
+        "thin piece": ConeRegion.piece(
+            sector_cone_2d(float(rng.uniform(0.0, 360.0)), 89.95)),
+        "thin boundary": ConeRegion.boundary(
+            cone_about(rng.standard_normal(3), 89.95, n_rays=7)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_well_based_regions()))
+def test_well_based_threshold_is_sound(name):
+    # alpha is the exact minimum of x* over the base, backed off, so no
+    # base point scores below it however early the solve stopped
+    region = _well_based_regions()[name]
+    cert = is_well_based(region)
+    assert cert.kind is BaseKind.WELL_BASED
+    assert 0.0 < cert.alpha <= region.lmo(cert.x_star).value
+    pts = sample_norm_base(region, count=2000, rng=np.random.default_rng(3)).points
+    assert (pts @ cert.x_star >= cert.alpha).all()
+    # has_convex_base's x* is positive on the base too
+    cb = has_convex_base(region, well_based=cert)
+    assert cb.kind is BaseKind.CONVEX_BASE
+    assert (pts @ cb.x_star > 0.0).all()
+
+
 def test_interpolate_wedge_in_half_plane():
     wedge = make_polycone([[-1.0, 1.0], [1.0, 1.0]])
     gamma = interpolate(wedge, HALF_PLANE)

@@ -380,7 +380,7 @@ def test_intersection_test_solves_a_shared_cone_once(monkeypatch):
     calls = []
     real = kernels.min_norm_point
     monkeypatch.setattr(kernels, "min_norm_point",
-                        lambda X, tol: calls.append(1) or real(X, tol))
+                        lambda X, tol, **kw: calls.append(1) or real(X, tol, **kw))
     P = make_polycone([[1.0, 0.2], [0.2, 1.0]])
     K = ConeRegion.union(ConeRegion.piece(sector_cone_2d(180.0, 10.0)),
                          ConeRegion.piece(sector_cone_2d(270.0, 10.0)))
@@ -388,34 +388,64 @@ def test_intersection_test_solves_a_shared_cone_once(monkeypatch):
     assert calls == [1]
 
 
-def test_intersection_test_stops_once_decided(monkeypatch, capsys, tmp_path):
-    # _pieces_meet_only_at_origin reads only decide_gap's bool, so its solve
-    # stops at the first bracket that decides it.  The bools, and the CLI
-    # check documents, are those of solves run to the end, in fewer FW
-    # iterations.
+# the fields a verdict-only solve may change when it stops at its first
+# deciding bracket: the printed ends of that bracket, and the functional
+# read from its iterate with the numbers evaluated at it
+_BRACKET_FIELDS = {"distances", "lower_bounds", "x_star", "alpha", "base_vertices"}
+
+
+def _without_bracket_fields(value):
+    if isinstance(value, dict):
+        return {k: _without_bracket_fields(v) for k, v in value.items()
+                if k not in _BRACKET_FIELDS}
+    if isinstance(value, list):
+        return [_without_bracket_fields(v) for v in value]
+    return value
+
+
+def test_verdict_only_solves_stop_once_decided(monkeypatch, capsys, tmp_path):
+    # _pieces_meet_only_at_origin, the check report's forms, is_well_based,
+    # has_convex_base and pointedness read only verdicts, so their solves
+    # stop at the first bracket that decides them.  Their bools, and the
+    # CLI's check and base verdicts, exit codes and conditions, are those of
+    # solves run to the end, in fewer FW iterations, and every early bracket
+    # holds the distance of the solve run to the end.
+    files = []
     rng = np.random.default_rng(23)
-    pairs = [(random_pointed_cone(rng, d), random_pointed_cone(rng, d))
-             for d in (2, 3, 4) for _ in range(12)]
-    paths = []
-    for k, (P, Q) in enumerate(pairs[::4]):
+    for k, d in enumerate((2, 3, 4) * 3):
+        P, Q = random_pointed_cone(rng, d), random_pointed_cone(rng, d)
         path = tmp_path / f"pair{k}.json"
-        path.write_text(json.dumps({"dim": P.dim, "cones": {
+        path.write_text(json.dumps({"dim": d, "cones": {
             "C": {"pieces": [{"generators": P.generators.T.tolist()}]},
-            "K": {"pieces": [{"generators": Q.generators.T.tolist()}]}}}))
-        paths.append(str(path))
-    real = separation.body_distance
+            "K": {"pieces": [{"generators": Q.generators.T.tolist()}]},
+            "B": {"kind": "boundary",
+                  "pieces": [{"generators": P.generators.T.tolist()}]},
+            "U": {"kind": "union",
+                  "pieces": [{"generators": P.generators.T.tolist()},
+                             {"generators": (-Q.generators.T).tolist()}]}}}))
+        files.append(str(path))
+    real = distance.body_distance
     log = []
 
     def outcomes():
         log.clear()
+        # fresh cones each run: pointedness is cached on the cone
+        rng = np.random.default_rng(23)
+        pairs = [(random_pointed_cone(rng, d), random_pointed_cone(rng, d))
+                 for d in (2, 3, 4) for _ in range(12)]
         bools = []
         for P, Q in pairs:
             try:
                 bools.append(separation._pieces_meet_only_at_origin(P, Q, 1e-9))
             except Inconclusive:
                 bools.append(None)
-        main(["check", *paths, "--pair", "C,K"])
-        return bools, capsys.readouterr().out, list(log)
+        runs = [["check", *files, "--pair", "C,K"]] + [
+            ["base", *files, "--cone", name] for name in ("C", "B", "U")]
+        codes, docs = [], []
+        for argv in runs:
+            codes.append(main(argv))
+            docs += [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        return bools, codes, docs, list(log)
 
     def early(*args, **kwargs):
         log.append(real(*args, **kwargs))
@@ -424,12 +454,26 @@ def test_intersection_test_stops_once_decided(monkeypatch, capsys, tmp_path):
     def to_the_end(*args, until_decided=False, **kwargs):
         return early(*args, **kwargs)
 
-    monkeypatch.setattr(separation, "body_distance", early)
-    bools, docs, solves = outcomes()
-    monkeypatch.setattr(separation, "body_distance", to_the_end)
-    ref_bools, ref_docs, ref_solves = outcomes()
-    assert bools == ref_bools and docs == ref_docs
+    def patch(solve):
+        for module in (separation, basis, distance):
+            monkeypatch.setattr(module, "body_distance", solve)
+
+    patch(early)
+    bools, codes, docs, solves = outcomes()
+    patch(to_the_end)
+    ref_bools, ref_codes, ref_docs, ref_solves = outcomes()
+    assert bools == ref_bools and codes == ref_codes
+    assert _without_bracket_fields(docs) == _without_bracket_fields(ref_docs)
     assert True in bools and False in bools
+    assert {doc["verdict"] for doc in docs} >= {"well_based", "not_well_based",
+                                                 "separated"}
+    assert len(solves) == len(ref_solves)
+    # the bracket's ends and the distance are products of unit vectors a
+    # few ulps off, so they are compared to 1e-14
+    for res, full in zip(solves, ref_solves):
+        assert res.kind == full.kind
+        assert res.lower_bound <= full.distance + 1e-14
+        assert full.distance <= res.distance + 1e-14
     assert "decided" in {r.stop for r in solves}
     assert "decided" not in {r.stop for r in ref_solves}
     assert sum(r.iterations for r in solves) < sum(r.iterations for r in ref_solves)
