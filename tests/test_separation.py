@@ -403,6 +403,55 @@ def _without_bracket_fields(value):
     return value
 
 
+def test_intersection_test_stops_once_decided(monkeypatch, capsys, tmp_path):
+    # _pieces_meet_only_at_origin reads only decide_gap's bool, so its solve
+    # stops at the first bracket that decides it.  The bools, and the CLI
+    # check documents bar their brackets' ends, are those of solves run to
+    # the end, in fewer FW iterations.
+    rng = np.random.default_rng(23)
+    pairs = [(random_pointed_cone(rng, d), random_pointed_cone(rng, d))
+             for d in (2, 3, 4) for _ in range(12)]
+    paths = []
+    for k, (P, Q) in enumerate(pairs[::4]):
+        path = tmp_path / f"pair{k}.json"
+        path.write_text(json.dumps({"dim": P.dim, "cones": {
+            "C": {"pieces": [{"generators": P.generators.T.tolist()}]},
+            "K": {"pieces": [{"generators": Q.generators.T.tolist()}]}}}))
+        paths.append(str(path))
+    real = separation.body_distance
+    log = []
+
+    def outcomes():
+        log.clear()
+        bools = []
+        for P, Q in pairs:
+            try:
+                bools.append(separation._pieces_meet_only_at_origin(P, Q, 1e-9))
+            except Inconclusive:
+                bools.append(None)
+        main(["check", *paths, "--pair", "C,K"])
+        docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        return bools, docs, list(log)
+
+    def early(*args, **kwargs):
+        log.append(real(*args, **kwargs))
+        return log[-1]
+
+    def to_the_end(*args, until_decided=False, **kwargs):
+        return early(*args, **kwargs)
+
+    monkeypatch.setattr(separation, "body_distance", early)
+    bools, docs, solves = outcomes()
+    monkeypatch.setattr(separation, "body_distance", to_the_end)
+    ref_bools, ref_docs, ref_solves = outcomes()
+    assert bools == ref_bools
+    assert _without_bracket_fields(docs) == _without_bracket_fields(ref_docs)
+    assert True in bools and False in bools
+    assert "decided" in {r.stop for r in solves}
+    assert "decided" not in {r.stop for r in ref_solves}
+    assert sum(r.iterations for r in solves) < sum(r.iterations for r in ref_solves)
+
+
 def test_verdict_only_solves_stop_once_decided(monkeypatch, capsys, tmp_path):
     # _pieces_meet_only_at_origin, the check report's forms, is_well_based,
     # has_convex_base and pointedness read only verdicts, so their solves
