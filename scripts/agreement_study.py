@@ -31,7 +31,7 @@ from conesep.oracle import random_pointed_cone, random_region
 from conesep.regions import ConeRegion, body
 from conesep.separation import (
     boundary_equivalence_report,
-    boundary_region,
+    boundary_forms,
     cones_meet_only_at_origin,
     separate_nonsym,
     separate_sym,
@@ -131,12 +131,13 @@ def boundary_study(dims, count, margin, rng):
         done += 1
         if report.consistent:
             consistent += 1
-        bd_c, bd_k = boundary_region(C), boundary_region(K)
-        forms = {"full": (C, K), "closure": (C, K),
-                 "boundary_boundary": (bd_c, bd_k),
-                 "boundary_closure": (bd_c, K), "closure_boundary": (C, bd_k)}
-        for key, (a, b) in forms.items():
-            full = body_distance(body(a, False), body(b, True)).distance
+        to_the_end = {}
+        for key, pair in boundary_forms(C, K).items():
+            if pair not in to_the_end:
+                a, b = pair
+                to_the_end[pair] = body_distance(body(a, False),
+                                                 body(b, True)).distance
+            full = to_the_end[pair]
             brackets += 1
             bracket_ok += (report.lower_bounds[key] <= full + ROUNDING
                            and full <= report.distances[key] + ROUNDING)

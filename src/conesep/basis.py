@@ -154,7 +154,7 @@ def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL,
             witness_pair=probe.witness_pair,
         )
     pooled = np.concatenate([c.generators.T for c in region.piece_cones()], axis=0)
-    res = min_norm_point(pooled, tol, until_decided=True)
+    res = min_norm_point(pooled, tol)
     if not decide_gap(res, "generator hull distance", tol):
         return BaseCertificate(
             kind=BaseKind.NO_CONVEX_BASE,

@@ -210,8 +210,7 @@ def pointedness(cone: PolyCone) -> PointednessResult:
     """
     out = cone._cache.get("pointed")
     if out is None:
-        res = kernels.min_norm_point(cone.generators.T, TOL_POINT,
-                                     until_decided=True)
+        res = kernels.min_norm_point(cone.generators.T, TOL_POINT)
         dist = res.distance
         if dist > TOL_POINT:
             out = PointednessResult(True, dist, None)

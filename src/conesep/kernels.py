@@ -6,13 +6,13 @@ callers must treat non-certified results as best-effort iterates.
 
 Wolfe's minor cycles (``corral_step``) serve the one major loop,
 ``distance.body_distance``; ``min_norm_point`` is that loop run from the
-origin to the hull of explicit rows.  Least squares on one column has a
-closed form (``_ray_coeff``), used in place of ``np.linalg.lstsq`` in
-Wolfe's affine step on a corral of two points and in Lawson-Hanson's first
-step (``first_step``).  That step has two callers: ``nnls`` takes it before
-its active-set loop, and the piece LMO (``regions._lmo_piece``) takes it in
-place, calling ``nnls`` only when the projection lies on a face of two or
-more rays.
+origin to the hull of explicit rows until its verdict is decided.  Least
+squares on one column has a closed form (``_ray_coeff``), used in place of
+``np.linalg.lstsq`` in Wolfe's affine step on a corral of two points and in
+Lawson-Hanson's first step (``first_step``).  That step has two callers:
+``nnls`` takes it before its active-set loop, and the piece LMO
+(``regions._lmo_piece``) takes it in place, calling ``nnls`` only when the
+projection lies on a face of two or more rays.
 """
 from __future__ import annotations
 
@@ -249,16 +249,16 @@ def corral_step(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray | 
     return w, keep
 
 
-def min_norm_point(P: np.ndarray, tol: float, until_decided: bool = False):
-    """The least-norm point of conv(rows of P), as the
-    ``distance.DistanceResult`` of the engine's origin-to-polytope solve:
-    ``witness_b`` is the point, ``distance`` its norm, and ``support_b``
-    and ``weights`` the corral that forms it.  ``until_decided`` goes to
-    ``body_distance``: the solve then stops once its lower bound clears
-    DEAD_BAND * tol, and ``distance`` is an upper bound."""
+def min_norm_point(P: np.ndarray, tol: float):
+    """The near point of conv(rows of P) to the origin, as the
+    ``distance.DistanceResult`` of the engine's origin-to-polytope solve,
+    stopped at its first deciding bracket: ``witness_b`` is the point,
+    ``distance`` its norm, an upper bound on the hull distance, and
+    ``support_b`` and ``weights`` the corral that forms it.  Its callers
+    read only the verdict."""
     # imported here: distance imports this module
     from .distance import PolytopeBody, body_distance, origin_body
 
     P = np.asarray(P, dtype=float)
     return body_distance(origin_body(P.shape[1]), PolytopeBody(P), tol,
-                         until_decided=until_decided)
+                         until_decided=True)

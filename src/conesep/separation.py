@@ -494,6 +494,22 @@ class BoundaryEquivalenceReport:
     consistent: bool
 
 
+def boundary_forms(C: ConeRegion, K: ConeRegion
+                   ) -> dict[str, tuple[ConeRegion, ConeRegion]]:
+    """The pair of regions whose hull distance decides each of the five
+    forms, keyed as BoundaryEquivalenceReport.distances.  Forms naming the
+    same pair hold the same tuple."""
+    bd_c, bd_k = boundary_region(C), boundary_region(K)
+    full = (C, K)
+    return {
+        "full": full,
+        "closure": full,
+        "boundary_boundary": (bd_c, bd_k),
+        "boundary_closure": (bd_c, K),
+        "closure_boundary": (C, bd_k),
+    }
+
+
 def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
                                 tol: float = DEFAULT_TOL
                                 ) -> BoundaryEquivalenceReport:
@@ -503,8 +519,7 @@ def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
     leaf cone is its own boundary, so forms naming one pair share a solve."""
     _check_nontrivial(C)
     _check_nontrivial(K)
-    bd_c = boundary_region(C)
-    bd_k = boundary_region(K)
+    pairs = boundary_forms(C, K)
 
     @functools.cache
     def gap(a: ConeRegion, b: ConeRegion) -> tuple[bool, DistanceResult]:
@@ -513,13 +528,7 @@ def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
         return decide_gap(res, "boundary-condition distance", tol), res
 
     meet = cones_meet_only_at_origin(C, K, tol=tol)
-    forms = {
-        "full": gap(C, K),
-        "closure": gap(C, K),
-        "boundary_boundary": gap(bd_c, bd_k),
-        "boundary_closure": gap(bd_c, K),
-        "closure_boundary": gap(C, bd_k),
-    }
+    forms = {key: gap(a, b) for key, (a, b) in pairs.items()}
     c1, c2, s3, s4, s5 = (ok for ok, _ in forms.values())
     conditions = (c1, c2, s3 and meet, s4 and meet, s5 and meet)
     return BoundaryEquivalenceReport(

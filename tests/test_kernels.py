@@ -85,14 +85,26 @@ def test_nnls_kkt_certificate(seed, dim, n_gens):
     assert abs(res.coeffs @ grad) <= 1e-9 * scale**2
 
 
+def _least_norm_point(P, tol):
+    # the origin-to-polytope solve of min_norm_point, run to the end:
+    # min_norm_point stops it at its first deciding bracket
+    return distance.body_distance(distance.origin_body(P.shape[1]),
+                                  distance.PolytopeBody(P), tol)
+
+
 def test_min_norm_point_segment():
     # segment from (1,1) to (1,-1): closest point to the origin is (1,0)
     P = np.array([[1.0, 1.0], [1.0, -1.0]])
-    res = min_norm_point(P, 1e-9)
+    res = _least_norm_point(P, 1e-9)
     assert np.allclose(res.witness_b, [1.0, 0.0], atol=1e-10)
     assert res.distance == pytest.approx(1.0, abs=1e-10)
     assert np.all(res.weights >= -1e-12)
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-10)
+    # min_norm_point stops once decided, at a bracket holding that distance
+    P = np.array([[1.0, 1.0], [1.2, -0.3]])
+    full, res = _least_norm_point(P, 1e-9), min_norm_point(P, 1e-9)
+    assert res.stop == "decided" and res.certified
+    assert res.lower_bound <= full.distance < res.distance
 
 
 def test_min_norm_point_nearly_flat_corral():
@@ -105,7 +117,7 @@ def test_min_norm_point_nearly_flat_corral():
         [-0.09567197364216301, -1.2603700561070368, -0.345415158281089],
         [-0.09555357306246998, -1.2603760133879713, -0.345495204187143],
     ])
-    res = min_norm_point(P, 1e-9)
+    res = _least_norm_point(P, 1e-9)
     assert res.certified
     assert res.iterations <= 8
     gaps = P @ res.witness_b - res.witness_b @ res.witness_b
@@ -130,7 +142,7 @@ def test_min_norm_point_stops_when_the_corral_comes_back(monkeypatch, gap_in_tol
     # x = p_0 has |x|^2 = 1; tol is small enough that the gap rule, at
     # GAP_REL_FLOOR, does not certify first
     P[1, 0] = 1.0 - gap_in_tols * distance.GAP_REL_FLOOR  # the first gap, <x, x - p_1>
-    res = min_norm_point(P, 1e-15)
+    res = _least_norm_point(P, 1e-15)
     assert res.iterations == 1
     assert res.stop == "repeat_point" and res.certified is certified
     assert np.array_equal(res.witness_b, P[0])
@@ -167,7 +179,7 @@ def test_min_norm_point_hull_contains_origin():
 def test_min_norm_point_is_hull_optimal(seed, dim, n_pts):
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((n_pts, dim))
-    res = min_norm_point(P, 1e-9)
+    res = _least_norm_point(P, 1e-9)
     combo = res.support_b.T @ res.weights
     assert np.allclose(combo, res.witness_b, atol=1e-9)
     # optimality: no vertex improves the first-order gap
@@ -280,7 +292,7 @@ def test_one_column_solves_make_no_lstsq_call(monkeypatch):
     assert res.iterations == 1 and res.certified
     # Wolfe on a segment: its only corral of two points
     P = np.array([[1.0, 1.0], [1.0, -1.0]])
-    assert np.allclose(min_norm_point(P, 1e-9).witness_b, [1.0, 0.0], atol=1e-15)
+    assert np.allclose(_least_norm_point(P, 1e-9).witness_b, [1.0, 0.0], atol=1e-15)
     assert np.allclose(kernels._affine_min_norm(P), [0.5, 0.5], atol=1e-15)
     assert calls == []
 

@@ -380,7 +380,7 @@ def test_intersection_test_solves_a_shared_cone_once(monkeypatch):
     calls = []
     real = kernels.min_norm_point
     monkeypatch.setattr(kernels, "min_norm_point",
-                        lambda X, tol, **kw: calls.append(1) or real(X, tol, **kw))
+                        lambda X, tol: calls.append(1) or real(X, tol))
     P = make_polycone([[1.0, 0.2], [0.2, 1.0]])
     K = ConeRegion.union(ConeRegion.piece(sector_cone_2d(180.0, 10.0)),
                          ConeRegion.piece(sector_cone_2d(270.0, 10.0)))
@@ -453,12 +453,11 @@ def test_intersection_test_stops_once_decided(monkeypatch, capsys, tmp_path):
 
 
 def test_verdict_only_solves_stop_once_decided(monkeypatch, capsys, tmp_path):
-    # _pieces_meet_only_at_origin, the check report's forms, is_well_based,
-    # has_convex_base and pointedness read only verdicts, so their solves
-    # stop at the first bracket that decides them.  Their bools, and the
-    # CLI's check and base verdicts, exit codes and conditions, are those of
-    # solves run to the end, in fewer FW iterations, and every early bracket
-    # holds the distance of the solve run to the end.
+    # Beyond the intersection test above: the check report's forms,
+    # is_well_based, has_convex_base and pointedness read only verdicts too,
+    # so the CLI's check and base give the verdicts, exit codes and
+    # conditions of solves run to the end, in fewer FW iterations, and every
+    # early bracket holds the distance of the solve run to the end.
     files = []
     rng = np.random.default_rng(23)
     for k, d in enumerate((2, 3, 4) * 3):
@@ -478,23 +477,13 @@ def test_verdict_only_solves_stop_once_decided(monkeypatch, capsys, tmp_path):
 
     def outcomes():
         log.clear()
-        # fresh cones each run: pointedness is cached on the cone
-        rng = np.random.default_rng(23)
-        pairs = [(random_pointed_cone(rng, d), random_pointed_cone(rng, d))
-                 for d in (2, 3, 4) for _ in range(12)]
-        bools = []
-        for P, Q in pairs:
-            try:
-                bools.append(separation._pieces_meet_only_at_origin(P, Q, 1e-9))
-            except Inconclusive:
-                bools.append(None)
         runs = [["check", *files, "--pair", "C,K"]] + [
             ["base", *files, "--cone", name] for name in ("C", "B", "U")]
         codes, docs = [], []
         for argv in runs:
             codes.append(main(argv))
             docs += [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        return bools, codes, docs, list(log)
+        return codes, docs, list(log)
 
     def early(*args, **kwargs):
         log.append(real(*args, **kwargs))
@@ -504,16 +493,16 @@ def test_verdict_only_solves_stop_once_decided(monkeypatch, capsys, tmp_path):
         return early(*args, **kwargs)
 
     def patch(solve):
+        # min_norm_point reads distance.body_distance
         for module in (separation, basis, distance):
             monkeypatch.setattr(module, "body_distance", solve)
 
     patch(early)
-    bools, codes, docs, solves = outcomes()
+    codes, docs, solves = outcomes()
     patch(to_the_end)
-    ref_bools, ref_codes, ref_docs, ref_solves = outcomes()
-    assert bools == ref_bools and codes == ref_codes
+    ref_codes, ref_docs, ref_solves = outcomes()
+    assert codes == ref_codes
     assert _without_bracket_fields(docs) == _without_bracket_fields(ref_docs)
-    assert True in bools and False in bools
     assert {doc["verdict"] for doc in docs} >= {"well_based", "not_well_based",
                                                  "separated"}
     assert len(solves) == len(ref_solves)
