@@ -13,7 +13,10 @@ how often the independent routes agree:
     the hull distance, its witnesses' gap an upper bound,
   * the bracket [lower_bounds, distances] of each of the five boundary
     forms, whose solves stop once decided, against the distance of the
-    same solve run to the end.
+    same solve run to the end,
+  * for every C drawn, is_well_based against has_convex_base and, for a
+    single piece, pointedness; and, with a convex base, its x* positive on
+    1000 sampled base points and its base vertices scoring 1.
 
 Draws whose reference distance solve did not certify, and pairs that raise
 Inconclusive, are counted and reported rather than compared.  Exits 1 when
@@ -25,9 +28,11 @@ import time
 
 import numpy as np
 
+from conesep.basis import has_convex_base, is_well_based
 from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance
 from conesep.errors import Inconclusive
-from conesep.oracle import random_pointed_cone, random_region
+from conesep.geometry import pointedness
+from conesep.oracle import random_pointed_cone, random_region, sample_norm_base
 from conesep.regions import ConeRegion, body
 from conesep.separation import (
     boundary_equivalence_report,
@@ -43,6 +48,8 @@ from conesep.separation import (
 # ulps off, so where a solve ends on the max-margin functional, hi - lo and
 # the distance agree only to about 1e-16
 ROUNDING = 1e-14
+# a base vertex is g / (x* . g), so x* scores it 1 up to rounding
+VERTEX_TOL = 1e-9
 
 
 def bracketed(cert) -> bool:
@@ -50,16 +57,43 @@ def bracketed(cert) -> bool:
     return DEAD_BAND * DEFAULT_TOL < hi - lo <= cert.distance + ROUNDING
 
 
+def base_check(C, rng):
+    """Whether the base verdicts for C agree, and, when C has a convex
+    base, whether its x* and base vertices check out (else None)."""
+    wb = is_well_based(C)
+    cb = has_convex_base(C, well_based=wb)
+    verdicts = {wb.well_based, cb.has_base}
+    if C.is_single_piece:
+        verdicts.add(pointedness(C.single_cone()).pointed)
+    if not cb.has_base:
+        return len(verdicts) == 1, None
+    pts = sample_norm_base(C, count=1000, rng=rng).points
+    sound = ((pts @ cb.x_star > 0.0).all()
+             and np.abs(cb.base_vertices @ cb.x_star - 1.0).max() <= VERTEX_TOL)
+    return len(verdicts) == 1, bool(sound)
+
+
 def existence_study(dims, per_dim, margin, rng):
     total = agree = verified = certs = skipped = uncertified = 0
     brackets = bracket_ok = 0
     sym_total = sym_agree = sym_inconclusive = 0
+    bases = base_agree = base_inconclusive = convex = convex_ok = 0
     vrng = np.random.default_rng(rng.integers(2**32))
     for dim in dims:
         made = 0
         while made < per_dim:
             C = random_region(rng, dim)
             K = random_region(rng, dim)
+            try:
+                verdicts_agree, sound = base_check(C, vrng)
+            except Inconclusive:
+                base_inconclusive += 1
+            else:
+                bases += 1
+                base_agree += verdicts_agree
+                if sound is not None:
+                    convex += 1
+                    convex_ok += sound
             res = body_distance(body(C, False), body(K, True))
             if not res.certified:
                 # no reference verdict to compare against
@@ -102,6 +136,11 @@ def existence_study(dims, per_dim, margin, rng):
         "sym_pairs": sym_total,
         "sym_agree": sym_agree,
         "sym_inconclusive": sym_inconclusive,
+        "bases": bases,
+        "base_agree": base_agree,
+        "base_inconclusive": base_inconclusive,
+        "convex": convex,
+        "convex_ok": convex_ok,
         "margin_skipped": skipped,
         "uncertified": uncertified,
     }
@@ -173,6 +212,11 @@ def main() -> int:
           f"{ex['bracket_ok']}/{ex['brackets']} certificates")
     print(f"  sym = OR of one-sided: {ex['sym_agree']}/{ex['sym_pairs']} "
           f"({ex['sym_inconclusive']} Inconclusive, not counted)")
+    print(f"  well-based = convex base (= pointed, one piece): "
+          f"{ex['base_agree']}/{ex['bases']} "
+          f"({ex['base_inconclusive']} Inconclusive, not counted)")
+    print(f"  convex-base x* > 0 on 1000 base samples, vertices at 1 "
+          f"(+- {VERTEX_TOL:g}): {ex['convex_ok']}/{ex['convex']}")
     print(f"  boundary conditions consistent: "
           f"{bd['consistent']}/{bd['pairs']} "
           f"({bd['inconclusive']} Inconclusive, not counted)")
@@ -185,6 +229,8 @@ def main() -> int:
              or ex["verified"] < ex["certificates"]
              or ex["bracket_ok"] < ex["brackets"]
              or ex["sym_agree"] < ex["sym_pairs"]
+             or ex["base_agree"] < ex["bases"]
+             or ex["convex_ok"] < ex["convex"]
              or bd["consistent"] < bd["pairs"]
              or bd["bracket_ok"] < bd["brackets"])
     return 1 if short else 0

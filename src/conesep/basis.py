@@ -20,6 +20,7 @@ from . import geometry
 from .distance import DEFAULT_TOL, body_distance, decide_gap, origin_body
 from .errors import NonPositiveRay, NotNested, TrivialRegion
 from .geometry import Norm, PolyCone
+# unused here; kept bound because the benchmark tracer wraps it by this name
 from .kernels import min_norm_point
 from .regions import ConeRegion, body
 from .separation import (
@@ -129,47 +130,34 @@ def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL,
                     well_based: BaseCertificate | None = None) -> BaseCertificate:
     """Decide whether the norm-base fits in an open half-space {x* > 0}.
 
-    For piece/union regions this reduces to the pooled generators: a
-    functional is positive on the base exactly when it is positive on every
-    generator, so the verdict is whether the origin lies in their convex
-    hull, solved by the distance engine on the explicit generators
-    (``min_norm_point``) and read by ``decide_gap``, as ``is_well_based``
-    reads its solve.  The solve stops at the first bracket that decides it,
-    where x* is positive on every pooled generator though not the
-    max-margin functional.  A NoConvexBase witness is the solve's corral:
-    the generators it kept and their convex weights.
-    Regions with complement or boundary leaves fall back to is_well_based;
-    a caller that already holds its certificate for this region and tol
-    passes it as well_based to skip the second solve.
+    In finite dimension a closed cone has a convex base exactly when it is
+    well-based, so this reads ``is_well_based``'s certificate: a caller
+    that already holds it for this region and tol passes it as well_based,
+    and no distance is solved here.  For piece and union regions the two
+    verdicts coincide on the same solve: a functional positive on a piece
+    attains its base minimum at a unit extreme ray (``regions._lmo_piece``),
+    so the origin's distance to the hull of the base equals its distance
+    to the hull of the unit generators whenever either is positive.
+    ConvexBase carries is_well_based's x*, plus, for piece and union
+    regions, the base vertices ``make_base`` cuts from each piece.  A
+    NoConvexBase witness is the solve's corral: unit base points and their
+    convex weights.
     """
     _check_nontrivial(region)
-    if region.has_compound_leaves:
-        probe = well_based or is_well_based(region, tol=tol)
-        if probe.well_based:
-            return BaseCertificate(kind=BaseKind.CONVEX_BASE, x_star=probe.x_star)
+    probe = well_based or is_well_based(region, tol=tol)
+    if not probe.well_based:
         return BaseCertificate(
             kind=BaseKind.NO_CONVEX_BASE,
             witness_points=probe.witness_points,
             witness_weights=probe.witness_weights,
             witness_pair=probe.witness_pair,
         )
-    pooled = np.concatenate([c.generators.T for c in region.piece_cones()], axis=0)
-    res = min_norm_point(pooled, tol)
-    if not decide_gap(res, "generator hull distance", tol):
-        return BaseCertificate(
-            kind=BaseKind.NO_CONVEX_BASE,
-            witness_points=res.support_b,
-            witness_weights=res.weights,
-            witness_pair=_maybe_pair(region, res.support_b, res.weights, tol),
-        )
-    x_star = res.witness_b / np.linalg.norm(res.witness_b)
-    x_star.setflags(write=False)
-    vals = pooled @ x_star
-    return BaseCertificate(
-        kind=BaseKind.CONVEX_BASE,
-        x_star=x_star,
-        base_vertices=(pooled / vals[:, None]),
-    )
+    base_vertices = None
+    if not region.has_compound_leaves:
+        base_vertices = np.concatenate(
+            [make_base(c, probe.x_star) for c in region.piece_cones()], axis=0)
+    return BaseCertificate(kind=BaseKind.CONVEX_BASE, x_star=probe.x_star,
+                           base_vertices=base_vertices)
 
 
 def interpolate(C: ConeRegion | PolyCone, K: PolyCone,

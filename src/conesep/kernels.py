@@ -6,7 +6,9 @@ callers must treat non-certified results as best-effort iterates.
 
 Wolfe's minor cycles (``corral_step``) serve the one major loop,
 ``distance.body_distance``; ``min_norm_point`` is that loop run from the
-origin to the hull of explicit rows until its verdict is decided.  Least
+origin to the hull of explicit rows until its verdict is decided.  Its one
+caller is ``geometry.pointedness``; the name stays, in this module and in
+``basis``, because the benchmark tracer wraps it in both.  Least
 squares on one column has a closed form (``_ray_coeff``), used in place of
 ``np.linalg.lstsq`` in Wolfe's affine step on a corral of two points and in
 Lawson-Hanson's first step (``first_step``).  That step has two callers:
@@ -254,8 +256,9 @@ def min_norm_point(P: np.ndarray, tol: float):
     ``distance.DistanceResult`` of the engine's origin-to-polytope solve,
     stopped at its first deciding bracket: ``witness_b`` is the point,
     ``distance`` its norm, an upper bound on the hull distance, and
-    ``support_b`` and ``weights`` the corral that forms it.  Its callers
-    read only the verdict."""
+    ``support_b`` and ``weights`` the corral that forms it.  Its one
+    caller, ``geometry.pointedness``, reads only the verdict; the name is
+    kept for the benchmark tracer, which wraps it."""
     # imported here: distance imports this module
     from .distance import PolytopeBody, body_distance, origin_body
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conesep import basis, geometry, kernels
+from conesep import basis, distance, geometry, kernels
 from conesep.basis import (
     BaseKind,
     _bp_base_samples,
@@ -169,18 +169,30 @@ def _well_based_regions():
 
 
 @pytest.mark.parametrize("name", sorted(_well_based_regions()))
-def test_well_based_threshold_is_sound(name):
+def test_well_based_threshold_is_sound(name, monkeypatch):
+    region = _well_based_regions()[name]
+    # a base query, as the CLI's, is one solve: has_convex_base reads the
+    # certificate it is given (min_norm_point reads distance.body_distance)
+    calls = []
+    for module in (basis, distance):
+        real = module.body_distance
+        monkeypatch.setattr(module, "body_distance",
+                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    cert = is_well_based(region)
+    assert len(calls) == 1
+    cb = has_convex_base(region, well_based=cert)
+    assert len(calls) == 1
     # alpha is the exact minimum of x* over the base, backed off, so no
     # base point scores below it however early the solve stopped
-    region = _well_based_regions()[name]
-    cert = is_well_based(region)
     assert cert.kind is BaseKind.WELL_BASED
     assert 0.0 < cert.alpha <= region.lmo(cert.x_star).value
     pts = sample_norm_base(region, count=2000, rng=np.random.default_rng(3)).points
     assert (pts @ cert.x_star >= cert.alpha).all()
-    # has_convex_base's x* is positive on the base too
-    cb = has_convex_base(region, well_based=cert)
     assert cb.kind is BaseKind.CONVEX_BASE
+    assert np.array_equal(cb.x_star, cert.x_star)
+    if region.is_single_piece:
+        assert np.array_equal(cb.base_vertices, cert.base_vertices)
+    # so its x* is positive on the base too
     assert (pts @ cb.x_star > 0.0).all()
 
 

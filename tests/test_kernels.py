@@ -235,7 +235,9 @@ def _threshold_case(rng, dim, n_gens, offset):
 
     y = 4 g_0 + b v with v the unit part of g_1 orthogonal to g_0, so the
     step leaves the residual b v and column 1 scores b (g_1 . v).  The other
-    columns are orthogonal to v and score about 0 after the step.
+    columns are orthogonal to v and score about 0 after the step.  Each is
+    turned to g_0 . g_j <= 0, so column 0 is the unique first pick: in R^2
+    they all lie along +-g_0, and one near +g_0 would tie with it.
     """
     G = rng.standard_normal((dim, n_gens))
     G /= np.linalg.norm(G, axis=0)
@@ -244,6 +246,7 @@ def _threshold_case(rng, dim, n_gens, offset):
     v /= np.linalg.norm(v)
     G[:, 2:] -= np.outer(v, v @ G[:, 2:])
     G[:, 2:] /= np.linalg.norm(G[:, 2:], axis=0)
+    G[:, 2:] *= np.where(g0 @ G[:, 2:] > 0.0, -1.0, 1.0)
     tol_w = kernels.KKT_TOL * 4.0  # the scale is |g_0 . y| = 4
     y = 4.0 * g0 + (tol_w + offset) / (G[:, 1] @ v) * v
     return G, y
@@ -253,6 +256,7 @@ def _threshold_case(rng, dim, n_gens, offset):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 9),
        st.sampled_from(["random", "tie", "mirror", "threshold"]),
        st.sampled_from([-1e-10, -1e-11, -1e-12, -1e-13, 1e-13, 1e-12, 1e-11, 1e-10]))
+@example(seed=13703, dim=2, n_gens=4, case="threshold", offset=-1e-13)
 def test_nnls_matches_the_lstsq_reference_loop(seed, dim, n_gens, case, offset):
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((dim, n_gens))

@@ -884,8 +884,57 @@ def test_uncertified_zero_is_inconclusive(monkeypatch):
                  lambda: basis.is_well_based(line)):
         with pytest.raises(Inconclusive, match="did not certify"):
             call()
-    # has_convex_base on a piece region solves through kernels.min_norm_point,
-    # which reads distance.body_distance
+    # has_convex_base solves nothing itself: it reads is_well_based, whose
+    # solve is patched above; distance.body_distance is patched as well so
+    # that a solve through kernels.min_norm_point would be caught too
     _uncertified_zero_body_distance(monkeypatch, distance)
     with pytest.raises(Inconclusive, match="did not certify"):
         basis.has_convex_base(line)
+
+
+NEG_ORTHANT = ConeRegion.piece(make_polycone([[-1.0, 0.0], [0.0, -1.0]]))
+
+
+def _solve_with_functional(monkeypatch, f):
+    # the real ORTHANT / NEG_ORTHANT solve, a certified gap of 1/sqrt(2),
+    # with its displacement replaced by f
+    real = separation.body_distance
+    monkeypatch.setattr(separation, "body_distance", lambda *a, **k: dataclasses.replace(
+        real(*a, **k), functional=np.asarray(f, dtype=float)))
+    return separate_nonsym(ORTHANT, NEG_ORTHANT)
+
+
+def _bidirectional_with_kfromc(monkeypatch, scale):
+    # both orientations certified, the K-from-C x* being scale times the
+    # C-from-K one: scale 1 cancels them, scale 2 leaves -x*, negative on C
+    cert = separation._separate_one_sided(ORTHANT, NEG_ORTHANT, DEFAULT_TOL, False)
+    monkeypatch.setattr(separation, "_separate_k_from_c", lambda *a, **k: dataclasses.replace(
+        cert, orientation=Orientation.K_FROM_C, x_star=scale * cert.x_star))
+    return separate_convex_bidirectional(ORTHANT, NEG_ORTHANT)
+
+
+def _sym_with_no_orientation(monkeypatch):
+    monkeypatch.setattr(separation, "separate_nonsym", lambda *a, **k: None)
+    monkeypatch.setattr(separation, "_separate_k_from_c", lambda *a, **k: None)
+    return separate_sym(ORTHANT, NEG_ORTHANT)
+
+
+@pytest.mark.parametrize("message, reach", [
+    # a functional negative on C: hi < 0 = lo
+    ("support interval collapsed under the unit functional",
+     lambda mp: _solve_with_functional(mp, [-1.0, -1.0])),
+    # lo = 0 < hi = 1e-13, so alpha = hi / 2 is below DUAL_TOL
+    ("threshold failed the augmented-dual interior check",
+     lambda mp: _solve_with_functional(mp, [1.0, 1e-13])),
+    ("certificate functionals cancelled",
+     lambda mp: _bidirectional_with_kfromc(mp, 1.0)),
+    ("linear functional failed the exact support check",
+     lambda mp: _bidirectional_with_kfromc(mp, 2.0)),
+    # the plain-body distance between the orthants is sqrt(2)
+    ("symmetric distance is positive but neither orientation certified",
+     _sym_with_no_orientation),
+])
+def test_structural_inconclusive_is_not_a_dead_band(monkeypatch, message, reach):
+    with pytest.raises(Inconclusive, match=f"^{re.escape(message)}$") as exc:
+        reach(monkeypatch)
+    assert exc.value.dead_band is False
