@@ -6,6 +6,9 @@ how often the independent routes agree:
 
   * certificate existence vs. positivity of the hull-body distance,
   * the symmetric verdict vs. the OR of the two one-sided verdicts,
+  * the symmetric verdict vs. the plain distance between conv B_C and
+    conv B_K, solved to the end: at most 2 * tol when neither orientation
+    works, at least the certificate's hi - lo when one does,
   * pairwise agreement of the five boundary-based conditions on convex
     pairs that meet only at the origin,
   * the certified bracket DEAD_BAND * tol < hi - lo <= distance of every
@@ -76,7 +79,7 @@ def base_check(C, rng):
 def existence_study(dims, per_dim, margin, rng):
     total = agree = verified = certs = skipped = uncertified = 0
     brackets = bracket_ok = 0
-    sym_total = sym_agree = sym_inconclusive = 0
+    sym_total = sym_agree = sym_plain_ok = sym_inconclusive = 0
     bases = base_agree = base_inconclusive = convex = convex_ok = 0
     vrng = np.random.default_rng(rng.integers(2**32))
     for dim in dims:
@@ -126,6 +129,12 @@ def existence_study(dims, per_dim, margin, rng):
             sym_total += 1
             if (sym is not None) == ((cert is not None) or (kc is not None)):
                 sym_agree += 1
+            plain = body_distance(body(C, False), body(K, False))
+            if sym is None:
+                sym_plain_ok += plain.lower_bound <= 2 * DEFAULT_TOL + ROUNDING
+            else:
+                lo, hi = sym.alpha_interval
+                sym_plain_ok += plain.distance + ROUNDING >= hi - lo
     return {
         "pairs": total,
         "existence_agree": agree,
@@ -135,6 +144,7 @@ def existence_study(dims, per_dim, margin, rng):
         "bracket_ok": bracket_ok,
         "sym_pairs": sym_total,
         "sym_agree": sym_agree,
+        "sym_plain_ok": sym_plain_ok,
         "sym_inconclusive": sym_inconclusive,
         "bases": bases,
         "base_agree": base_agree,
@@ -212,6 +222,8 @@ def main() -> int:
           f"{ex['bracket_ok']}/{ex['brackets']} certificates")
     print(f"  sym = OR of one-sided: {ex['sym_agree']}/{ex['sym_pairs']} "
           f"({ex['sym_inconclusive']} Inconclusive, not counted)")
+    print(f"  sym = plain-body distance (<= 2 tol when None, >= hi - lo "
+          f"otherwise, + {ROUNDING:g}): {ex['sym_plain_ok']}/{ex['sym_pairs']}")
     print(f"  well-based = convex base (= pointed, one piece): "
           f"{ex['base_agree']}/{ex['bases']} "
           f"({ex['base_inconclusive']} Inconclusive, not counted)")
@@ -229,6 +241,7 @@ def main() -> int:
              or ex["verified"] < ex["certificates"]
              or ex["bracket_ok"] < ex["brackets"]
              or ex["sym_agree"] < ex["sym_pairs"]
+             or ex["sym_plain_ok"] < ex["sym_pairs"]
              or ex["base_agree"] < ex["bases"]
              or ex["convex_ok"] < ex["convex"]
              or bd["consistent"] < bd["pairs"]

@@ -83,8 +83,8 @@ def make_base(cone: PolyCone, x_star) -> np.ndarray:
     return (cone.generators / vals).T
 
 
-def _maybe_pair(region: ConeRegion, points: np.ndarray, weights: np.ndarray,
-                tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _maybe_pair(region: ConeRegion, points: np.ndarray, weights: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray] | None:
     j = int(np.argmax(weights))
     p = points[j]
     if region.contains_unit_batch(np.stack([-p]), tol=geometry.MEMBERSHIP_TOL)[0]:
@@ -110,7 +110,7 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
             kind=BaseKind.NOT_WELL_BASED,
             witness_points=res.support_b,
             witness_weights=res.weights,
-            witness_pair=_maybe_pair(region, res.support_b, res.weights, tol),
+            witness_pair=_maybe_pair(region, res.support_b, res.weights),
         )
     x_star = res.witness_b / np.linalg.norm(res.witness_b)
     x_star.setflags(write=False)
@@ -244,15 +244,17 @@ def verify_interpolation(gamma: BishopPhelpsCone, C: ConeRegion | PolyCone,
                          rng: np.random.Generator | None = None
                          ) -> InterpolationCheck:
     """Sampled check of the interpolation inclusions: base points of C are
-    strictly interior to gamma, base points of gamma belong to K."""
+    strictly interior to gamma, base points of gamma belong to K.  gamma
+    must be Euclidean, since its base is drawn on the Euclidean rim."""
     from .oracle import sample_norm_base
 
     f = _classifiable(gamma)
+    if f.norm is not Norm.EUCLIDEAN:
+        raise ValueError(f"gamma must be Euclidean, got {f.norm.value}")
     region = ConeRegion.piece(C) if isinstance(C, PolyCone) else C
     inner = sample_norm_base(region, count=count, rng=rng).points
     # bp_membership of every sample at once: interior iff score > band
-    nx = np.linalg.norm(inner, axis=1,
-                        ord={Norm.L1: 1, Norm.LINF: np.inf}.get(f.norm))
+    nx = np.linalg.norm(inner, axis=1)
     scores = inner @ f.x_star - f.alpha * nx
     inner_bad = int((scores <= MEMBERSHIP_BAND * (1.0 + nx)).sum())
     margins = inner @ (f.x_star / np.linalg.norm(f.x_star)) - (

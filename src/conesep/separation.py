@@ -22,7 +22,6 @@ import numpy as np
 
 from . import geometry
 from .distance import (
-    DEAD_BAND,
     DEFAULT_TOL,
     DistanceResult,
     PolytopeBody,
@@ -325,14 +324,16 @@ def separate_sym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     the max-margin functional, and its alpha_interval is the exact threshold
     interval for that x*.  The first certificate is returned as it stands:
     with exact LMOs its non-empty threshold interval (lo, hi) puts the two
-    norm-base hulls at least hi - lo apart, so no cross-check could
-    overturn it; its distance, the witnesses' gap, bounds theirs from
-    above.  Without one, an Inconclusive from either orientation is
-    re-raised, one inside the dead band before an uncertified one.  Only
-    when both certified a zero gap is the verdict cross-checked against the
-    plain-body distance between the hulls, which is positive exactly when some
-    orientation works; a clear positive distance raises Inconclusive, and
-    that solve stops as soon as its lower bound shows one.
+    norm-base hulls at least hi - lo apart; its distance, the witnesses'
+    gap, bounds theirs from above.  Without one, an Inconclusive from
+    either orientation is re-raised, one inside the dead band before an
+    uncertified one.  Two certified zero gaps, each at most tol, give None,
+    and no third solve could overturn it: the plain distance d between
+    conv B_C and conv B_K is then at most 2 tol, below DEAD_BAND * tol.
+    For a unit u attaining d = m_c - m_k (u.c >= m_c on conv B_C and
+    u.k <= m_k on conv B_K): if m_k >= 0 the origin is on K's side and the
+    C-from-K gap is at least d; if m_c <= 0 the K-from-C gap is; otherwise
+    they are at least m_c and -m_k.
     """
     pending: Inconclusive | None = None
     for one_sided in (separate_nonsym, _separate_k_from_c):
@@ -346,12 +347,6 @@ def separate_sym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
             return cert
     if pending is not None:
         raise pending
-    sym = body_distance(body(C, False), body(K, False), tol=tol,
-                        until_decided=True)
-    if sym.kind == "positive" and sym.distance > DEAD_BAND * tol:
-        raise Inconclusive(
-            "symmetric distance is positive but neither orientation certified"
-        )
     return None
 
 

@@ -16,7 +16,7 @@ from conesep.basis import (
     is_well_based,
     verify_interpolation,
 )
-from conesep.distance import body_distance, origin_body
+from conesep.distance import DEFAULT_TOL, body_distance, origin_body
 from conesep.errors import Inconclusive
 from conesep.geometry import make_polycone, pointedness, is_whole_space
 from conesep.kernels import nnls, project_onto_cone
@@ -170,9 +170,14 @@ def test_criterion_04_existence_matches_distance():
 
 
 def test_criterion_05_symmetric_is_or_of_one_sided():
+    # The plain distance between conv B_C and conv B_K, solved to the end,
+    # is the independent check: it is at most 2 tol when neither orientation
+    # works, and at least a certificate's hi - lo, which bounds the
+    # one-sided distance, when one does.
     cases = _random_suite()
     checked = 0
     agree = 0
+    plain_ok = 0
     for dim, C, K, _ in cases:
         try:
             ck = separate_nonsym(C, K)
@@ -183,8 +188,15 @@ def test_criterion_05_symmetric_is_or_of_one_sided():
         checked += 1
         if (sym is not None) == ((ck is not None) or (kc is not None)):
             agree += 1
-    ok = checked > 0 and agree == checked
-    _report(5, ok, f"sym verdict = OR of one-sided verdicts {agree}/{checked}")
+        plain = body_distance(body(C, False), body(K, False))
+        if sym is None:
+            plain_ok += plain.lower_bound <= 2 * DEFAULT_TOL
+        else:
+            lo, hi = sym.alpha_interval
+            plain_ok += plain.distance + 1e-14 >= hi - lo
+    ok = checked > 0 and agree == plain_ok == checked
+    _report(5, ok, f"sym verdict = OR of one-sided verdicts {agree}/{checked}, "
+                   f"plain-body distance brackets it {plain_ok}/{checked}")
 
 
 def test_criterion_06_boundary_conditions_agree():

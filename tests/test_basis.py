@@ -17,6 +17,7 @@ from conesep.basis import (
 )
 from conesep.errors import NonPositiveRay, NotNested
 from conesep.geometry import (
+    Norm,
     cone_membership,
     cone_membership_batch,
     facet_normals,
@@ -144,8 +145,11 @@ def test_well_based_iff_pointed_iff_convex_base():
         else:
             cone = random_pointed_cone(rng, dim)
         region = ConeRegion.piece(cone)
-        wb = is_well_based(region).kind is BaseKind.WELL_BASED
-        cb = has_convex_base(region).kind is BaseKind.CONVEX_BASE
+        # one solve, read by has_convex_base as cli base does; pointedness
+        # is the independent route
+        probe = is_well_based(region)
+        wb = probe.kind is BaseKind.WELL_BASED
+        cb = has_convex_base(region, well_based=probe).kind is BaseKind.CONVEX_BASE
         assert wb == pointedness(cone).pointed == cb
 
 
@@ -437,6 +441,16 @@ def test_verify_interpolation_verdicts_match_a_cone_membership_loop(case):
     assert check.base_violations == int((~loop[:400]).sum())
     assert check.ok == (case == "nested")
     assert (check.base_violations > 0) == (case == "wider")
+
+
+def test_verify_interpolation_rejects_a_non_euclidean_gamma():
+    # the l1 cone |x1| <= (2/3) x2 lies inside the 40-degree sector, but its
+    # base would be drawn on the Euclidean rim at 53.1 degrees
+    gamma = bishop_phelps([0.0, 1.0], 0.6, Norm.L1)
+    with pytest.raises(ValueError, match="Euclidean"):
+        verify_interpolation(gamma, sector_cone_2d(90.0, 10.0),
+                             sector_cone_2d(90.0, 40.0), count=200,
+                             rng=np.random.default_rng(0))
 
 
 def test_verify_interpolation_passes_for_a_one_dimensional_cone():

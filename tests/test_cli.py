@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -52,6 +53,28 @@ def identical(tmp_path):
     })
 
 
+@pytest.fixture
+def bidir(tmp_path):
+    return _write(tmp_path, "bidir.json", {
+        "dim": 2,
+        "cones": {
+            "C": {"pieces": [{"generators": [[1, 0], [1, 1]]}]},
+            "K": {"pieces": [{"generators": [[-1, 1]]}]},
+        },
+    })
+
+
+@pytest.fixture
+def nest(tmp_path):
+    return _write(tmp_path, "nest.json", {
+        "dim": 2,
+        "cones": {
+            "W": {"pieces": [{"generators": [[-1, 1], [1, 1]]}]},
+            "H": {"pieces": [{"generators": [[1, 0], [-1, 0], [0, 1]]}]},
+        },
+    })
+
+
 def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -91,15 +114,8 @@ def test_separate_both_orders(capsys, sector_vs_line_pair):
     assert doc["verdict"] == "not_separated"
 
 
-def test_separate_bidir(capsys, tmp_path):
-    path = _write(tmp_path, "bidir.json", {
-        "dim": 2,
-        "cones": {
-            "C": {"pieces": [{"generators": [[1, 0], [1, 1]]}]},
-            "K": {"pieces": [{"generators": [[-1, 1]]}]},
-        },
-    })
-    code, doc = _run(capsys, ["separate", path, "--mode", "bidir",
+def test_separate_bidir(capsys, bidir):
+    code, doc = _run(capsys, ["separate", bidir, "--mode", "bidir",
                               "--pair", "C,K"])
     assert code == 0
     assert doc["verdict"] == "separated"
@@ -341,15 +357,8 @@ def test_base_command(capsys, tmp_path):
     assert doc["well_based"]["witness_points"] is not None
 
 
-def test_interpolate_command(capsys, tmp_path):
-    path = _write(tmp_path, "nest.json", {
-        "dim": 2,
-        "cones": {
-            "W": {"pieces": [{"generators": [[-1, 1], [1, 1]]}]},
-            "H": {"pieces": [{"generators": [[1, 0], [-1, 0], [0, 1]]}]},
-        },
-    })
-    code, doc = _run(capsys, ["interpolate", path, "--inner", "W",
+def test_interpolate_command(capsys, nest):
+    code, doc = _run(capsys, ["interpolate", nest, "--inner", "W",
                               "--outer", "H"])
     assert code == 0
     assert doc["verdict"] == "interpolated"
@@ -357,7 +366,7 @@ def test_interpolate_command(capsys, tmp_path):
     assert doc["verification"]["ok"] is True
 
     # boundary contact: a cone cannot be strictly nested inside itself
-    code, doc = _run(capsys, ["interpolate", path, "--inner", "H",
+    code, doc = _run(capsys, ["interpolate", nest, "--inner", "H",
                               "--outer", "H"])
     assert code == 1
     assert doc["verdict"] == "not_interpolated"
@@ -392,6 +401,44 @@ def test_check_command(capsys, sector_vs_line_pair, identical):
     assert code == 1
     assert not any(doc["conditions"])
     assert doc["consistent"] is True
+
+
+def _failing(monkeypatch, name, **fields):
+    # the real report of cli.<name>, with fields overridden
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: dataclasses.replace(
+        real(*a, **k), **fields))
+
+
+@pytest.mark.parametrize("mode", ["nonsym", "sym", "bidir"])
+def test_separate_failed_verification_is_inconclusive(capsys, bidir,
+                                                      monkeypatch, mode):
+    _failing(monkeypatch, "verify_certificate", ok=False)
+    code, doc = _run(capsys, ["separate", bidir, "--mode", mode,
+                              "--pair", "C,K"])
+    assert code == 2
+    assert doc["verdict"] == "inconclusive"
+    assert "error" not in doc
+
+
+def test_interpolate_failed_verification_is_inconclusive(capsys, nest,
+                                                         monkeypatch):
+    _failing(monkeypatch, "verify_interpolation", ok=False)
+    code, doc = _run(capsys, ["interpolate", nest, "--inner", "W",
+                              "--outer", "H"])
+    assert code == 2
+    assert doc["verdict"] == "inconclusive"
+    assert doc["verification"]["ok"] is False
+
+
+def test_check_defect_is_inconclusive(capsys, sector_vs_line_pair, monkeypatch):
+    _failing(monkeypatch, "boundary_equivalence_report",
+             conditions=(True, True, False, True, True), consistent=False)
+    code, doc = _run(capsys, ["check", sector_vs_line_pair, "--report",
+                              "bd-equivalence", "--pair", "C,K"])
+    assert code == 2
+    assert doc["verdict"] == "defect"
+    assert doc["consistent"] is False
 
 
 def test_oracle_command(capsys, rays, identical):

@@ -360,6 +360,28 @@ def test_intersection_of_non_pointed_pieces_is_decided_through_duals():
     assert not cones_meet_only_at_origin(yz_plane, yz_plane)
 
 
+def test_intersection_solves_on_the_pointed_piece_when_it_comes_second(monkeypatch):
+    # the half-plane y >= 0 is not pointed, so the hull is taken on Q's
+    # generators: one solve each, where two non-pointed pieces take none
+    half_plane = ConeRegion.piece(make_polycone(
+        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+    below = ConeRegion.piece(make_polycone([[1.0, -1.0], [-1.0, -1.0]]))
+    straddling = ConeRegion.piece(make_polycone([[1.0, -1.0], [1.0, 1.0]]))
+    hulls = []
+    solve = separation.body_distance
+
+    def recording(a, *args, **kwargs):
+        hulls.append(a.points.copy())
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(separation, "body_distance", recording)
+    assert cones_meet_only_at_origin(half_plane, below)
+    assert not cones_meet_only_at_origin(half_plane, straddling)
+    assert len(hulls) == 2
+    for points, piece in zip(hulls, (below, straddling)):
+        assert np.array_equal(points, piece.single_cone().generators.T)
+
+
 def test_intersection_of_two_complements():
     for d in (2, 3):
         outside = ConeRegion.complement(make_polycone(np.eye(d)))
@@ -756,12 +778,12 @@ TWO_CLOSE_RAYS = (
 @pytest.mark.parametrize("C, K, solves, separated", [
     (NARROW_SECTOR, LINE_PAIR, 1, True),
     (LINE_PAIR, NARROW_SECTOR, 2, True),
-    (ORTHANT, ORTHANT, 3, False),
+    (ORTHANT, ORTHANT, 2, False),
     (*TWO_CLOSE_RAYS, 2, None),
 ], ids=["c-from-k", "k-from-c", "not-separated", "dead-band"])
 def test_sym_runs_each_solve_once(C, K, solves, separated, monkeypatch):
-    # C from K, then K from C; the plain-body cross-check runs only when
-    # both certified a zero gap.
+    # C from K, then K from C, and no third solve once both certified a
+    # zero gap.
     count = []
     solve = separation.body_distance
 
@@ -832,7 +854,7 @@ def test_dead_band_is_reported_whenever_a_bracket_shows_it(dim, seed, monkeypatc
     with pytest.raises(Inconclusive) as exc:
         separate_sym(C, K)
     tol = separation.DEFAULT_TOL
-    in_band = any(tol < r.lower_bound and r.distance <= separation.DEAD_BAND * tol
+    in_band = any(tol < r.lower_bound and r.distance <= distance.DEAD_BAND * tol
                   for r in solves)
     assert exc.value.dead_band == in_band
     assert ("dead-band" in str(exc.value)) == in_band
@@ -913,12 +935,6 @@ def _bidirectional_with_kfromc(monkeypatch, scale):
     return separate_convex_bidirectional(ORTHANT, NEG_ORTHANT)
 
 
-def _sym_with_no_orientation(monkeypatch):
-    monkeypatch.setattr(separation, "separate_nonsym", lambda *a, **k: None)
-    monkeypatch.setattr(separation, "_separate_k_from_c", lambda *a, **k: None)
-    return separate_sym(ORTHANT, NEG_ORTHANT)
-
-
 @pytest.mark.parametrize("message, reach", [
     # a functional negative on C: hi < 0 = lo
     ("support interval collapsed under the unit functional",
@@ -930,9 +946,6 @@ def _sym_with_no_orientation(monkeypatch):
      lambda mp: _bidirectional_with_kfromc(mp, 1.0)),
     ("linear functional failed the exact support check",
      lambda mp: _bidirectional_with_kfromc(mp, 2.0)),
-    # the plain-body distance between the orthants is sqrt(2)
-    ("symmetric distance is positive but neither orientation certified",
-     _sym_with_no_orientation),
 ])
 def test_structural_inconclusive_is_not_a_dead_band(monkeypatch, message, reach):
     with pytest.raises(Inconclusive, match=f"^{re.escape(message)}$") as exc:
