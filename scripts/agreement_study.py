@@ -9,14 +9,18 @@ how often the independent routes agree:
   * the symmetric verdict vs. the plain distance between conv B_C and
     conv B_K, solved to the end: at most 2 * tol when neither orientation
     works, at least the certificate's hi - lo when one does,
-  * pairwise agreement of the five boundary-based conditions on convex
-    pairs that meet only at the origin,
+  * agreement of the five boundary-based conditions on convex pairs, each
+    distinct pair of regions solved to the end and judged on its own with
+    the intersection test, with each other and with the report (the report
+    derives the boundary forms from form 1 when it separates, so its own
+    consistent flag holds there by construction),
   * the certified bracket DEAD_BAND * tol < hi - lo <= distance of every
     certificate drawn: its threshold interval's width is a lower bound on
     the hull distance, its witnesses' gap an upper bound,
   * the bracket [lower_bounds, distances] of each of the five boundary
     forms, whose solves stop once decided, against the distance of the
-    same solve run to the end,
+    same pair solved to the end; a derived form has no distance, so only
+    its lower bound is checked,
   * for every C drawn, is_well_based against has_convex_base and, for a
     single piece, pointedness; and, with a convex base, its x* positive on
     1000 sampled base points and its base vertices scoring 1.
@@ -32,7 +36,7 @@ import time
 import numpy as np
 
 from conesep.basis import has_convex_base, is_well_based
-from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance
+from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance, decide_gap
 from conesep.errors import Inconclusive
 from conesep.geometry import pointedness
 from conesep.oracle import random_pointed_cone, random_region, sample_norm_base
@@ -163,34 +167,39 @@ def boundary_study(dims, count, margin, rng):
         n_rays = int(rng.integers(dim, 2 * dim + 1))
         return ConeRegion.piece(random_pointed_cone(rng, dim, n_rays=n_rays))
 
-    done = consistent = inconclusive = brackets = bracket_ok = 0
+    done = consistent = separated = inconclusive = brackets = bracket_ok = 0
     while done < count:
         dim = int(rng.choice(dims))
         C, K = draw(dim), draw(dim)
-        if not cones_meet_only_at_origin(C, K):
+        meet = cones_meet_only_at_origin(C, K)
+        # each distinct pair of the five forms solved to the end
+        to_the_end = {}
+        forms = boundary_forms(C, K)
+        for a, b in forms.values():
+            if (a, b) not in to_the_end:
+                to_the_end[a, b] = body_distance(body(a, False), body(b, True))
+        gaps = [r.distance for r in to_the_end.values() if r.kind == "positive"]
+        if gaps and min(gaps) <= margin:
             continue
         try:
             report = boundary_equivalence_report(C, K)
+            c1, c2, s3, s4, s5 = (decide_gap(to_the_end[pair], "form", DEFAULT_TOL)
+                                  for pair in forms.values())
         except Inconclusive:
             inconclusive += 1
             continue
-        gaps = [d for d in report.distances.values() if d > 0.0]
-        if gaps and min(gaps) <= margin:
-            continue
         done += 1
-        if report.consistent:
-            consistent += 1
-        to_the_end = {}
-        for key, pair in boundary_forms(C, K).items():
-            if pair not in to_the_end:
-                a, b = pair
-                to_the_end[pair] = body_distance(body(a, False),
-                                                 body(b, True)).distance
-            full = to_the_end[pair]
+        conditions = (c1, c2, s3 and meet, s4 and meet, s5 and meet)
+        separated += all(conditions)
+        consistent += (len(set(conditions)) == 1
+                       and report.conditions == conditions
+                       and report.meet_only_at_origin == meet)
+        for key, pair in forms.items():
+            full, upper = to_the_end[pair].distance, report.distances[key]
             brackets += 1
             bracket_ok += (report.lower_bounds[key] <= full + ROUNDING
-                           and full <= report.distances[key] + ROUNDING)
-    return {"pairs": done, "consistent": consistent,
+                           and (upper is None or full <= upper + ROUNDING))
+    return {"pairs": done, "consistent": consistent, "separated": separated,
             "inconclusive": inconclusive, "brackets": brackets,
             "bracket_ok": bracket_ok}
 
@@ -229,11 +238,13 @@ def main() -> int:
           f"({ex['base_inconclusive']} Inconclusive, not counted)")
     print(f"  convex-base x* > 0 on 1000 base samples, vertices at 1 "
           f"(+- {VERTEX_TOL:g}): {ex['convex_ok']}/{ex['convex']}")
-    print(f"  boundary conditions consistent: "
-          f"{bd['consistent']}/{bd['pairs']} "
-          f"({bd['inconclusive']} Inconclusive, not counted)")
+    print(f"  boundary conditions solved to the end agree with each other "
+          f"and the report: {bd['consistent']}/{bd['pairs']} "
+          f"({bd['separated']} separated, "
+          f"{bd['inconclusive']} Inconclusive, not counted)")
     print(f"  boundary forms, lower bound <= distance run to the end <= "
-          f"distance (+ {ROUNDING:g}): {bd['bracket_ok']}/{bd['brackets']}")
+          f"distance where solved (+ {ROUNDING:g}): "
+          f"{bd['bracket_ok']}/{bd['brackets']}")
     print(f"  margin-filtered draws: {ex['margin_skipped']}")
     print(f"  uncertified distance solves (draw skipped): {ex['uncertified']}")
     print(f"  total time: {elapsed:.1f} s")

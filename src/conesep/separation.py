@@ -467,7 +467,7 @@ def cones_meet_only_at_origin(C: ConeRegion, K: ConeRegion,
 
 @dataclass(frozen=True, eq=False)
 class BoundaryEquivalenceReport:
-    """Five equivalent one-sided separation conditions evaluated separately.
+    """Five equivalent one-sided separation conditions.
 
     conditions[0]: bases of the full cones are hull-separated
     conditions[1]: same for their closures (identical for closed cones)
@@ -476,60 +476,71 @@ class BoundaryEquivalenceReport:
     conditions[4]: closure vs boundary separation and trivial intersection
     consistent records whether all five agreed, as equivalent forms must.
 
-    Each form's solve stops at the first bracket that decides it, so
-    distances and lower_bounds, keyed alike, hold the two ends of the
-    certified bracket [lower_bound, distance] on each hull distance:
-    distances is the gap between the final witnesses, an upper bound.
+    distances and lower_bounds, keyed as FORM_KEYS, hold the ends of the
+    certified bracket [lower_bound, distance] on each form's hull distance.
+    Where form 1 separates, the three boundary forms are derived from it:
+    their lower bound is form 1's, and their distance, no solve's, is None.
     """
 
     conditions: tuple[bool, bool, bool, bool, bool]
     meet_only_at_origin: bool
-    distances: dict[str, float]
+    distances: dict[str, float | None]
     lower_bounds: dict[str, float]
     consistent: bool
+
+
+FORM_KEYS = ("full", "closure", "boundary_boundary", "boundary_closure",
+             "closure_boundary")
 
 
 def boundary_forms(C: ConeRegion, K: ConeRegion
                    ) -> dict[str, tuple[ConeRegion, ConeRegion]]:
     """The pair of regions whose hull distance decides each of the five
-    forms, keyed as BoundaryEquivalenceReport.distances.  Forms naming the
-    same pair hold the same tuple."""
+    forms, keyed as FORM_KEYS.  Forms naming one pair hold the same tuple."""
     bd_c, bd_k = boundary_region(C), boundary_region(K)
-    full = (C, K)
-    return {
-        "full": full,
-        "closure": full,
-        "boundary_boundary": (bd_c, bd_k),
-        "boundary_closure": (bd_c, K),
-        "closure_boundary": (C, bd_k),
-    }
+    return dict(zip(FORM_KEYS, ((C, K),) * 2 + ((bd_c, bd_k), (bd_c, K), (C, bd_k))))
 
 
 def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
                                 tol: float = DEFAULT_TOL
                                 ) -> BoundaryEquivalenceReport:
     """Evaluate the five equivalent forms of one-sided base separation and
-    flag any disagreement.  Each distinct pair of regions takes one distance
+    flag any disagreement.  Each solve stops at its first deciding bracket.
+
+    Form 1 is solved first.  If it separates, so does every form: bd C is in
+    C and bd K in K, so conv B_bdC is in conv B_C and conv(B_bdK u {0}) in
+    conv(B_K u {0}), which bounds each boundary form's hull distance by form
+    1's lower bound; disjoint bases give C n K = {0}.  Otherwise the
+    intersection is tested and each distinct pair of regions takes one
     solve: a closed cone is its own closure, and a region without a solid
-    leaf cone is its own boundary, so forms naming one pair share a solve."""
+    leaf cone is its own boundary."""
     _check_nontrivial(C)
     _check_nontrivial(K)
-    pairs = boundary_forms(C, K)
 
     @functools.cache
+    def solve(a: ConeRegion, b: ConeRegion) -> DistanceResult:
+        return body_distance(body(a, False), body(b, True), tol=tol,
+                             until_decided=True)
+
     def gap(a: ConeRegion, b: ConeRegion) -> tuple[bool, DistanceResult]:
-        res = body_distance(body(a, False), body(b, True), tol=tol,
-                            until_decided=True)
+        res = solve(a, b)
         return decide_gap(res, "boundary-condition distance", tol), res
 
-    meet = cones_meet_only_at_origin(C, K, tol=tol)
+    try:
+        # in R^1 every boundary is {0}, whose empty base boundary_forms rejects
+        derived = C.dim > 1 and gap(C, K)[0]
+    except Inconclusive:
+        derived = False  # raised again below, after the checks that come first
+    pairs = dict.fromkeys(FORM_KEYS, (C, K)) if derived else boundary_forms(C, K)
+    meet = derived or cones_meet_only_at_origin(C, K, tol=tol)
     forms = {key: gap(a, b) for key, (a, b) in pairs.items()}
     c1, c2, s3, s4, s5 = (ok for ok, _ in forms.values())
     conditions = (c1, c2, s3 and meet, s4 and meet, s5 and meet)
     return BoundaryEquivalenceReport(
         conditions=conditions,
         meet_only_at_origin=meet,
-        distances={k: res.distance for k, (_, res) in forms.items()},
+        distances={k: None if derived and k in FORM_KEYS[2:] else res.distance
+                   for k, (_, res) in forms.items()},
         lower_bounds={k: res.lower_bound for k, (_, res) in forms.items()},
         consistent=all(conditions) or not any(conditions),
     )

@@ -16,7 +16,7 @@ from conesep.basis import (
     is_well_based,
     verify_interpolation,
 )
-from conesep.distance import DEFAULT_TOL, body_distance, origin_body
+from conesep.distance import DEFAULT_TOL, body_distance, decide_gap, origin_body
 from conesep.errors import Inconclusive
 from conesep.geometry import make_polycone, pointedness, is_whole_space
 from conesep.kernels import nnls, project_onto_cone
@@ -35,6 +35,7 @@ from conesep.regions import ConeRegion, body, lmo_norm_base, support_norm_base
 from conesep.separation import (
     bp_boundary_rays_2d,
     boundary_equivalence_report,
+    boundary_forms,
     cones_meet_only_at_origin,
     separate_nonsym,
     separate_sym,
@@ -200,30 +201,50 @@ def test_criterion_05_symmetric_is_or_of_one_sided():
 
 
 def test_criterion_06_boundary_conditions_agree():
+    # The independent check: each distinct pair of regions of the five forms
+    # is solved to the end and judged on its own, with the intersection test.
+    # The report derives the boundary forms from form 1 when it separates, so
+    # its consistent flag holds by construction there; its conditions must
+    # match these, and each of its brackets must hold the distance solved to
+    # the end (1e-14 for the rounding of unit-vector products).
     t0 = time.perf_counter()
     rng = np.random.default_rng(6)
-    done = 0
-    consistent = 0
+    done = consistent = bracket_ok = separated = 0
     while done < 100:
         dim = int(rng.integers(2, 4))
         C = ConeRegion.piece(random_pointed_cone(rng, dim))
         K = ConeRegion.piece(random_pointed_cone(rng, dim))
-        if not cones_meet_only_at_origin(C, K):
-            continue
-        try:
-            report = boundary_equivalence_report(C, K)
-        except Inconclusive:
-            continue
-        gaps = [d for d in report.distances.values() if d > 0.0]
+        meet = cones_meet_only_at_origin(C, K)
+        solved = {}
+        forms = boundary_forms(C, K)
+        for a, b in forms.values():
+            if (a, b) not in solved:
+                solved[a, b] = body_distance(body(a, False), body(b, True))
+        gaps = [res.distance for res in solved.values() if res.kind == "positive"]
         if gaps and min(gaps) <= 1e-3:
             continue  # margin filter: keep clear of the sampling floor
+        try:
+            report = boundary_equivalence_report(C, K)
+            c1, c2, s3, s4, s5 = (decide_gap(solved[pair], "form", DEFAULT_TOL)
+                                  for pair in forms.values())
+        except Inconclusive:
+            continue
         done += 1
-        if report.consistent:
-            consistent += 1
+        conditions = (c1, c2, s3 and meet, s4 and meet, s5 and meet)
+        separated += all(conditions)
+        consistent += (len(set(conditions)) == 1
+                       and report.conditions == conditions
+                       and report.meet_only_at_origin == meet)
+        for key, pair in forms.items():
+            d, upper = solved[pair].distance, report.distances[key]
+            bracket_ok += (report.lower_bounds[key] <= d + 1e-14
+                           and (upper is None or d <= upper + 1e-14))
     elapsed = time.perf_counter() - t0
-    ok = consistent == done == 100 and elapsed < 60.0
+    ok = consistent == done == 100 and bracket_ok == 5 * done and elapsed < 60.0
     _report(6, ok,
-            f"five conditions agree pairwise {consistent}/{done} ({elapsed:.1f} s)")
+            f"five conditions, solved to the end, agree with each other and "
+            f"the report {consistent}/{done}, brackets hold {bracket_ok}/"
+            f"{5 * done}, {separated} separated ({elapsed:.1f} s)")
 
 
 def test_criterion_07_projection_residuals():

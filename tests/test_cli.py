@@ -403,6 +403,23 @@ def test_check_command(capsys, sector_vs_line_pair, identical):
     assert doc["consistent"] is True
 
 
+def test_check_in_one_dimension_is_an_error(capsys, tmp_path):
+    # every boundary in R^1 is {0}, so the boundary forms have no base, even
+    # for a pair that form 1 separates
+    path = _write(tmp_path, "line.json", {
+        "dim": 1,
+        "cones": {
+            "C": {"pieces": [{"generators": [[1]]}]},
+            "K": {"pieces": [{"generators": [[-1]]}]},
+        },
+    })
+    code, doc = _run(capsys, ["check", path, "--pair", "C,K"])
+    assert code == 3
+    assert doc["verdict"] == "error"
+    assert doc["error"] == ("TrivialRegion: the boundary of a ray in R^1 is {0}, "
+                            "whose base is empty")
+
+
 def _failing(monkeypatch, name, **fields):
     # the real report of cli.<name>, with fields overridden
     real = getattr(cli, name)

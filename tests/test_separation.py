@@ -11,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 from conesep import basis, distance, kernels, separation
 from conesep.cli import main
 from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance, decide_gap
-from conesep.errors import DegenerateCone, Inconclusive, NotConvex, TrivialRegion
+from conesep.errors import (
+    DegenerateCone,
+    DimensionTooHigh,
+    Inconclusive,
+    NotConvex,
+    TrivialRegion,
+)
 from conesep.geometry import make_polycone
 from conesep.instances import load_instance
 from conesep.oracle import (
@@ -31,6 +37,7 @@ from conesep.separation import (
     augmented_dual_membership,
     bishop_phelps,
     boundary_equivalence_report,
+    boundary_forms,
     bp_boundary_rays_2d,
     bp_membership,
     cones_meet_only_at_origin,
@@ -559,8 +566,15 @@ def test_boundary_report_sector_vs_line_pair():
     report = boundary_equivalence_report(NARROW_SECTOR, LINE_PAIR)
     assert report.conditions == (True,) * 5
     assert report.consistent
-    for val in report.distances.values():
-        assert val == pytest.approx(np.cos(np.radians(10.0)), abs=1e-9)
+    # form 1 separates, so the boundary forms are derived from its solve:
+    # they carry its lower bound, and no distance
+    for key in ("full", "closure"):
+        assert report.distances[key] == pytest.approx(
+            np.cos(np.radians(10.0)), abs=1e-9)
+    for key in ("boundary_boundary", "boundary_closure", "closure_boundary"):
+        assert report.distances[key] is None
+    assert set(report.lower_bounds.values()) == {report.lower_bounds["full"]}
+    assert 0.0 < report.lower_bounds["full"] <= report.distances["full"]
 
 
 def test_boundary_report_3d():
@@ -865,25 +879,78 @@ TWO_RAYS_3D = ConeRegion.piece(make_polycone([[1, 0, 1], [0, 1, 1]]))
 HEXAGONAL_CAP = ConeRegion.piece(cone_about([0, 0, 1], 20.0, 6))
 
 
-@pytest.mark.parametrize("C, K, solves", [
-    (TWO_RAYS_3D, ConeRegion.piece(make_polycone([[-1, 0, 1], [0, -1, 1]])), 2),
-    (HEXAGONAL_CAP, ConeRegion.piece(make_polycone([[1, 0, 0.2], [0, 1, 0.2]])), 3),
-    (HEXAGONAL_CAP, ConeRegion.piece(cone_about([1, 0, 0], 20.0, 5)), 5),
-], ids=["no-solid-cone", "one-solid-cone", "two-solid-cones"])
-def test_boundary_report_solves_each_pair_once(C, K, solves, monkeypatch):
+@pytest.mark.parametrize("C, K, separated, solves", [
+    (TWO_RAYS_3D, ConeRegion.piece(make_polycone([[-1, 0, 1], [0, -1, 1]])),
+     True, 1),
+    (HEXAGONAL_CAP, ConeRegion.piece(make_polycone([[1, 0, 0.2], [0, 1, 0.2]])),
+     True, 1),
+    (HEXAGONAL_CAP, ConeRegion.piece(cone_about([1, 0, 0], 20.0, 5)), True, 1),
+    (HEXAGONAL_CAP, ConeRegion.piece(cone_about([0.3, 0, 1], 20.0, 5)), False, 5),
+], ids=["no-solid-cone", "one-solid-cone", "two-solid-cones", "not-separated"])
+def test_boundary_report_solves_each_pair_once(C, K, separated, solves,
+                                               monkeypatch):
+    # A separated pair takes form 1's solve alone: its boundary forms are
+    # derived, with no facet enumeration and no intersection test.  Otherwise
     # one intersection solve, then one per distinct (region, region) pair of
-    # the five forms: a region without a solid cone is its own boundary
-    count = []
+    # the five forms: here both cones are solid, so four pairs.
+    count, facets, meets = [], [], []
     solve = separation.body_distance
+    real_facets = separation.geometry.facets
+    real_meet = separation.cones_meet_only_at_origin
 
     def counting(*args, **kwargs):
         count.append(1)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(separation, "body_distance", counting)
+    monkeypatch.setattr(separation.geometry, "facets",
+                        lambda *a, **k: facets.append(1) or real_facets(*a, **k))
+    monkeypatch.setattr(separation, "cones_meet_only_at_origin",
+                        lambda *a, **k: meets.append(1) or real_meet(*a, **k))
+    report = boundary_equivalence_report(C, K)
+    assert report.conditions == (separated,) * 5
+    assert report.meet_only_at_origin is separated
+    assert len(count) == solves
+    assert (len(facets) > 0, len(meets)) == ((False, 0) if separated else (True, 1))
+
+
+def test_boundary_report_inconclusive_form_1_is_solved_once(monkeypatch):
+    # form 1's solve ends uncertified: the report still builds the boundary
+    # forms and runs the intersection test (one solve) before it raises, and
+    # it raises from the first solve rather than solving form 1 again
+    C = ConeRegion.piece(sector_cone_2d(90.0, 10.0))
+    K = ConeRegion.piece(sector_cone_2d(270.0, 10.0))
+    calls = []
+    solve = separation.body_distance
+
+    def first_uncertified(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == 1:
+            return dataclasses.replace(res, certified=False, stop="max_iter")
+        return res
+
+    monkeypatch.setattr(separation, "body_distance", first_uncertified)
+    with pytest.raises(Inconclusive,
+                       match="^boundary-condition distance ended uncertified"):
+        boundary_equivalence_report(C, K)
+    assert len(calls) == 2
+
+
+def test_boundary_report_reaches_pairs_whose_facets_are_out_of_reach():
+    # a 30-ray cone at d = 10 has too many rays for facet enumeration, so its
+    # boundary cannot be built; against the opposite ray form 1 separates,
+    # and the report derives the boundary forms without it
+    rng = np.random.default_rng(3)
+    P = random_pointed_cone(rng, 10, n_rays=30)
+    C = ConeRegion.piece(P)
+    K = ConeRegion.piece(make_polycone([-P.generators.mean(axis=1)]))
+    with pytest.raises(DimensionTooHigh):
+        boundary_forms(C, K)
     report = boundary_equivalence_report(C, K)
     assert report.conditions == (True,) * 5
-    assert len(count) == solves
+    assert report.meet_only_at_origin and report.consistent
+    assert report.lower_bounds["boundary_boundary"] > 0.0
 
 
 def _uncertified_zero_body_distance(monkeypatch, module):
