@@ -23,7 +23,15 @@ how often the independent routes agree:
     its lower bound is checked,
   * for every C drawn, is_well_based against has_convex_base and, for a
     single piece, pointedness; and, with a convex base, its x* positive on
-    1000 sampled base points and its base vertices scoring 1.
+    1000 sampled base points and its base vertices scoring 1,
+  * on convex piece pairs, a quarter of the pieces unpointed,
+    separate_convex_bidirectional's linear functional against the two
+    one-sided solves run to the end: it exists exactly when both separate,
+    and its exact margin min(min_C v.c, min_K -v.k) is, to tol, at least
+    that of x1 - x2, the construction it replaced, and of x1/hi1 - x2/hi2,
+    which separates for any two certificates.  v is the max-margin
+    functional to within its solve's precision, tol, and either
+    construction can itself be the max-margin one.
 
 Draws whose reference distance solve did not certify, and pairs that raise
 Inconclusive, are counted and reported rather than compared.  Exits 1 when
@@ -38,13 +46,19 @@ import numpy as np
 from conesep.basis import has_convex_base, is_well_based
 from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance, decide_gap
 from conesep.errors import Inconclusive
-from conesep.geometry import pointedness
-from conesep.oracle import random_pointed_cone, random_region, sample_norm_base
+from conesep.geometry import is_whole_space, pointedness
+from conesep.oracle import (
+    random_pointed_cone,
+    random_region,
+    random_unpointed_cone,
+    sample_norm_base,
+)
 from conesep.regions import ConeRegion, body
 from conesep.separation import (
     boundary_equivalence_report,
     boundary_forms,
     cones_meet_only_at_origin,
+    separate_convex_bidirectional,
     separate_nonsym,
     separate_sym,
     verify_certificate,
@@ -204,6 +218,47 @@ def boundary_study(dims, count, margin, rng):
             "bracket_ok": bracket_ok}
 
 
+def exact_margin(v, C, K) -> float:
+    """min(min_C u.c, min_K -u.k) over the two unit bases, u = v / |v|."""
+    u = v / np.linalg.norm(v)
+    return min(C.lmo(u).value, K.lmo(-u).value)
+
+
+def bidir_study(dims, per_dim, margin, rng):
+    done = agree = linear = margin_ok = inconclusive = 0
+    for dim in dims:
+        made = 0
+        while made < per_dim:
+            cones = [random_unpointed_cone(rng, dim) if rng.random() < 0.25
+                     else random_pointed_cone(rng, dim) for _ in range(2)]
+            if any(map(is_whole_space, cones)):
+                continue
+            C, K = map(ConeRegion.piece, cones)
+            full = [body_distance(body(X, False), body(Y, True))
+                    for X, Y in ((C, K), (K, C))]
+            if any(not r.certified or r.kind == "positive" and r.distance <= margin
+                   for r in full):
+                continue
+            try:
+                res = separate_convex_bidirectional(C, K)
+            except Inconclusive:
+                inconclusive += 1
+                continue
+            made += 1
+            done += 1
+            both = all(decide_gap(r, "one-sided", DEFAULT_TOL) for r in full)
+            agree += (res.linear is not None) == both
+            if res.linear is None or not both:
+                continue
+            linear += 1
+            x1, x2 = (r.functional / np.linalg.norm(r.functional) for r in full)
+            best = max(exact_margin(x1 - x2, C, K),
+                       exact_margin(x1 / C.lmo(x1).value - x2 / K.lmo(x2).value, C, K))
+            margin_ok += exact_margin(res.linear, C, K) >= best - DEFAULT_TOL
+    return {"pairs": done, "agree": agree, "linear": linear, "margin_ok": margin_ok,
+            "inconclusive": inconclusive}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dims", default="2,3",
@@ -219,6 +274,7 @@ def main() -> int:
     t0 = time.perf_counter()
     ex = existence_study(dims, args.per_dim, args.margin, rng)
     bd = boundary_study(dims, args.boundary_pairs, args.margin, rng)
+    bi = bidir_study(dims, args.per_dim, args.margin, rng)
     elapsed = time.perf_counter() - t0
 
     print(f"dims {dims}, {args.per_dim} pairs per dim, margin {args.margin:g}, "
@@ -245,6 +301,11 @@ def main() -> int:
     print(f"  boundary forms, lower bound <= distance run to the end <= "
           f"distance where solved (+ {ROUNDING:g}): "
           f"{bd['bracket_ok']}/{bd['brackets']}")
+    print(f"  bidir linear exists = both one-sided solves, run to the end, "
+          f"separate: {bi['agree']}/{bi['pairs']} "
+          f"({bi['inconclusive']} Inconclusive, not counted)")
+    print(f"  bidir margin + tol >= that of x1 - x2 and of x1/hi1 - x2/hi2: "
+          f"{bi['margin_ok']}/{bi['linear']}")
     print(f"  margin-filtered draws: {ex['margin_skipped']}")
     print(f"  uncertified distance solves (draw skipped): {ex['uncertified']}")
     print(f"  total time: {elapsed:.1f} s")
@@ -256,7 +317,9 @@ def main() -> int:
              or ex["base_agree"] < ex["bases"]
              or ex["convex_ok"] < ex["convex"]
              or bd["consistent"] < bd["pairs"]
-             or bd["bracket_ok"] < bd["brackets"])
+             or bd["bracket_ok"] < bd["brackets"]
+             or bi["agree"] < bi["pairs"]
+             or bi["margin_ok"] < bi["linear"])
     return 1 if short else 0
 
 

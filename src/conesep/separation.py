@@ -27,6 +27,7 @@ from .distance import (
     PolytopeBody,
     body_distance,
     decide_gap,
+    origin_body,
 )
 from .errors import (
     DegenerateCone,
@@ -215,10 +216,11 @@ def _dual_flags(m: float, alpha: float) -> dict[str, bool]:
 class SeparationCertificate:
     """Witness that a Bishop-Phelps cone strictly separates two regions.
 
-    x_star separates the two norm-base hulls, but it is the displacement at
-    the bracket that decided the distance solve, not the max-margin
-    functional.  alpha_interval is the exact interval of thresholds for that
-    x_star: any alpha in it works, and the stored alpha is the midpoint.
+    x_star separates the two norm-base hulls, but for every certificate,
+    bidirectional ones too, it is the displacement at the bracket that
+    decided the distance solve, not the max-margin functional.
+    alpha_interval is the exact interval of thresholds for that x_star:
+    any alpha in it works, and the stored alpha is the midpoint.
     Its width is a certified lower bound on the distance between the hulls.
     witnesses are points of the two hull bodies whose gap produced x_star,
     and distance, that gap, is an upper bound.
@@ -263,24 +265,13 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     upper bound.  A certified zero gap proves no certificate exists.  Gaps
     inside the tolerance dead-band raise Inconclusive.
     """
-    return _separate_one_sided(C, K, tol, until_decided=True)
-
-
-def _separate_one_sided(C: ConeRegion, K: ConeRegion, tol: float,
-                        until_decided: bool) -> SeparationCertificate | None:
-    """separate_nonsym, with the distance solve run to its end unless
-    ``until_decided``; run to the end, x* is the max-margin functional.
-
-    The bracket holds either way: for unit x*, every c in conv B_C and every
-    k in conv(B_K u {0}) satisfy x*(c - k) >= hi - lo.
-    """
     if C.dim != K.dim:
         raise DimensionMismatch("regions live in different dimensions")
     _check_nontrivial(C)
     _check_nontrivial(K)
     body_c = body(C, adjoin_origin=False)
     body_k0 = body(K, adjoin_origin=True)
-    res = body_distance(body_c, body_k0, tol=tol, until_decided=until_decided)
+    res = body_distance(body_c, body_k0, tol=tol, until_decided=True)
     if not decide_gap(res, "distance", tol):
         return None
     x_star = res.functional / np.linalg.norm(res.functional)
@@ -306,11 +297,10 @@ def _separate_one_sided(C: ConeRegion, K: ConeRegion, tol: float,
     )
 
 
-def _separate_k_from_c(C: ConeRegion, K: ConeRegion, tol: float,
-                       until_decided: bool = True
+def _separate_k_from_c(C: ConeRegion, K: ConeRegion, tol: float
                        ) -> SeparationCertificate | None:
     """separate_nonsym(K, C), labelled as the K-from-C orientation of (C, K)."""
-    cert = _separate_one_sided(K, C, tol, until_decided)
+    cert = separate_nonsym(K, C, tol)
     if cert is None:
         return None
     return replace(cert, orientation=Orientation.K_FROM_C)
@@ -352,6 +342,9 @@ def separate_sym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
 
 @dataclass(frozen=True, eq=False)
 class BidirectionalResult:
+    """separate_nonsym's certificates both ways (None where one fails) and
+    the max-margin linear separator, present exactly when both are."""
+
     cfromk: SeparationCertificate | None
     kfromc: SeparationCertificate | None
     linear: np.ndarray | None
@@ -359,32 +352,36 @@ class BidirectionalResult:
 
 def separate_convex_bidirectional(C: ConeRegion, K: ConeRegion,
                                   tol: float = DEFAULT_TOL) -> BidirectionalResult:
-    """Both one-sided certificates for a convex pair, plus the strictly
-    separating linear functional their difference induces when both exist.
+    """Both one-sided certificates for a convex pair, separate_nonsym's in
+    each orientation, plus the max-margin linear separator when both exist.
 
-    Unlike separate_nonsym, both distance solves run to the end, so the two
-    functionals are the max-margin ones and the linear part is theirs.
-
-    The linear part is verified exactly: its infimum over C's base hull must
-    be positive and its supremum over K's base hull negative.
+    The separator comes from one solve run to the end: the near point x of
+    conv(B_C u -B_K) to the origin, B the unit generators.  For a piece, a
+    positive near point x of conv(B_C) has x.c >= |x|^2 on the whole unit
+    base (a unit c combines unit generators with weights summing to >= 1),
+    so x / |x| maximises min(min_C v.c, min_K -v.k) over unit v.  The solve
+    needs no structural guard: a point p = lam c - (1 - lam) k of the hull
+    |p| >= delta_1 / 2 if lam >= 1/2 and |p| >= delta_2 / 2 otherwise, so
+    with both one-sided gaps certified the union distance exceeds 5 tol.
+    It may land in the dead band, never on a certified zero.  v is checked
+    exactly, by its infimum over C's base hull and its supremum over K's,
+    a check that cannot fail with exact LMOs.
     """
     if not (C.is_single_piece and K.is_single_piece):
         raise NotConvex("bidirectional separation needs single convex pieces")
-    cfromk = _separate_one_sided(C, K, tol, until_decided=False)
-    kfromc = _separate_k_from_c(C, K, tol, until_decided=False)
+    cfromk = separate_nonsym(C, K, tol)
+    kfromc = _separate_k_from_c(C, K, tol)
     linear = None
     if cfromk is not None and kfromc is not None:
-        v = cfromk.x_star - kfromc.x_star
-        n = float(np.linalg.norm(v))
-        if n <= 1e-300:
-            raise Inconclusive("certificate functionals cancelled")
-        v /= n
-        inf_c = C.lmo(v).value
-        sup_k = -K.lmo(-v).value
-        if not (sup_k < 0.0 < inf_c):
-            raise Inconclusive("linear functional failed the exact support check")
-        v.setflags(write=False)
-        linear = v
+        union = PolytopeBody(np.concatenate([C.single_cone().generators,
+                                             -K.single_cone().generators], axis=1).T)
+        res = body_distance(origin_body(C.dim), union, tol=tol)
+        if decide_gap(res, "linear separator distance", tol):
+            v = res.witness_b / np.linalg.norm(res.witness_b)
+            if not -K.lmo(-v).value < 0.0 < C.lmo(v).value:
+                raise Inconclusive("linear functional failed the exact support check")
+            v.setflags(write=False)
+            linear = v
     return BidirectionalResult(cfromk=cfromk, kfromc=kfromc, linear=linear)
 
 
@@ -478,8 +475,8 @@ class BoundaryEquivalenceReport:
 
     distances and lower_bounds, keyed as FORM_KEYS, hold the ends of the
     certified bracket [lower_bound, distance] on each form's hull distance.
-    Where form 1 separates, the three boundary forms are derived from it:
-    their lower bound is form 1's, and their distance, no solve's, is None.
+    Where form 1 separates or the cones meet beyond the origin, the three
+    boundary forms take form 1's lower bound, and no solve's distance: None.
     """
 
     conditions: tuple[bool, bool, bool, bool, bool]
@@ -511,9 +508,10 @@ def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
     C and bd K in K, so conv B_bdC is in conv B_C and conv(B_bdK u {0}) in
     conv(B_K u {0}), which bounds each boundary form's hull distance by form
     1's lower bound; disjoint bases give C n K = {0}.  Otherwise the
-    intersection is tested and each distinct pair of regions takes one
-    solve: a closed cone is its own closure, and a region without a solid
-    leaf cone is its own boundary."""
+    intersection is tested, and cones that meet beyond the origin, which
+    fail forms 3 to 5, take form 1's bracket too (in R^2 and up).  Else
+    each distinct pair of regions takes one solve: a closed cone is its own
+    closure, and a region without a solid leaf cone is its own boundary."""
     _check_nontrivial(C)
     _check_nontrivial(K)
 
@@ -531,8 +529,9 @@ def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
         derived = C.dim > 1 and gap(C, K)[0]
     except Inconclusive:
         derived = False  # raised again below, after the checks that come first
-    pairs = dict.fromkeys(FORM_KEYS, (C, K)) if derived else boundary_forms(C, K)
     meet = derived or cones_meet_only_at_origin(C, K, tol=tol)
+    derived = derived or (C.dim > 1 and not meet)
+    pairs = dict.fromkeys(FORM_KEYS, (C, K)) if derived else boundary_forms(C, K)
     forms = {key: gap(a, b) for key, (a, b) in pairs.items()}
     c1, c2, s3, s4, s5 = (ok for ok, _ in forms.values())
     conditions = (c1, c2, s3 and meet, s4 and meet, s5 and meet)

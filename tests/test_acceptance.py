@@ -37,6 +37,7 @@ from conesep.separation import (
     boundary_equivalence_report,
     boundary_forms,
     cones_meet_only_at_origin,
+    separate_convex_bidirectional,
     separate_nonsym,
     separate_sym,
     verify_certificate,
@@ -368,3 +369,50 @@ def test_criterion_11_oracle_cross_validation():
     _report(11, ok,
             f"engine within covering bound on {within}/{queries} queries "
             f"({elapsed:.1f} s)")
+
+
+def _exact_margin(v, C, K):
+    u = v / np.linalg.norm(v)
+    return min(C.lmo(u).value, K.lmo(-u).value)
+
+
+def test_criterion_12_bidirectional_linear_separator():
+    # The independent check: both one-sided solves run to the end.  The
+    # linear functional exists exactly when both separate.  Its exact margin
+    # min(min_C v.c, min_K -v.k) is, to tol, at least that of x1 - x2 of
+    # those solves, the construction it replaced, and of x1/hi1 - x2/hi2, a
+    # separator for any two certificates: v is the max-margin functional to
+    # within its solve's precision, and either construction can itself be
+    # the max-margin one.
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(12)
+    done = agree = linear = margin_ok = 0
+    while done < 200:
+        dim = int(rng.integers(2, 7))
+        cones = [random_unpointed_cone(rng, dim) if rng.random() < 0.25
+                 else random_pointed_cone(rng, dim) for _ in range(2)]
+        if any(map(is_whole_space, cones)):
+            continue
+        C, K = map(ConeRegion.piece, cones)
+        full = [body_distance(body(X, False), body(Y, True))
+                for X, Y in ((C, K), (K, C))]
+        if any(not r.certified or r.kind == "positive" and r.distance <= 1e-3
+               for r in full):
+            continue  # margin filter: keep clear of the dead band
+        res = separate_convex_bidirectional(C, K)
+        done += 1
+        both = all(decide_gap(r, "one-sided", DEFAULT_TOL) for r in full)
+        agree += (res.linear is not None) == both
+        if res.linear is None or not both:
+            continue
+        linear += 1
+        x1, x2 = (r.functional / np.linalg.norm(r.functional) for r in full)
+        best = max(_exact_margin(x1 - x2, C, K),
+                   _exact_margin(x1 / C.lmo(x1).value - x2 / K.lmo(x2).value, C, K))
+        margin_ok += _exact_margin(res.linear, C, K) >= best - DEFAULT_TOL
+    elapsed = time.perf_counter() - t0
+    ok = agree == done and margin_ok == linear >= 50 and elapsed < 60.0
+    _report(12, ok,
+            f"linear separator exists = both one-sided solves separate "
+            f"{agree}/{done}, margin at least the old and the two-certificate "
+            f"constructions' to tol {margin_ok}/{linear} ({elapsed:.1f} s)")

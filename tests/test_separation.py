@@ -725,26 +725,22 @@ def _bits(value):
     return value
 
 
-def test_bidirectional_keeps_the_full_solve_certificates(monkeypatch):
-    # separate_convex_bidirectional's linear functional is built from the
-    # two max-margin functionals, so its certificates come from solves run
-    # to the end, bit for bit, where separate_nonsym's stop early
+def test_bidirectional_certificates_are_separate_nonsym():
+    # separate_convex_bidirectional's certificates are separate_nonsym's in
+    # each orientation, bit for bit, with the orientation relabelled; its
+    # linear functional exists exactly when both do
     rng = np.random.default_rng(2102)
     pairs = [(ConeRegion.piece(random_pointed_cone(rng, d)),
               ConeRegion.piece(random_pointed_cone(rng, d)))
              for d in (2, 3, 4, 6) for _ in range(6)]
     pairs += [(NARROW_SECTOR, ConeRegion.piece(sector_cone_2d(-90.0, 10.0))),
               (ORTHANT, ray_region([-1.0, 1.0]))]
-    real = separation.body_distance
-    bidir = [separate_convex_bidirectional(C, K) for C, K in pairs]
-    early = [separate_nonsym(C, K) for C, K in pairs]
-    monkeypatch.setattr(separation, "body_distance",
-                        lambda *a, until_decided=False, **k: real(*a, **k))
-    compared = moved = 0
-    for (C, K), res, first in zip(pairs, bidir, early):
-        full = [separate_nonsym(C, K), separate_nonsym(K, C)]
-        for got, want, orientation in ((res.cfromk, full[0], Orientation.C_FROM_K),
-                                       (res.kfromc, full[1], Orientation.K_FROM_C)):
+    compared = linear = 0
+    for C, K in pairs:
+        res = separate_convex_bidirectional(C, K)
+        for got, want, orientation in (
+                (res.cfromk, separate_nonsym(C, K), Orientation.C_FROM_K),
+                (res.kfromc, separate_nonsym(K, C), Orientation.K_FROM_C)):
             assert (got is None) == (want is None)
             if got is None:
                 continue
@@ -754,9 +750,35 @@ def test_bidirectional_keeps_the_full_solve_certificates(monkeypatch):
                 if f.name != "orientation":
                     assert (_bits(getattr(got, f.name))
                             == _bits(getattr(want, f.name))), f.name
-        moved += (first is not None
-                  and first.x_star.tobytes() != res.cfromk.x_star.tobytes())
-    assert compared >= 40 and moved >= 20
+        both = res.cfromk is not None and res.kfromc is not None
+        assert (res.linear is not None) == both
+        linear += both
+    assert compared >= 40 and linear >= 10
+
+
+NEG_ORTHANT = ConeRegion.piece(make_polycone([[-1.0, 0.0], [0.0, -1.0]]))
+HALF_PLANE = ConeRegion.piece(make_polycone([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("C, K, solves", [
+    (ORTHANT, NEG_ORTHANT, 3),
+    (ORTHANT, ray_region([-1.0, 1.0]), 3),
+    (HALF_PLANE, ray_region([0.0, -1.0]), 2),
+    (ORTHANT, ORTHANT, 2),
+], ids=["both", "orthant-vs-ray", "one-sided", "neither"])
+def test_bidirectional_runs_each_solve_once(C, K, solves, monkeypatch):
+    # one solve per orientation, and the union solve only when both certify
+    count = []
+    solve = separation.body_distance
+
+    def counting(*args, **kwargs):
+        count.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(separation, "body_distance", counting)
+    res = separate_convex_bidirectional(C, K)
+    assert (res.linear is not None) == (solves == 3)
+    assert len(count) == solves
 
 
 def _uncertified_body_distance(monkeypatch, module):
@@ -879,24 +901,33 @@ TWO_RAYS_3D = ConeRegion.piece(make_polycone([[1, 0, 1], [0, 1, 1]]))
 HEXAGONAL_CAP = ConeRegion.piece(cone_about([0, 0, 1], 20.0, 6))
 
 
-@pytest.mark.parametrize("C, K, separated, solves", [
+@pytest.mark.parametrize("C, K, separated, meet, solves", [
     (TWO_RAYS_3D, ConeRegion.piece(make_polycone([[-1, 0, 1], [0, -1, 1]])),
-     True, 1),
+     True, True, 1),
     (HEXAGONAL_CAP, ConeRegion.piece(make_polycone([[1, 0, 0.2], [0, 1, 0.2]])),
-     True, 1),
-    (HEXAGONAL_CAP, ConeRegion.piece(cone_about([1, 0, 0], 20.0, 5)), True, 1),
-    (HEXAGONAL_CAP, ConeRegion.piece(cone_about([0.3, 0, 1], 20.0, 5)), False, 5),
-], ids=["no-solid-cone", "one-solid-cone", "two-solid-cones", "not-separated"])
-def test_boundary_report_solves_each_pair_once(C, K, separated, solves,
+     True, True, 1),
+    (HEXAGONAL_CAP, ConeRegion.piece(cone_about([1, 0, 0], 20.0, 5)), True, True, 1),
+    (HEXAGONAL_CAP, ConeRegion.piece(cone_about([0.3, 0, 1], 20.0, 5)), False, False, 2),
+    (union_of_rays([[1.0, 1.0], [1.0, -1.0]]), ray_region([1.0, 0.0]), False, True, 3),
+    (HALF_PLANE, ray_region([0.0, -1.0]), False, True, 3),
+], ids=["no-solid-cone", "one-solid-cone", "two-solid-cones", "not-separated",
+        "meet-at-origin-rays", "meet-at-origin-half-plane"])
+def test_boundary_report_solves_each_pair_once(C, K, separated, meet, solves,
                                                monkeypatch):
     # A separated pair takes form 1's solve alone: its boundary forms are
-    # derived, with no facet enumeration and no intersection test.  Otherwise
-    # one intersection solve, then one per distinct (region, region) pair of
-    # the five forms: here both cones are solid, so four pairs.
-    count, facets, meets = [], [], []
+    # derived, with no facet enumeration and no intersection test.  Cones
+    # that meet beyond the origin add the intersection test (one solve) and
+    # derive the boundary forms as well.  Only a pair that form 1 does not
+    # separate, whose cones meet at the origin alone, builds the boundaries:
+    # the intersection test (one solve per pair of pieces), then one solve
+    # per distinct (region, region) pair of the five forms.  The union of
+    # rays is its own boundary, so that is form 1's pair alone; the half
+    # plane's boundary is a line, so (bd C, K) is the one more pair.
+    count, facets, meets, built = [], [], [], []
     solve = separation.body_distance
     real_facets = separation.geometry.facets
     real_meet = separation.cones_meet_only_at_origin
+    real_forms = separation.boundary_forms
 
     def counting(*args, **kwargs):
         count.append(1)
@@ -907,11 +938,20 @@ def test_boundary_report_solves_each_pair_once(C, K, separated, solves,
                         lambda *a, **k: facets.append(1) or real_facets(*a, **k))
     monkeypatch.setattr(separation, "cones_meet_only_at_origin",
                         lambda *a, **k: meets.append(1) or real_meet(*a, **k))
+    monkeypatch.setattr(separation, "boundary_forms",
+                        lambda *a, **k: built.append(1) or real_forms(*a, **k))
     report = boundary_equivalence_report(C, K)
     assert report.conditions == (separated,) * 5
-    assert report.meet_only_at_origin is separated
+    assert report.meet_only_at_origin is meet
     assert len(count) == solves
-    assert (len(facets) > 0, len(meets)) == ((False, 0) if separated else (True, 1))
+    assert len(meets) == (not separated)
+    full_path = meet and not separated
+    assert len(built) == full_path
+    # of these, only the half plane's boundary needs its facets
+    assert (len(facets) > 0) == (full_path and C is HALF_PLANE)
+    if not full_path:
+        assert set(report.lower_bounds.values()) == {report.lower_bounds["full"]}
+    assert (report.distances["boundary_boundary"] is None) == (not full_path)
 
 
 def test_boundary_report_inconclusive_form_1_is_solved_once(monkeypatch):
@@ -981,9 +1021,6 @@ def test_uncertified_zero_is_inconclusive(monkeypatch):
         basis.has_convex_base(line)
 
 
-NEG_ORTHANT = ConeRegion.piece(make_polycone([[-1.0, 0.0], [0.0, -1.0]]))
-
-
 def _solve_with_functional(monkeypatch, f):
     # the real ORTHANT / NEG_ORTHANT solve, a certified gap of 1/sqrt(2),
     # with its displacement replaced by f
@@ -993,12 +1030,18 @@ def _solve_with_functional(monkeypatch, f):
     return separate_nonsym(ORTHANT, NEG_ORTHANT)
 
 
-def _bidirectional_with_kfromc(monkeypatch, scale):
-    # both orientations certified, the K-from-C x* being scale times the
-    # C-from-K one: scale 1 cancels them, scale 2 leaves -x*, negative on C
-    cert = separation._separate_one_sided(ORTHANT, NEG_ORTHANT, DEFAULT_TOL, False)
-    monkeypatch.setattr(separation, "_separate_k_from_c", lambda *a, **k: dataclasses.replace(
-        cert, orientation=Orientation.K_FROM_C, x_star=scale * cert.x_star))
+def _bidirectional_with_near_point(monkeypatch, w):
+    # ORTHANT / NEG_ORTHANT: both orientations certify, and the union solve,
+    # the one run to the end, has its near point replaced by w
+    real = separation.body_distance
+
+    def solve(*args, until_decided=False, **kwargs):
+        res = real(*args, until_decided=until_decided, **kwargs)
+        if until_decided:
+            return res
+        return dataclasses.replace(res, witness_b=np.asarray(w, dtype=float))
+
+    monkeypatch.setattr(separation, "body_distance", solve)
     return separate_convex_bidirectional(ORTHANT, NEG_ORTHANT)
 
 
@@ -1009,10 +1052,9 @@ def _bidirectional_with_kfromc(monkeypatch, scale):
     # lo = 0 < hi = 1e-13, so alpha = hi / 2 is below DUAL_TOL
     ("threshold failed the augmented-dual interior check",
      lambda mp: _solve_with_functional(mp, [1.0, 1e-13])),
-    ("certificate functionals cancelled",
-     lambda mp: _bidirectional_with_kfromc(mp, 1.0)),
+    # a near point negative on C's generator (0, 1)
     ("linear functional failed the exact support check",
-     lambda mp: _bidirectional_with_kfromc(mp, 2.0)),
+     lambda mp: _bidirectional_with_near_point(mp, [1.0, -1.0])),
 ])
 def test_structural_inconclusive_is_not_a_dead_band(monkeypatch, message, reach):
     with pytest.raises(Inconclusive, match=f"^{re.escape(message)}$") as exc:
