@@ -200,11 +200,13 @@ def _evaluate(path: str, args) -> tuple[dict, int]:
             raise InstanceError(
                 "the distance engine supports only the euclidean norm"
             )
-        # a flag the subcommand lacks (only oracle has --resolution) is None
-        flags = {f.name: getattr(args, f.name, None) for f in fields(InstanceOptions)}
-        options = replace(inst.options,
-                          **{k: v for k, v in flags.items() if v is not None})
-        doc, code = _COMMANDS[args.command](replace(inst, options=options), args)
+        # a flag the subcommand lacks (only oracle has --resolution) is None;
+        # without one set, the options stand as parsing checked them
+        flags = {f.name: v for f in fields(InstanceOptions)
+                 if (v := getattr(args, f.name, None)) is not None}
+        if flags:
+            inst = replace(inst, options=replace(inst.options, **flags))
+        doc, code = _COMMANDS[args.command](inst, args)
     except Inconclusive as exc:
         doc, code = {"verdict": "inconclusive", "error": str(exc)}, EXIT_INCONCLUSIVE
     except InstanceError as exc:

@@ -38,6 +38,8 @@ TOL_POINT = 1e-9
 RANK_REL = 1e-10
 # Rays whose cosine reaches this collapse to a single generator.
 DEDUP_COS = 1.0 - 1e-12
+# Norms within this of 1 count as unit: such rays stay untouched.
+_UNIT_SLACK = 8 * np.finfo(float).eps
 # Facet normals whose cosine reaches this collapse to the first one.
 FACET_DEDUP_COS = 1.0 - 1e-9
 # Default membership tolerance (distance of x to the cone).
@@ -134,22 +136,26 @@ class BoundaryDecomposition:
 def make_polycone(generators) -> PolyCone:
     """Build a cone from generator rays (one vector per row or sequence item).
 
-    Rays are normalized and near-duplicates collapsed.
+    Rays are normalized and near-duplicates collapsed.  The norms are
+    ``np.linalg.norm(G, axis=1)``'s own operations on a real array, so
+    they carry its bits.
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
         G = G[None, :]
     if G.ndim != 2 or G.size == 0:
         raise EmptyCone("a cone needs at least one generator ray")
-    norms = np.linalg.norm(G, axis=1)
-    if np.any(norms <= 1e-300) or not np.all(np.isfinite(G)):
+    norms = np.sqrt(np.add.reduce(G * G, axis=1))
+    if (norms <= 1e-300).any() or not np.isfinite(G).all():
         raise ZeroGenerator("generator rays must be nonzero finite vectors")
     # vectors already unit to machine precision stay untouched, so that
     # serialized cones re-parse to the same bits (renormalizing can flip
     # the last ulp back and forth)
-    scale = np.where(np.abs(norms - 1.0) <= 8 * np.finfo(float).eps, 1.0, norms)
+    scale = np.where(np.abs(norms - 1.0) <= _UNIT_SLACK, 1.0, norms)
     U = G / scale[:, None]
-    cols = np.ascontiguousarray(_first_distinct(U, DEDUP_COS).T)
+    if len(U) > 1:
+        U = _first_distinct(U, DEDUP_COS)
+    cols = np.ascontiguousarray(U.T)
     cols.setflags(write=False)
     return PolyCone(cols)
 
@@ -222,6 +228,19 @@ def pointedness(cone: PolyCone) -> PointednessResult:
     return out
 
 
+def generator_mean(cone: PolyCone) -> np.ndarray:
+    """The mean of the cone's generator columns, computed once and cached
+    read-only: add.reduce over the columns divided by their count, the
+    operations of ``generators.mean(axis=1)``, so the same bits."""
+    m = cone._cache.get("mean")
+    if m is None:
+        G = cone.generators
+        m = np.add.reduce(G, axis=1) / G.shape[1]
+        m.setflags(write=False)
+        cone._cache["mean"] = m
+    return m
+
+
 def is_whole_space(cone: PolyCone) -> bool:
     """True iff the cone is solid and every +-e_i is a member (within
     MEMBERSHIP_TOL, through NNLS).
@@ -237,7 +256,7 @@ def is_whole_space(cone: PolyCone) -> bool:
     v = cone._cache.get("whole")
     if v is None:
         G = cone.generators
-        in_half_space = float((G.mean(axis=1) @ G).min()) > 0.0
+        in_half_space = float((generator_mean(cone) @ G).min()) > 0.0
         v = not in_half_space and solidity(cone) and all(
             cone_membership(sgn * e, cone)
             for e in np.eye(cone.dim)

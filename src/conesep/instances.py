@@ -203,7 +203,10 @@ def jsonable(value):
     """Recursively convert records, enums and numpy values so json.dumps
     renders them with shortest round-trip precision: a dataclass becomes
     the mapping of its fields, an enum its value, and a bool stays a bool
-    (tested before int, which it subclasses)."""
+    (tested before int, which it subclasses).  A plain float, int or str,
+    by exact type, and None come back at once: most leaves are one."""
+    if type(value) in (float, int, str) or value is None:
+        return value
     if is_dataclass(value):
         return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Enum):

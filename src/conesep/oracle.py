@@ -8,6 +8,7 @@ produce results.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,13 +73,19 @@ def _dedupe_rows(X: np.ndarray) -> np.ndarray:
     return X[np.sort(idx)]
 
 
+@functools.lru_cache(maxsize=256)
 def _thin_indices(n: int, count: int) -> np.ndarray:
     """The distinct indices of ``count`` evenly spaced points in range(n),
     ascending.  The rounded linspace never decreases, so one mask that
     drops each index equal to the one before it keeps the same indices as
-    ``np.unique`` would, without its sort."""
+    ``np.unique`` would, without its sort.  They depend on (n, count)
+    alone, and n is count plus a few generators, so a run computes them
+    once per key; the cached array is read-only, since every caller shares
+    it."""
     idx = np.linspace(0, n - 1, count).round().astype(int)
-    return idx[np.diff(idx, prepend=-1) != 0]
+    idx = idx[np.diff(idx, prepend=-1) != 0]
+    idx.setflags(write=False)
+    return idx
 
 
 def sphere_grid(dim: int, resolution: float | None = None, count: int | None = None,
@@ -137,16 +144,43 @@ def _leaf_cloud(leaf, resolution: float, rng) -> np.ndarray:
 def _piece_count_cloud(cone: PolyCone, per: int, rng: np.random.Generator) -> np.ndarray:
     """Random base points of one piece: normalized convex combinations of
     the generators (every base point is one), plus the generators.  They
-    lie in the cone by construction, so no membership test filters them."""
+    lie in the cone by construction, so no membership test filters them.
+    The norms are sqrt(add.reduce(pts * pts)), the operations of
+    ``np.linalg.norm(pts, axis=1)`` on a real array, so the same bits.
+    Combinations with norm at or below 1e-9 (g and -g of a line nearly
+    cancelling) are dropped; when there are none, dividing every row gives
+    the masked division's bits without the mask."""
     gens = cone.generators.T
     if len(gens) == 1:
         return gens.copy()
     W = rng.dirichlet(np.ones(len(gens)), size=per)
     pts = W @ gens
-    nn = np.linalg.norm(pts, axis=1)
-    keep = nn > 1e-9
-    pts = pts[keep] / nn[keep, None]
+    nn = np.sqrt(np.add.reduce(pts * pts, axis=1))
+    if nn.min() > 1e-9:
+        pts /= nn[:, None]
+    else:
+        keep = nn > 1e-9
+        pts = pts[keep] / nn[keep, None]
     return np.concatenate([pts, gens], axis=0)
+
+
+def _rank_at_most_one(region: ConeRegion) -> bool:
+    """Whether every piece spans at most a line (a leaf without pieces has
+    rank dim), stopping at the first that does not.  A piece settles
+    without an SVD where its rays prove the answer: one ray has rank 1, and
+    two unit rays with |g0 . g1| <= 1 - 1e-6 have second singular value
+    sqrt(1 - |g0 . g1|) >= 1e-3, which bounds the piece's from below while
+    its largest is at most sqrt(n), so the ratio clears RANK_REL for any n
+    below 1e14.  Every other piece takes ``_span_basis``."""
+    for leaf in region.leaves:
+        if not leaf.pieces and leaf.dim > 1:
+            return False
+        for p in leaf.pieces:
+            G = p.generators
+            if G.shape[1] > 1 and (abs(float(G[:, 0] @ G[:, 1])) <= 1.0 - 1e-6
+                                   or geometry._span_basis(p).shape[1] > 1):
+                return False
+    return True
 
 
 def _membership_count_cloud(leaf, per: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,7 +224,7 @@ def sample_norm_base(region: ConeRegion, resolution: float | None = None,
         pts = _dedupe_rows(pts)
         return SampleCloud(points=pts, resolution=resolution, count=len(pts))
 
-    if max(leaf.rank() for leaf in region.leaves) <= 1:
+    if _rank_at_most_one(region):
         pts = _dedupe_rows(
             np.concatenate([_leaf_cloud(leaf, 1.0, rng) for leaf in region.leaves], axis=0)
         )

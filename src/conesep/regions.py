@@ -50,13 +50,6 @@ class _Leaf:
     def dim(self) -> int:
         return self.cone.dim
 
-    def rank(self) -> int:
-        """Largest span dimension of a piece; the ambient dimension for a
-        leaf without pieces."""
-        return max(
-            (geometry._span_basis(p).shape[1] for p in self.pieces), default=self.dim
-        )
-
 
 class _PieceLeaf(_Leaf):
     __slots__ = ()
@@ -75,7 +68,7 @@ class _PieceLeaf(_Leaf):
         return self.cone.generators.T
 
     def centroid(self) -> np.ndarray:
-        return self.cone.generators.mean(axis=1)
+        return geometry.generator_mean(self.cone)
 
 
 class _BoundaryLeaf(_Leaf):
@@ -187,7 +180,7 @@ class _ComplementLeaf(_Leaf):
         return np.concatenate(pts, axis=0)
 
     def centroid(self) -> np.ndarray:
-        return -self.cone.generators.mean(axis=1)
+        return -geometry.generator_mean(self.cone)
 
 
 class ConeRegion:
@@ -278,12 +271,17 @@ class ConeRegion:
         return np.concatenate([leaf.anchor_points() for leaf in self.leaves], axis=0)
 
     def centroid(self) -> np.ndarray:
-        """Mean of the leaf centroids, computed once; the array is read-only."""
+        """Mean of the leaf centroids, computed once; the array is read-only.
+        One leaf's centroid is copied as it is: the mean of one item is
+        that item, bit for bit."""
         c = self._centroid
         if c is None:
-            c = self._centroid = np.mean([leaf.centroid() for leaf in self.leaves],
-                                         axis=0)
+            if len(self.leaves) == 1:
+                c = self.leaves[0].centroid().copy()
+            else:
+                c = np.mean([leaf.centroid() for leaf in self.leaves], axis=0)
             c.setflags(write=False)
+            self._centroid = c
         return c
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import geometry
 from .distance import (
     DEFAULT_TOL,
+    POSITIVE,
     DistanceResult,
     PolytopeBody,
     body_distance,
@@ -363,9 +364,11 @@ def separate_convex_bidirectional(C: ConeRegion, K: ConeRegion,
     needs no structural guard: a point p = lam c - (1 - lam) k of the hull
     |p| >= delta_1 / 2 if lam >= 1/2 and |p| >= delta_2 / 2 otherwise, so
     with both one-sided gaps certified the union distance exceeds 5 tol.
-    It may land in the dead band, never on a certified zero.  v is checked
-    exactly, by its infimum over C's base hull and its supremum over K's,
-    a check that cannot fail with exact LMOs.
+    The separator's existence is then decided, wherever that distance
+    lies, dead band included: a solve certified positive gives v, and only
+    one that ends uncertified raises Inconclusive.  v is checked exactly,
+    by its infimum over C's base hull and its supremum over K's, a check
+    that cannot fail with exact LMOs.
     """
     if not (C.is_single_piece and K.is_single_piece):
         raise NotConvex("bidirectional separation needs single convex pieces")
@@ -376,12 +379,16 @@ def separate_convex_bidirectional(C: ConeRegion, K: ConeRegion,
         union = PolytopeBody(np.concatenate([C.single_cone().generators,
                                              -K.single_cone().generators], axis=1).T)
         res = body_distance(origin_body(C.dim), union, tol=tol)
-        if decide_gap(res, "linear separator distance", tol):
-            v = res.witness_b / np.linalg.norm(res.witness_b)
-            if not -K.lmo(-v).value < 0.0 < C.lmo(v).value:
-                raise Inconclusive("linear functional failed the exact support check")
-            v.setflags(write=False)
-            linear = v
+        if not (res.kind == POSITIVE and res.certified):
+            raise Inconclusive(
+                f"linear separator distance was not certified positive ({res.stop}); it "
+                f"lies in [{res.lower_bound:.3e}, {res.distance:.3e}]"
+            )
+        v = res.witness_b / np.linalg.norm(res.witness_b)
+        if not -K.lmo(-v).value < 0.0 < C.lmo(v).value:
+            raise Inconclusive("linear functional failed the exact support check")
+        v.setflags(write=False)
+        linear = v
     return BidirectionalResult(cfromk=cfromk, kfromc=kfromc, linear=linear)
 
 

@@ -105,7 +105,7 @@ def _solid_sector_interval(cone) -> tuple[float, float]:
                 ends.append(_angle(g))
     if len(ends) != 2:
         raise DimensionNot2D("sector rendering expects two boundary directions")
-    inside = cone.generators.mean(axis=1)
+    inside = geometry.generator_mean(cone)
     if float(np.linalg.norm(inside)) < 1e-12:
         inside = cone.generators[:, 0]
     ac = _angle(inside)

@@ -32,6 +32,7 @@ from conesep.geometry import (
     dual_norm,
     facet_normals,
     facets,
+    generator_mean,
     is_whole_space,
     make_polycone,
     norm_value,
@@ -600,3 +601,45 @@ def test_chamfered_pyramid_corner_is_outside():
         True, True, False]
     # the free minimizer y lies outside K, so it is the complement's answer
     assert complement.lmo(-y).value == -1.0
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_generator_mean_is_numpys_mean_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for dim in range(1, 7):
+        for n in (1, 2, 3, 7, 16, 40):
+            cone = make_polycone(rng.standard_normal((n, dim)))
+            m = generator_mean(cone)
+            assert _same_bits(m, cone.generators.mean(axis=1)), (dim, n)
+            assert not m.flags.writeable
+            assert generator_mean(cone) is m
+
+
+def _make_polycone_reference(generators):
+    # make_polycone's arithmetic spelled with np.linalg.norm and the dedupe
+    # run on every ray count, one ray included
+    G = np.asarray(generators, dtype=float)
+    G = G[None, :] if G.ndim == 1 else G
+    norms = np.linalg.norm(G, axis=1)
+    scale = np.where(np.abs(norms - 1.0) <= 8 * np.finfo(float).eps, 1.0, norms)
+    return np.ascontiguousarray(_first_distinct(G / scale[:, None], DEDUP_COS).T)
+
+
+def test_make_polycone_matches_its_reference_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for dim in range(1, 7):
+        for n in (1, 2, 5, 30):
+            G = rng.standard_normal((n, dim)) * rng.uniform(1e-3, 1e3, (n, 1))
+            unit = G / np.linalg.norm(G, axis=1)[:, None]
+            for rays in (G, unit, np.concatenate([unit, unit[:1] * 3.0])):
+                cone = make_polycone(rays)
+                assert _same_bits(cone.generators, _make_polycone_reference(rays))
+                assert cone.generators.flags.c_contiguous
+                assert not cone.generators.flags.writeable
+    assert _same_bits(make_polycone([3.0, 4.0]).generators, np.array([[0.6], [0.8]]))
+    for bad in ([[np.inf, 0.0]], [[np.nan, 1.0]], [[1.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(ZeroGenerator):
+            make_polycone(bad)

@@ -1,4 +1,6 @@
 import json
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from conesep.geometry import Norm
 from conesep.instances import (
     certificate_to_doc,
     doc_to_certificate,
+    jsonable,
     load_certificate,
     load_instance,
     parse_instance,
@@ -226,3 +229,47 @@ def test_load_certificate_malformed(tmp_path):
     p.write_text("{nope}")
     with pytest.raises(InstanceError, match="line 1 column 2"):
         load_certificate(str(p))
+
+
+class _Colour(Enum):
+    RED = "red"
+
+
+@dataclass(frozen=True)
+class _Inner:
+    flag: np.bool_
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    tags: frozenset
+    colour: _Colour
+    missing: None
+    pairs: tuple
+
+
+def test_jsonable_converts_each_kind():
+    cases = [
+        (True, True, bool), (False, False, bool),
+        (np.bool_(True), True, bool),
+        (np.float64(0.1), 0.1, float), (np.float32(0.5), 0.5, float),
+        (np.int64(-7), -7, int), (1.5, 1.5, float), (3, 3, int),
+        ("x", "x", str), (None, None, type(None)), (_Colour.RED, "red", str),
+        (frozenset({"b", "a"}), ["a", "b"], list),
+    ]
+    for value, want, kind in cases:
+        got = jsonable(value)
+        assert type(got) is kind and got == want, value
+    doc = jsonable(_Outer(
+        inner=_Inner(np.bool_(False), np.array([1.0, -0.0])),
+        tags=frozenset({"z", "y"}), colour=_Colour.RED, missing=None,
+        pairs=(np.int64(2), [np.float64(2.5), "s"]),
+    ))
+    assert doc == {"inner": {"flag": False, "values": [1.0, -0.0]},
+                   "tags": ["y", "z"], "colour": "red", "missing": None,
+                   "pairs": [2, [2.5, "s"]]}
+    assert type(doc["inner"]["flag"]) is bool
+    assert [type(v) for v in doc["pairs"]] == [int, list]
+    assert json.dumps(doc, sort_keys=True) == json.dumps(jsonable(doc), sort_keys=True)

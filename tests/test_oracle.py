@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conesep.basis import interpolate, verify_interpolation
 from conesep.errors import DimensionMismatch
-from conesep.geometry import cone_membership_batch, make_polycone
+from conesep.geometry import _span_basis, cone_membership_batch, make_polycone
 from conesep.oracle import (
     _dedupe_rows,
     _piece_count_cloud,
+    _rank_at_most_one,
     _thin_indices,
     cone_about,
     covering_bound,
@@ -162,6 +165,111 @@ def test_thinning_keeps_the_indices_of_np_unique():
         for n in (count + 1, 2 * count + 1, top):
             ref = np.unique(np.linspace(0, n - 1, count).round().astype(int))
             assert _same_bits(_thin_indices(n, count), ref), (count, n)
+
+
+def test_thin_indices_are_cached_read_only():
+    idx = _thin_indices(1003, 1000)
+    assert not idx.flags.writeable
+    assert _thin_indices(1003, 1000) is idx
+    with pytest.raises(ValueError):
+        idx[0] = 1
+
+
+def _masked_count_cloud(cone, per, rng):
+    # _piece_count_cloud with the mask on every call: the reference for its
+    # unmasked division
+    gens = cone.generators.T
+    if len(gens) == 1:
+        return gens.copy()
+    pts = rng.dirichlet(np.ones(len(gens)), size=per) @ gens
+    nn = np.linalg.norm(pts, axis=1)
+    keep = nn > 1e-9
+    return np.concatenate([pts[keep] / nn[keep, None], gens], axis=0)
+
+
+def test_piece_count_cloud_matches_the_masked_division_bit_for_bit():
+    rng = np.random.default_rng(53)
+    for dim in (2, 3, 4, 6):
+        for n_rays in (1, 2, 3, 8):
+            cone = random_pointed_cone(rng, dim, n_rays=n_rays)
+            seed = int(rng.integers(2**32))
+            ours = _piece_count_cloud(cone, 300, np.random.default_rng(seed))
+            ref = _masked_count_cloud(cone, 300, np.random.default_rng(seed))
+            assert _same_bits(ours, ref), (dim, n_rays)
+
+
+class _FixedWeights:
+    """A generator stand-in whose dirichlet draws are given rows."""
+
+    def __init__(self, W):
+        self.W = np.asarray(W, dtype=float)
+
+    def dirichlet(self, alpha, size):
+        return self.W[:size]
+
+
+def test_piece_count_cloud_drops_cancelled_combinations_of_a_line():
+    g = np.array([0.6, 0.8])
+    line = make_polycone([g, -g])
+    W = [[0.5, 0.5], [0.75, 0.25], [0.5 + 1e-12, 0.5 - 1e-12], [0.1, 0.9]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pts = _piece_count_cloud(line, 4, _FixedWeights(W))
+        ref = _masked_count_cloud(line, 4, _FixedWeights(W))
+    assert _same_bits(pts, ref)
+    # the two near-zero combinations are gone; the others are unit
+    assert len(pts) == 2 + 2
+    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
+
+
+def _old_rank_rule(region):
+    # sample_norm_base's rank test as it was: every piece's span dimension
+    # from the SVD, the ambient dimension for a leaf without pieces
+    return max(max((_span_basis(p).shape[1] for p in leaf.pieces), default=leaf.dim)
+               for leaf in region.leaves) <= 1
+
+
+def _rotate(v, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1], *v[2:]])
+
+
+def test_rank_shortcut_matches_the_span_basis():
+    rng = np.random.default_rng(59)
+    pieces = []
+    for dim in (1, 2, 3, 4, 6):
+        for n in (1, 2, 3, 5):
+            pieces.append(rng.standard_normal((n, dim)))
+    for angle in np.logspace(-12, -1, 34):
+        for dim in (2, 3, 5):
+            g = np.zeros(dim)
+            g[0] = 1.0
+            # two rays angle off antipodal, and two angle apart
+            pieces.append([g, -_rotate(g, angle)])
+            pieces.append([g, _rotate(g, max(angle, 2e-6))])
+        if angle <= 1e-3:
+            # three rays within 1e-3 rad of one another take the SVD
+            g = np.array([1.0, 0.0, 0.0])
+            pieces.append([g, _rotate(g, angle), [np.cos(angle), 0.0, np.sin(angle)]])
+    pieces.append([[1.0, 0.0], [-1.0, 0.0]])  # a 2-D line
+    shortcuts = svds = 0
+    for rays in pieces:
+        cone = make_polycone(rays)
+        assert _rank_at_most_one(ConeRegion.piece(cone)) == _old_rank_rule(
+            ConeRegion.piece(make_polycone(rays))), rays
+        # no SVD where one ray, or the first two, settle the rank
+        G = cone.generators
+        settled = G.shape[1] == 1 or abs(G[:, 0] @ G[:, 1]) <= 1.0 - 1e-6
+        assert ("span" in cone._cache) != settled, rays
+        shortcuts += bool(settled) and G.shape[1] > 1
+        svds += not settled
+    assert shortcuts >= 40 and svds >= 40, (shortcuts, svds)
+    # leaves without pieces: the complement of a ray has rank 1 in R^1
+    for rays in ([[1.0]], [[1.0, 0.0], [0.0, 1.0]]):
+        region = ConeRegion.complement(make_polycone(rays))
+        assert _rank_at_most_one(region) == _old_rank_rule(region)
+    union = random_region(rng, 3)
+    assert _rank_at_most_one(union) == _old_rank_rule(union)
 
 
 def test_sampler_rejects_bad_count_and_resolution():

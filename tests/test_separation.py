@@ -246,6 +246,36 @@ def test_bidirectional_half_plane_one_sided():
     assert res.linear is None
 
 
+def test_bidirectional_decides_a_union_distance_in_the_dead_band():
+    # two rays 1.5e-8 rad apart: both one-sided gaps are certified past
+    # DEAD_BAND * tol, and the union solve's distance lies in the dead band
+    C = ray_region([1.0, 0.0])
+    K = ray_region([math.cos(1.5e-8), math.sin(1.5e-8)])
+    union = distance.PolytopeBody(np.concatenate(
+        [C.single_cone().generators, -K.single_cone().generators], axis=1).T)
+    res = body_distance(distance.origin_body(2), union)
+    assert res.certified and DEFAULT_TOL < res.distance <= DEAD_BAND * DEFAULT_TOL
+    out = separate_convex_bidirectional(C, K)
+    assert out.cfromk is not None and out.kfromc is not None
+    v = out.linear
+    assert v is not None
+    assert -K.lmo(-v).value < 0.0 < C.lmo(v).value
+
+
+def test_bidirectional_uncertified_union_solve_is_structural(monkeypatch):
+    real = separation.body_distance
+
+    def solve(*args, until_decided=False, **kwargs):
+        res = real(*args, until_decided=until_decided, **kwargs)
+        return res if until_decided else dataclasses.replace(res, certified=False)
+
+    monkeypatch.setattr(separation, "body_distance", solve)
+    with pytest.raises(Inconclusive, match="^linear separator distance was not "
+                       "certified positive") as exc:
+        separate_convex_bidirectional(ORTHANT, ray_region([-1.0, -1.0]))
+    assert exc.value.dead_band is False
+
+
 def test_bidirectional_requires_convex_inputs():
     with pytest.raises(NotConvex):
         separate_convex_bidirectional(LINE_PAIR, ORTHANT)
