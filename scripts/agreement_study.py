@@ -17,6 +17,11 @@ how often the independent routes agree:
   * the certified bracket DEAD_BAND * tol < hi - lo <= distance of every
     certificate drawn: its threshold interval's width is a lower bound on
     the hull distance, its witnesses' gap an upper bound,
+  * every certificate's threshold interval, which separate_nonsym reads
+    from its deciding bracket, against the LMOs re-evaluated at its x*:
+    lo = max(0, sup of x* over the excluded base) and hi = min of x* over
+    the enclosed base; and is_well_based's alpha against the minimum of its
+    x* over the base, backed off by ALPHA_BACKOFF,
   * the bracket [lower_bounds, distances] of each of the five boundary
     forms, whose solves stop once decided, against the distance of the
     same pair solved to the end; a derived form has no distance, so only
@@ -43,7 +48,7 @@ import time
 
 import numpy as np
 
-from conesep.basis import has_convex_base, is_well_based
+from conesep.basis import ALPHA_BACKOFF, has_convex_base, is_well_based
 from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance, decide_gap
 from conesep.errors import Inconclusive
 from conesep.geometry import is_whole_space, pointedness
@@ -53,8 +58,9 @@ from conesep.oracle import (
     random_unpointed_cone,
     sample_norm_base,
 )
-from conesep.regions import ConeRegion, body
+from conesep.regions import ConeRegion, body, lmo_norm_base, support_norm_base
 from conesep.separation import (
+    Orientation,
     boundary_equivalence_report,
     boundary_forms,
     cones_meet_only_at_origin,
@@ -78,25 +84,35 @@ def bracketed(cert) -> bool:
     return DEAD_BAND * DEFAULT_TOL < hi - lo <= cert.distance + ROUNDING
 
 
+def reread(cert, C, K) -> bool:
+    """Whether cert's threshold interval is the LMOs re-evaluated at its x*."""
+    enclosed, excluded = (C, K) if cert.orientation is Orientation.C_FROM_K else (K, C)
+    lo, hi = cert.alpha_interval
+    return (abs(lo - max(0.0, support_norm_base(excluded, cert.x_star).value)) <= ROUNDING
+            and abs(hi - lmo_norm_base(enclosed, cert.x_star).value) <= ROUNDING)
+
+
 def base_check(C, rng):
-    """Whether the base verdicts for C agree, and, when C has a convex
-    base, whether its x* and base vertices check out (else None)."""
+    """Whether the base verdicts for C agree, and, when C is well-based,
+    whether its alpha is the backed-off minimum of its x* over the base
+    and whether its x* and base vertices check out (else None, None)."""
     wb = is_well_based(C)
     cb = has_convex_base(C, well_based=wb)
     verdicts = {wb.well_based, cb.has_base}
     if C.is_single_piece:
         verdicts.add(pointedness(C.single_cone()).pointed)
     if not cb.has_base:
-        return len(verdicts) == 1, None
+        return len(verdicts) == 1, None, None
+    alpha = (1.0 - ALPHA_BACKOFF) * lmo_norm_base(C, wb.x_star).value
     pts = sample_norm_base(C, count=1000, rng=rng).points
     sound = ((pts @ cb.x_star > 0.0).all()
              and np.abs(cb.base_vertices @ cb.x_star - 1.0).max() <= VERTEX_TOL)
-    return len(verdicts) == 1, bool(sound)
+    return len(verdicts) == 1, abs(wb.alpha - alpha) <= ROUNDING, bool(sound)
 
 
 def existence_study(dims, per_dim, margin, rng):
     total = agree = verified = certs = skipped = uncertified = 0
-    brackets = bracket_ok = 0
+    brackets = bracket_ok = rereads = reread_ok = 0
     sym_total = sym_agree = sym_plain_ok = sym_inconclusive = 0
     bases = base_agree = base_inconclusive = convex = convex_ok = 0
     vrng = np.random.default_rng(rng.integers(2**32))
@@ -106,7 +122,7 @@ def existence_study(dims, per_dim, margin, rng):
             C = random_region(rng, dim)
             K = random_region(rng, dim)
             try:
-                verdicts_agree, sound = base_check(C, vrng)
+                verdicts_agree, alpha_ok, sound = base_check(C, vrng)
             except Inconclusive:
                 base_inconclusive += 1
             else:
@@ -115,6 +131,8 @@ def existence_study(dims, per_dim, margin, rng):
                 if sound is not None:
                     convex += 1
                     convex_ok += sound
+                    rereads += 1
+                    reread_ok += alpha_ok
             res = body_distance(body(C, False), body(K, True))
             if not res.certified:
                 # no reference verdict to compare against
@@ -135,6 +153,8 @@ def existence_study(dims, per_dim, margin, rng):
                     verified += 1
                 brackets += 1
                 bracket_ok += bracketed(cert)
+                rereads += 1
+                reread_ok += reread(cert, C, K)
             try:
                 kc = separate_nonsym(K, C)
                 sym = separate_sym(C, K)
@@ -144,6 +164,10 @@ def existence_study(dims, per_dim, margin, rng):
             drawn = [c for c in (kc, sym) if c is not None]
             brackets += len(drawn)
             bracket_ok += sum(map(bracketed, drawn))
+            rereads += len(drawn)
+            # kc's orientation reads C_FROM_K, for the pair (K, C)
+            reread_ok += sum(reread(c, *pair) for c, pair in ((kc, (K, C)), (sym, (C, K)))
+                             if c is not None)
             sym_total += 1
             if (sym is not None) == ((cert is not None) or (kc is not None)):
                 sym_agree += 1
@@ -160,6 +184,8 @@ def existence_study(dims, per_dim, margin, rng):
         "verified": verified,
         "brackets": brackets,
         "bracket_ok": bracket_ok,
+        "rereads": rereads,
+        "reread_ok": reread_ok,
         "sym_pairs": sym_total,
         "sym_agree": sym_agree,
         "sym_plain_ok": sym_plain_ok,
@@ -285,6 +311,8 @@ def main() -> int:
           f"{ex['verified']}/{ex['certificates']}")
     print(f"  DEAD_BAND * tol < hi - lo <= distance + {ROUNDING:g}: "
           f"{ex['bracket_ok']}/{ex['brackets']} certificates")
+    print(f"  threshold interval (and well-based alpha) = LMOs re-evaluated at x* "
+          f"(+- {ROUNDING:g}): {ex['reread_ok']}/{ex['rereads']}")
     print(f"  sym = OR of one-sided: {ex['sym_agree']}/{ex['sym_pairs']} "
           f"({ex['sym_inconclusive']} Inconclusive, not counted)")
     print(f"  sym = plain-body distance (<= 2 tol when None, >= hi - lo "
@@ -312,6 +340,7 @@ def main() -> int:
     short = (ex["existence_agree"] < ex["pairs"]
              or ex["verified"] < ex["certificates"]
              or ex["bracket_ok"] < ex["brackets"]
+             or ex["reread_ok"] < ex["rereads"]
              or ex["sym_agree"] < ex["sym_pairs"]
              or ex["sym_plain_ok"] < ex["sym_pairs"]
              or ex["base_agree"] < ex["bases"]

@@ -97,10 +97,10 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
 
     The question is the distance from the origin to the hull of the base,
     and the solve stops at the first bracket that decides it.  A positive
-    gap yields the functional x* (the unit direction of the near point at
-    that bracket, not the max-margin one) and threshold alpha, the exact
-    minimum of x* over the base, backed off by ALPHA_BACKOFF; a certified
-    zero yields the vanishing hull combination.
+    gap yields, read from that bracket with no further LMO call, the
+    functional x* = -v/|v| for the iterate v (not the max-margin one) and
+    threshold alpha, the exact minimum of x* over the base, backed off by
+    ALPHA_BACKOFF; a certified zero yields the vanishing hull combination.
     """
     _check_nontrivial(region)
     res = body_distance(origin_body(region.dim), body(region, False), tol=tol,
@@ -112,9 +112,10 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
             witness_weights=res.weights,
             witness_pair=_maybe_pair(region, res.support_b, res.weights),
         )
-    x_star = res.witness_b / np.linalg.norm(res.witness_b)
+    nv = float(np.linalg.norm(res.functional))
+    x_star = -res.functional / nv
     x_star.setflags(write=False)
-    alpha = region.lmo(x_star).value * (1.0 - ALPHA_BACKOFF)
+    alpha = res.lmo_values[1] / nv * (1.0 - ALPHA_BACKOFF)
     base_vertices = None
     if region.is_single_piece:
         base_vertices = make_base(region.single_cone(), x_star)

@@ -5,8 +5,8 @@ LMOs as its vertex oracle, as GJK does for convex bodies: each iteration
 adds the support point of A - B against the iterate to a persistent
 corral, and Wolfe's minor cycles (``kernels.corral_step``) move the
 iterate to the min-norm point of the corral's hull.  Positive outcomes
-carry the separating functional a - b; zero outcomes carry the common
-point and the convex combination that realizes it.
+carry the deciding iterate and the LMO values at it; zero outcomes carry
+the common point and the convex combination that realizes it.
 """
 from __future__ import annotations
 
@@ -38,7 +38,10 @@ class DistanceResult:
     kind: str
     witness_a: np.ndarray
     witness_b: np.ndarray
+    # the last bracket's iterate v (None for a zero outcome) and its LMO values, whose
+    # sum over |v| is the bracket's lower bound (None at "certified_zero" and "max_iter")
     functional: np.ndarray | None
+    lmo_values: tuple[float, float] | None
     gap: float
     lower_bound: float
     iterations: int
@@ -46,9 +49,9 @@ class DistanceResult:
     support_a: np.ndarray
     support_b: np.ndarray
     weights: np.ndarray
-    # why the solve ended: "certified_zero", "certified_gap", "decided"
-    # (the lower bound cleared DEAD_BAND * tol in a solve run until
-    # decided), "stalled", "repeat_point" or "max_iter"
+    # why the solve ended: "certified_zero", "certified_gap", "decided" (the
+    # lower bound cleared DEAD_BAND * tol in a solve run until decided),
+    # "inconsistent" (LMO values above |v|^2), "stalled", "repeat_point" or "max_iter"
     stop: str
 
 
@@ -77,10 +80,10 @@ def decide_gap(res: DistanceResult, what: str, tol: float) -> bool:
 
 
 def _support_difference(A, B, v: np.ndarray):
-    """Support point of A - B against direction v: min over the difference."""
+    """Support point of A - B against v, and the minima of v over A and -v over B."""
     ra = A.lmo(v)
     rb = B.lmo(-v)
-    return ra.value + rb.value, ra.witness, rb.witness
+    return (ra.value, rb.value), ra.witness, rb.witness
 
 
 def body_distance(A, B, tol: float = DEFAULT_TOL,
@@ -121,6 +124,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
     w = np.array([1.0])
 
     lower = 0.0
+    lmo_values = None
     gap = float("inf")
     best_gap = float("inf")
     stalled = 0
@@ -135,12 +139,16 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
             stop = "certified_zero"
             gap = 0.0
             break
-        sval, wa, wb = _support_difference(A, B, v)
+        lmo_values, wa, wb = _support_difference(A, B, v)
+        sval = lmo_values[0] + lmo_values[1]
         nv = math.sqrt(nv2)
-        if sval > 0.0:
-            lower = max(lower, sval / nv)
         gap = nv2 - sval
         done = max(tol * nv, tol2, GAP_REL_FLOOR * nv2)
+        if gap < -done:  # v is in A - B, so the exact minimum is at most |v|^2
+            stop = "inconsistent"
+            break
+        if sval > 0.0:
+            lower = max(lower, sval / nv)
         if gap <= done:
             certified = True
             stop = "certified_gap"
@@ -189,8 +197,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
     Pa, Pb = Pa[:k], Pb[:k]
     a = w @ Pa
     b = w @ Pb
-    v = a - b
-    dist = math.sqrt(float(v @ v))
+    dist = math.sqrt(float((a - b) @ (a - b)))
     kind = ZERO if dist <= tol else POSITIVE
     return DistanceResult(
         distance=dist,
@@ -198,6 +205,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
         witness_a=a,
         witness_b=b,
         functional=v.copy() if kind == POSITIVE else None,
+        lmo_values=None if stop in ("certified_zero", "max_iter") else lmo_values,
         gap=max(gap, 0.0) if np.isfinite(gap) else 0.0,
         lower_bound=lower,
         iterations=it,

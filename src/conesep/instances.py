@@ -142,7 +142,7 @@ def parse_instance(text: str) -> Instance:
     if "dim" not in doc or "cones" not in doc:
         raise InstanceError("instance needs 'dim' and 'cones'")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise InstanceError("'dim' must be a positive integer")
     norm_name = doc.get("norm", "euclidean")
     try:

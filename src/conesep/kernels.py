@@ -82,7 +82,7 @@ def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
     with ``np.linalg.lstsq``.
     The KKT slack, and the KKT residual reported, are relative to the
     terms that form the dual vector w = G.T @ y - G.T @ (G @ lam): the
-    scale is max(1, |G.T @ y|, max_j |g_j| * sum_i lam_i |g_i|), so
+    scale is max(|y|, |G.T @ y|, max_j |g_j| * sum_i lam_i |g_i|), so
     ``certified`` means the stationarity and complementarity conditions
     hold to roughly machine precision.  On a point deep in the cone, with
     coefficients far larger than |G.T @ y|, w's rounding error outgrows a
@@ -99,7 +99,7 @@ def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
     scale_y = float(np.abs(w).max(initial=0.0))
     if not scale_y < np.inf:
         raise ZeroDirection("nnls needs a finite target")
-    scale_y = max(1.0, scale_y)
+    scale_y = max(math.sqrt(float(y @ y)), scale_y) or 1.0  # y = 0: lam = 0 at any slack
     # gmax * (lam @ gnorm) bounds every term of G.T @ (G @ lam)
     gnorm = np.sqrt(np.einsum("ij,ij->j", G, G))
     gmax = float(gnorm.max(initial=0.0))

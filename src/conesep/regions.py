@@ -295,7 +295,7 @@ def _lmo_piece(cone: PolyCone, f: np.ndarray) -> LmoResult:
 
     The projection is Lawson-Hanson NNLS of -f on the generators, whose
     dual vector at its start, lambda = 0, is G.T @ -f = -(f @ G), bit for
-    bit.  When no generator scores below -KKT_TOL * max(1, max |f @ G|),
+    bit.  When no generator scores below -KKT_TOL * max(|f|, max |f @ G|),
     NNLS would return lambda = 0 and p = 0, so f is taken to be in the dual
     cone with no solve.  A best score of 0 or more settles that before the
     slack is formed; most calls end there.  Otherwise the best-scoring
@@ -312,7 +312,8 @@ def _lmo_piece(cone: PolyCone, f: np.ndarray) -> LmoResult:
     vj = float(vals[j])
     # a best score of 0 or more is never below -slack
     if vj < 0.0:
-        tol_w = kernels.KKT_TOL * max(1.0, float(np.abs(vals).max()))
+        fn = math.sqrt(float(f @ f))
+        tol_w = kernels.KKT_TOL * max(fn, float(np.abs(vals).max()))
         if -vj > tol_w:
             y = -f
             lam, _, w = kernels.first_step(G, y, -vj, j)
@@ -323,7 +324,7 @@ def _lmo_piece(cone: PolyCone, f: np.ndarray) -> LmoResult:
                 lam = kernels.nnls(G, y).coeffs
             p = G @ lam
             pn = math.sqrt(float(p @ p))
-            if pn > PROJ_ZERO_TOL * max(1.0, math.sqrt(float(f @ f))):
+            if pn > PROJ_ZERO_TOL * fn:
                 return LmoResult(-pn, p / pn)
     return LmoResult(vj, G[:, j].copy())
 
@@ -387,11 +388,6 @@ class ConvexBody:
         if self.adjoin_origin and res.value > 0.0:
             return LmoResult(0.0, np.zeros(self.dim))
         return res
-
-    def support(self, functional) -> LmoResult:
-        f = np.asarray(functional, dtype=float)
-        res = self.lmo(-f)
-        return LmoResult(-res.value, res.witness)
 
     def centroid(self) -> np.ndarray:
         return self.region.centroid()

@@ -192,15 +192,10 @@ def augmented_dual_membership(cone: ConeRegion, x_star, alpha: float) -> dict[st
       aw_sharp    strict on the closed norm-base; for the closed polyhedral
                   bases here this coincides with a_sharp
       cor_a_plus  m > alpha > 0, the interior condition driving separation
-    Negative alpha is outside all four domains.
+    Negative alpha is outside all four domains; comparisons take a DUAL_TOL band.
     """
     _check_nontrivial(cone)
     m = cone.lmo(np.asarray(x_star, dtype=float)).value
-    return _dual_flags(m, alpha)
-
-
-def _dual_flags(m: float, alpha: float) -> dict[str, bool]:
-    """augmented_dual_membership's flags, given m = min of x* over the base."""
     if alpha < 0.0:
         return {"a_plus": False, "a_sharp": False, "aw_sharp": False,
                 "cor_a_plus": False}
@@ -213,18 +208,22 @@ def _dual_flags(m: float, alpha: float) -> dict[str, bool]:
     }
 
 
+CERTIFICATE_FAMILY = frozenset({"BP", "a_sharp", "aw_sharp", "cor_a_plus"})
+
+
 @dataclass(frozen=True, eq=False)
 class SeparationCertificate:
     """Witness that a Bishop-Phelps cone strictly separates two regions.
 
     x_star separates the two norm-base hulls, but for every certificate,
-    bidirectional ones too, it is the displacement at the bracket that
+    bidirectional ones too, it is the unit iterate at the bracket that
     decided the distance solve, not the max-margin functional.
-    alpha_interval is the exact interval of thresholds for that x_star:
-    any alpha in it works, and the stored alpha is the midpoint.
-    Its width is a certified lower bound on the distance between the hulls.
-    witnesses are points of the two hull bodies whose gap produced x_star,
-    and distance, that gap, is an upper bound.
+    alpha_interval is that bracket's exact threshold interval for x_star:
+    any alpha in it works, and the stored alpha is the midpoint.  Its width
+    is a certified lower bound on the distance between the hulls.
+    witnesses are points of the two hull bodies near that iterate, and
+    distance, their gap, is an upper bound.  family, CERTIFICATE_FAMILY,
+    holds exactly, as 0 <= lo < alpha < hi proves.
     """
 
     orientation: Orientation
@@ -258,34 +257,30 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
 
     Decided through a single distance: the gap between the hull body of
     C's norm-base and the origin-adjoined hull body of K's.  The solve stops
-    at the first bracket that decides it.  A positive gap yields a
-    separating functional x* (the unit displacement at that bracket, not
-    the max-margin one) and the exact interval (lo, hi) of thresholds that
-    work for that x*.  Its width hi - lo is a certified lower bound on the
-    gap, and the certificate's distance, the gap between its witnesses, an
-    upper bound.  A certified zero gap proves no certificate exists.  Gaps
-    inside the tolerance dead-band raise Inconclusive.
+    at the first bracket that decides it, and the certificate is read from
+    that bracket with no further LMO call: x* = v/|v| for its iterate v
+    (not the max-margin functional), and the exact threshold interval
+    hi = min of x* over C's base, lo = max(0, sup of x* over K's).  hi - lo
+    is the bracket's lower bound on the gap; the witnesses' gap, the
+    certificate's distance, an upper bound.  A certified zero gap proves no
+    certificate exists.  Gaps inside the tolerance dead-band raise
+    Inconclusive, as does, structurally, an interval left with no interior.
     """
     if C.dim != K.dim:
         raise DimensionMismatch("regions live in different dimensions")
     _check_nontrivial(C)
     _check_nontrivial(K)
-    body_c = body(C, adjoin_origin=False)
-    body_k0 = body(K, adjoin_origin=True)
-    res = body_distance(body_c, body_k0, tol=tol, until_decided=True)
+    res = body_distance(body(C, adjoin_origin=False), body(K, adjoin_origin=True),
+                        tol=tol, until_decided=True)
     if not decide_gap(res, "distance", tol):
         return None
-    x_star = res.functional / np.linalg.norm(res.functional)
+    nv = float(np.linalg.norm(res.functional))
+    x_star = res.functional / nv
     x_star.setflags(write=False)
-    lo = max(0.0, body_k0.support(x_star).value)
-    hi = C.lmo(x_star).value
-    if not lo < hi:
-        raise Inconclusive("support interval collapsed under the unit functional")
+    lo, hi = max(0.0, -res.lmo_values[1] / nv), res.lmo_values[0] / nv
     alpha = 0.5 * (lo + hi)
-    dual = _dual_flags(hi, alpha)
-    if not dual["cor_a_plus"]:
-        raise Inconclusive("threshold failed the augmented-dual interior check")
-    family = {"BP"} | {k for k, v in dual.items() if v and k != "a_plus"}
+    if not lo < alpha < hi:
+        raise Inconclusive("threshold interval has no interior at the deciding bracket")
     return SeparationCertificate(
         orientation=Orientation.C_FROM_K,
         x_star=x_star,
@@ -293,7 +288,7 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
         alpha_interval=(lo, hi),
         distance=res.distance,
         witnesses=(res.witness_a, res.witness_b),
-        family=frozenset(family),
+        family=CERTIFICATE_FAMILY,
         iterations=res.iterations,
     )
 

@@ -28,6 +28,7 @@ from conesep.geometry import (
 from conesep.oracle import (
     cone_about,
     random_pointed_cone,
+    random_region,
     random_unpointed_cone,
     ray_region,
     sample_norm_base,
@@ -190,6 +191,9 @@ def test_well_based_threshold_is_sound(name, monkeypatch):
     # base point scores below it however early the solve stopped
     assert cert.kind is BaseKind.WELL_BASED
     assert 0.0 < cert.alpha <= region.lmo(cert.x_star).value
+    # read from the deciding bracket, it is that minimum to rounding
+    assert cert.alpha == pytest.approx(
+        (1.0 - basis.ALPHA_BACKOFF) * region.lmo(cert.x_star).value, abs=1e-15)
     pts = sample_norm_base(region, count=2000, rng=np.random.default_rng(3)).points
     assert (pts @ cert.x_star >= cert.alpha).all()
     assert cb.kind is BaseKind.CONVEX_BASE
@@ -198,6 +202,23 @@ def test_well_based_threshold_is_sound(name, monkeypatch):
         assert np.array_equal(cb.base_vertices, cert.base_vertices)
     # so its x* is positive on the base too
     assert (pts @ cb.x_star > 0.0).all()
+
+
+def test_well_based_threshold_matches_the_lmo_at_its_functional():
+    # x* and alpha are read from the bracket that decided the solve, with no
+    # LMO call after it; re-evaluated at x* the backed-off minimum agrees
+    rng = np.random.default_rng(3005)
+    checked = 0
+    for dim in range(2, 7):
+        for _ in range(20):
+            region = random_region(rng, dim)
+            cert = is_well_based(region)
+            if not cert.well_based:
+                continue
+            checked += 1
+            m = region.lmo(cert.x_star).value
+            assert cert.alpha == pytest.approx((1.0 - basis.ALPHA_BACKOFF) * m, abs=1e-15)
+    assert checked >= 80
 
 
 def test_interpolate_wedge_in_half_plane():

@@ -138,6 +138,24 @@ def test_thin_gap_is_inconclusive(capsys, tmp_path):
     assert "dead-band" in doc["error"]
 
 
+@pytest.mark.parametrize("mode", ["nonsym", "sym"])
+def test_rays_1e13_apart_separate_at_tol_1e15(capsys, tmp_path, mode):
+    # 1 - cos(1e-13) rounds to 0; the gap of 1e-13 is still certified
+    path = _write(tmp_path, "tight.json", {
+        "dim": 2,
+        "cones": {
+            "C": {"pieces": [{"generators": [[1, 0]]}]},
+            "K": {"pieces": [{"generators": [[math.cos(1e-13), math.sin(1e-13)]]}]},
+        },
+    })
+    code, doc = _run(capsys, ["separate", path, "--mode", mode, "--tol", "1e-15",
+                              "--pair", "C,K"])
+    assert code == 0
+    assert doc["verdict"] == "separated"
+    assert doc["certificate"]["alpha_interval"] == pytest.approx([0.0, 1e-13], abs=1e-16)
+    assert doc["verification"]["ok"] is True
+
+
 def test_non_euclidean_rejected(capsys, tmp_path):
     path = _write(tmp_path, "l1.json", {
         "dim": 2, "norm": "l1",

@@ -7,7 +7,7 @@ import pytest
 
 from conesep import distance, kernels, separation
 from conesep.distance import PolytopeBody, body_distance, origin_body
-from conesep.errors import TrivialRegion
+from conesep.errors import Inconclusive, TrivialRegion
 from conesep.geometry import make_polycone
 from conesep.instances import load_instance
 from conesep.oracle import (
@@ -17,7 +17,7 @@ from conesep.oracle import (
     sector_cone_2d,
     sphere_grid,
 )
-from conesep.regions import ConeRegion, body, support_norm_base
+from conesep.regions import ConeRegion, LmoResult, body, support_norm_base
 
 
 def _ray(v):
@@ -82,6 +82,28 @@ def test_positive_certificate_separates_supports():
         lo = RA.lmo(f).value
         assert hi < lo - res.distance / 2 + 1e-9
         assert lo - hi == pytest.approx(res.distance, abs=1e-8)
+
+
+class _Overstated:
+    """The origin, with an LMO that overstates its minimum by 1."""
+
+    dim = 2
+
+    def lmo(self, direction):
+        return LmoResult(1.0, np.zeros(2))
+
+    def centroid(self):
+        return np.zeros(2)
+
+
+def test_lmo_values_above_the_iterate_stop_the_solve_uncertified():
+    # v = (1, 0) is a point of A - B, so the minimum over A - B against v
+    # is at most |v|^2 = 1; values summing to 2 bound nothing
+    res = body_distance(PolytopeBody(np.array([[1.0, 0.0]])), _Overstated())
+    assert (res.stop, res.certified, res.iterations) == ("inconsistent", False, 1)
+    assert res.lmo_values == (1.0, 1.0) and res.lower_bound == 0.0
+    with pytest.raises(Inconclusive, match=r"ended uncertified \(inconsistent\)"):
+        distance.decide_gap(res, "distance", distance.DEFAULT_TOL)
 
 
 def _cross2(u, v):
@@ -252,7 +274,8 @@ def _reference_corral_step(Q, w):
 def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False):
     # the engine as it was before its corral lived in fixed buffers: the
     # corral rebuilt with vstack, and its differences formed anew, on
-    # every iteration
+    # every iteration; it returns the engine's fields, the iterate as the
+    # functional and the LMO values taken at it
     tol2 = tol * tol
     d0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
     if math.sqrt(float(d0 @ d0)) <= 1e-12:
@@ -261,6 +284,7 @@ def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False
     Pa, Pb, w = a0[None, :], b0[None, :], np.array([1.0])
     v = a0 - b0
     lower = 0.0
+    lmo_values = None
     gap = float("inf")
     best_gap = float("inf")
     stalled = 0
@@ -275,12 +299,16 @@ def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False
             stop = "certified_zero"
             gap = 0.0
             break
-        sval, wa, wb = distance._support_difference(A, B, v)
+        lmo_values, wa, wb = distance._support_difference(A, B, v)
+        sval = lmo_values[0] + lmo_values[1]
         nv = math.sqrt(nv2)
-        if sval > 0.0:
-            lower = max(lower, sval / nv)
         gap = nv2 - sval
         done = max(tol * nv, tol2, distance.GAP_REL_FLOOR * nv2)
+        if gap < -done:
+            stop = "inconsistent"
+            break
+        if sval > 0.0:
+            lower = max(lower, sval / nv)
         if gap <= done:
             certified = True
             stop = "certified_gap"
@@ -310,10 +338,10 @@ def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False
         Pa = np.vstack((Pa, wa))[keep]
         Pb = np.vstack((Pb, wb))[keep]
         v = w @ S[keep]
+        lmo_values = None
     a = w @ Pa
     b = w @ Pb
-    v = a - b
-    dist = math.sqrt(float(v @ v))
+    dist = math.sqrt(float((a - b) @ (a - b)))
     kind = distance.ZERO if dist <= tol else distance.POSITIVE
     return distance.DistanceResult(
         distance=dist,
@@ -321,6 +349,7 @@ def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False
         witness_a=a,
         witness_b=b,
         functional=v.copy() if kind == distance.POSITIVE else None,
+        lmo_values=lmo_values,
         gap=max(gap, 0.0) if np.isfinite(gap) else 0.0,
         lower_bound=lower,
         iterations=it,

@@ -149,8 +149,10 @@ def test_dim_mismatch_names_the_piece():
 def test_bad_documents():
     with pytest.raises(InstanceError, match="top level must be a mapping"):
         parse_instance("[1, 2]")
-    with pytest.raises(InstanceError, match="'dim' must be a positive integer"):
-        parse_instance('{"dim": 2.5, "cones": {"C": {"pieces": [{"generators": [[1, 0]]}]}}}')
+    for dim in ("2.5", "true", "false"):
+        with pytest.raises(InstanceError, match="'dim' must be a positive integer"):
+            parse_instance('{"dim": %s, "cones": {"C": {"pieces": [{"generators": [[1]]}]}}}'
+                           % dim)
     with pytest.raises(InstanceError, match="unknown norm 'manhattan'"):
         parse_instance('{"dim": 2, "norm": "manhattan",'
                        ' "cones": {"C": {"pieces": [{"generators": [[1, 0]]}]}}}')

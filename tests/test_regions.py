@@ -293,7 +293,7 @@ def _lmo_piece_via_nnls(cone, f):
     # the piece LMO as it was before the dual-cone test: NNLS on every call
     p = cone.generators @ kernels.nnls(cone.generators, -f).coeffs
     pn = float(np.linalg.norm(p))
-    if pn > PROJ_ZERO_TOL * max(1.0, float(np.linalg.norm(f))):
+    if pn > PROJ_ZERO_TOL * float(np.linalg.norm(f)):
         return LmoResult(-pn, p / pn)
     vals = f @ cone.generators
     j = int(np.argmin(vals))
@@ -341,7 +341,7 @@ def test_piece_lmo_matches_the_nnls_route_bit_for_bit():
 def test_piece_lmo_one_ray_projections_match_the_nnls_route_bit_for_bit(monkeypatch):
     # -f projects onto the ray g0 of a two-ray cone, and the dual of g1,
     # G.T @ (-f - lam g0), sits a factor t from the KKT slack of NNLS,
-    # KKT_TOL * max(1, max |f @ G|): below it the closed-form step settles
+    # KKT_TOL * max(|f|, max |f @ G|): below it the closed-form step settles
     # the projection, above it NNLS does
     calls = []
     real = kernels.nnls
@@ -357,7 +357,8 @@ def test_piece_lmo_one_ray_projections_match_the_nnls_route_bit_for_bit(monkeypa
         e = g1 - float(g0 @ g1) * g0
         e /= float(e @ e)
         for scale in (0.5, 1.0, 3.0):
-            tol_w = kernels.KKT_TOL * max(1.0, float(np.abs(scale * g0 @ G).max()))
+            # |f| is scale to rounding: e is orthogonal to g0
+            tol_w = kernels.KKT_TOL * max(scale, float(np.abs(scale * g0 @ G).max()))
             for t in (-2.0, 0.5, 0.9, 1.1, 2.0):
                 f = -(scale * g0 + t * tol_w * e)
                 calls.clear()
@@ -368,12 +369,29 @@ def test_piece_lmo_one_ray_projections_match_the_nnls_route_bit_for_bit(monkeypa
                 assert res.witness.tobytes() == ref.witness.tobytes()
 
 
+def test_piece_lmo_is_scale_invariant_on_a_nearly_flat_cone():
+    # -f points into a cone 2e-5 rad short of a half-plane.  After the
+    # closed-form step onto one ray the other ray's dual is about 2e-5 |f|,
+    # below a slack of KKT_TOL * max(1, ...) once |f| < 5e-8; with the slack
+    # scaled by |f|, a small f is projected as a unit one is.  The rays are
+    # nearly opposite, so the projection holds only about 1e-16 / 1e-5 of
+    # relative accuracy.
+    cone = make_polycone([[1.0, 1e-5], [-1.0, 1e-5]])
+    f = -np.array([-0.19, 0.98])
+    unit = _lmo_piece(cone, f)
+    assert unit.value == pytest.approx(-float(np.linalg.norm(f)), rel=1e-10)
+    for scale in (1e-4, 1e-8, 1e-12):
+        res = _lmo_piece(cone, scale * f)
+        assert res.value / scale == pytest.approx(unit.value, rel=1e-10)
+        assert np.allclose(res.witness, unit.witness, rtol=0.0, atol=1e-10)
+
+
 class _ProjectionStep(Exception):
     pass
 
 
 def test_piece_lmo_leaves_at_once_in_the_dual_cone(monkeypatch):
-    # A best score of 0 or more, or above -KKT_TOL * max(1, max |f @ G|),
+    # A best score of 0 or more, or above -KKT_TOL * max(|f|, max |f @ G|),
     # puts f in the dual cone: the LMO returns the best generator and never
     # reaches the projection step.
     def step(*args):
@@ -393,10 +411,11 @@ def test_piece_lmo_leaves_at_once_in_the_dual_cone(monkeypatch):
         assert res.value == float(vals[j]) and res.witness.tobytes() == G[:, j].tobytes()
     assert float(np.array([0.0, 1.0, -0.3]) @ G[:, 0]) == 0.0
     # a min score in (-slack, 0) on the first generator, and one just past
-    # the slack; the largest |score| is 2, so the slack is 2 KKT_TOL
+    # the slack; |f| is 2.5 and the largest |score| 2, so the slack is
+    # 2.5 KKT_TOL
     f0 = np.array([0.0, 2.5, 0.0])
-    slack = kernels.KKT_TOL * float(np.abs(f0 @ G).max())
-    assert slack == 2.0 * kernels.KKT_TOL
+    slack = kernels.KKT_TOL * max(float(np.linalg.norm(f0)), float(np.abs(f0 @ G).max()))
+    assert slack == 2.5 * kernels.KKT_TOL
     for t in (1e-3, 0.5, 0.999):
         f = f0 - t * slack * np.array([1.0, 0.0, 0.0])
         vals = f @ G

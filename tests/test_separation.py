@@ -29,7 +29,7 @@ from conesep.oracle import (
     sector_cone_2d,
     union_of_rays,
 )
-from conesep.regions import ConeRegion, body, support_norm_base
+from conesep.regions import ConeRegion, body, lmo_norm_base, support_norm_base
 from conesep.separation import (
     Membership,
     NormLinearFunctional,
@@ -1051,12 +1051,12 @@ def test_uncertified_zero_is_inconclusive(monkeypatch):
         basis.has_convex_base(line)
 
 
-def _solve_with_functional(monkeypatch, f):
+def _solve_with_lmo_values(monkeypatch, values):
     # the real ORTHANT / NEG_ORTHANT solve, a certified gap of 1/sqrt(2),
-    # with its displacement replaced by f
+    # with the LMO values at its deciding iterate replaced
     real = separation.body_distance
     monkeypatch.setattr(separation, "body_distance", lambda *a, **k: dataclasses.replace(
-        real(*a, **k), functional=np.asarray(f, dtype=float)))
+        real(*a, **k), lmo_values=values))
     return separate_nonsym(ORTHANT, NEG_ORTHANT)
 
 
@@ -1076,12 +1076,9 @@ def _bidirectional_with_near_point(monkeypatch, w):
 
 
 @pytest.mark.parametrize("message, reach", [
-    # a functional negative on C: hi < 0 = lo
-    ("support interval collapsed under the unit functional",
-     lambda mp: _solve_with_functional(mp, [-1.0, -1.0])),
-    # lo = 0 < hi = 1e-13, so alpha = hi / 2 is below DUAL_TOL
-    ("threshold failed the augmented-dual interior check",
-     lambda mp: _solve_with_functional(mp, [1.0, 1e-13])),
+    # an iterate negative on C: hi < 0 = lo
+    ("threshold interval has no interior at the deciding bracket",
+     lambda mp: _solve_with_lmo_values(mp, (-1.0, 0.0))),
     # a near point negative on C's generator (0, 1)
     ("linear functional failed the exact support check",
      lambda mp: _bidirectional_with_near_point(mp, [1.0, -1.0])),
@@ -1090,3 +1087,103 @@ def test_structural_inconclusive_is_not_a_dead_band(monkeypatch, message, reach)
     with pytest.raises(Inconclusive, match=f"^{re.escape(message)}$") as exc:
         reach(monkeypatch)
     assert exc.value.dead_band is False
+
+
+def _ray_pair(theta):
+    return ray_region([1.0, 0.0]), ray_region([math.cos(theta), math.sin(theta)])
+
+
+def test_rays_1e13_apart_certify_at_tol_1e15():
+    # The gap is 1e-13 and 1 - cos(1e-13) rounds to 0, so the witnesses'
+    # difference would give x* = (0, -1) and hi = lo = 0; the certificate
+    # reads the deciding iterate instead, and its threshold 5e-14 is checked
+    # against its own interval, not against a fixed 1e-12.
+    C, K = _ray_pair(1e-13)
+    for enclosed, excluded in ((C, K), (K, C)):
+        cert = separate_nonsym(enclosed, excluded, tol=1e-15)
+        assert cert is not None
+        assert cert.alpha_interval == pytest.approx((0.0, 1e-13), abs=1e-16)
+        assert verify_certificate(cert, enclosed, excluded).ok
+    cert = separate_sym(C, K, tol=1e-15)
+    assert cert is not None
+    assert verify_certificate(cert, C, K).ok
+
+
+def test_sym_inconclusive_on_ray_pairs_is_always_dead_band():
+    # ray pairs from wide to 1e-13 rad apart, under every tol down to 1e-15
+    raised = 0
+    for theta in (1e-3, 1e-6, 1e-9, 1e-11, 1e-13):
+        C, K = _ray_pair(theta)
+        for tol in (10.0 ** -k for k in range(3, 16)):
+            try:
+                separate_sym(C, K, tol=tol)
+            except Inconclusive as exc:
+                raised += 1
+                assert exc.dead_band, (theta, tol, str(exc))
+    assert raised >= 5
+
+
+def test_certificate_interval_matches_the_lmos_at_its_functional():
+    # The interval is read from the deciding bracket's LMO values at the
+    # iterate v; re-evaluated at x* = v / |v| it agrees to rounding.
+    checked = 0
+    rng = np.random.default_rng(3003)
+    for dim in range(2, 7):
+        for _ in range(12):
+            C, K = random_region(rng, dim), random_region(rng, dim)
+            for enclosed, excluded in ((C, K), (K, C)):
+                try:
+                    cert = separate_nonsym(enclosed, excluded)
+                except Inconclusive:
+                    continue
+                if cert is None:
+                    continue
+                checked += 1
+                lo = max(0.0, support_norm_base(excluded, cert.x_star).value)
+                hi = lmo_norm_base(enclosed, cert.x_star).value
+                assert cert.alpha_interval == pytest.approx((lo, hi), abs=1e-14)
+    assert checked >= 80
+
+
+def test_certificates_make_no_lmo_call_after_the_solve(monkeypatch):
+    solved = []
+    real_solve, real_lmo = separation.body_distance, ConeRegion.lmo
+
+    def solve(*args, **kwargs):
+        res = real_solve(*args, **kwargs)
+        solved.append(True)
+        return res
+
+    def lmo(self, direction):
+        assert not solved, "ConeRegion.lmo called after body_distance returned"
+        return real_lmo(self, direction)
+
+    monkeypatch.setattr(separation, "body_distance", solve)
+    monkeypatch.setattr(basis, "body_distance", solve)
+    monkeypatch.setattr(ConeRegion, "lmo", lmo)
+    rng = np.random.default_rng(3004)
+    certs = bases = 0
+    for dim in range(2, 7):
+        for _ in range(6):
+            C, K = random_region(rng, dim), random_region(rng, dim)
+            solved.clear()
+            certs += separate_nonsym(C, K) is not None
+            solved.clear()
+            bases += basis.is_well_based(C).well_based
+    assert certs >= 20 and bases >= 25
+
+
+def test_ray_inside_a_nearly_flat_cone_gets_no_certificate():
+    # K is 2e-4 to 2e-10 rad short of a half-plane and holds C's ray, so no
+    # certificate exists.  Its projections are ill-conditioned; a scale-free
+    # LMO and a stop on LMO values above |v|^2 keep every bracket from a
+    # false gap, and most solves certify the zero.
+    verdicts = []
+    for eta in (1e-4, 1e-6, 1e-8, 1e-10):
+        K = ConeRegion.piece(make_polycone([[1.0, eta], [-1.0, eta]]))
+        for t in (0.3, 3e-2, 3e-4, -1e-3, 1e-6):
+            for tol in (1e-9, 1e-10, 1e-11, 1e-12):
+                verdicts.append(_verdict(lambda: separate_nonsym(ray_region([t, 1.0]), K,
+                                                                 tol=tol)))
+    assert all(v in (None, "inconclusive") for v in verdicts)
+    assert verdicts.count(None) >= 70
