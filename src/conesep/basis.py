@@ -101,6 +101,8 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
     functional x* = -v/|v| for the iterate v (not the max-margin one) and
     threshold alpha, the exact minimum of x* over the base, backed off by
     ALPHA_BACKOFF; a certified zero yields the vanishing hull combination.
+    That minimum is positive, so every leaf took it at a generator or in
+    closed form, with no NNLS face, and its error bound is zero.
     """
     _check_nontrivial(region)
     res = body_distance(origin_body(region.dim), body(region, False), tol=tol,
@@ -112,10 +114,10 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
             witness_weights=res.weights,
             witness_pair=_maybe_pair(region, res.support_b, res.weights),
         )
-    nv = float(np.linalg.norm(res.functional))
-    x_star = -res.functional / nv
+    u, _, low, _ = res.bracket()
+    x_star = -u
     x_star.setflags(write=False)
-    alpha = res.lmo_values[1] / nv * (1.0 - ALPHA_BACKOFF)
+    alpha = low * (1.0 - ALPHA_BACKOFF)
     base_vertices = None
     if region.is_single_piece:
         base_vertices = make_base(region.single_cone(), x_star)

@@ -39,9 +39,11 @@ class DistanceResult:
     witness_a: np.ndarray
     witness_b: np.ndarray
     # the last bracket's iterate v (None for a zero outcome) and its LMO values, whose
-    # sum over |v| is the bracket's lower bound (None at "certified_zero" and "max_iter")
+    # sum over |v| is the bracket's lower bound, and the bound on their summed error
+    # (None and 0.0 at "certified_zero" and "max_iter")
     functional: np.ndarray | None
     lmo_values: tuple[float, float] | None
+    lmo_error: float
     gap: float
     lower_bound: float
     iterations: int
@@ -54,6 +56,14 @@ class DistanceResult:
     # "inconsistent" (LMO values above |v|^2), "stalled", "repeat_point" or "max_iter"
     stop: str
 
+    def bracket(self) -> tuple[np.ndarray, float, float, float]:
+        """The positive outcome's iterate as the read-only unit u = v/|v|, the
+        minima of u over A and -u over B, and their summed error bound."""
+        nv = float(np.linalg.norm(self.functional))
+        u = self.functional / nv
+        u.setflags(write=False)
+        return u, self.lmo_values[0] / nv, self.lmo_values[1] / nv, self.lmo_error / nv
+
 
 def decide_gap(res: DistanceResult, what: str, tol: float) -> bool:
     """The verdict ``res`` supports: False for a certified zero, True for a
@@ -61,7 +71,8 @@ def decide_gap(res: DistanceResult, what: str, tol: float) -> bool:
     a dead-band one when the distance surely lies in (tol, DEAD_BAND * tol],
     because the solve certified a gap there or its bracket
     [lower_bound, distance] lies inside it, and otherwise one saying that
-    the solve ended uncertified."""
+    the solve ended uncertified, or that its last bracket's LMO values do
+    not clear their error bound, so no gap is proved at all."""
     if res.kind == ZERO:
         if not res.certified:
             raise Inconclusive(f"{what} did not certify the zero verdict")
@@ -76,14 +87,17 @@ def decide_gap(res: DistanceResult, what: str, tol: float) -> bool:
             f"{what} ended uncertified ({res.stop}); it lies in "
             f"[{res.lower_bound:.3e}, {res.distance:.3e}]"
         )
+    if res.lmo_error and not sum(res.lmo_values) > res.lmo_error:
+        raise Inconclusive(f"{what}'s last bracket is lost in the LMOs' error bound")
     return True
 
 
 def _support_difference(A, B, v: np.ndarray):
-    """Support point of A - B against v, and the minima of v over A and -v over B."""
+    """Support point of A - B against v, the minima of v over A and -v over
+    B, and the bound on their summed error."""
     ra = A.lmo(v)
     rb = B.lmo(-v)
-    return (ra.value, rb.value), ra.witness, rb.witness
+    return (ra.value, rb.value), ra.error + rb.error, ra.witness, rb.witness
 
 
 def body_distance(A, B, tol: float = DEFAULT_TOL,
@@ -113,7 +127,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
     d0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
     if math.sqrt(float(d0 @ d0)) <= 1e-12:
         d0 = np.eye(A.dim)[0]
-    _, a0, b0 = _support_difference(A, B, d0)
+    _, _, a0, b0 = _support_difference(A, B, d0)
     # The first k rows hold the corral, with weights w.  A corral of d + 1
     # affinely independent points and a new point fill the d + 2 rows; the
     # buffers double should a degenerate corral keep more.
@@ -124,7 +138,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
     w = np.array([1.0])
 
     lower = 0.0
-    lmo_values = None
+    lmo_values, lmo_error = None, 0.0
     gap = float("inf")
     best_gap = float("inf")
     stalled = 0
@@ -139,7 +153,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
             stop = "certified_zero"
             gap = 0.0
             break
-        lmo_values, wa, wb = _support_difference(A, B, v)
+        lmo_values, lmo_error, wa, wb = _support_difference(A, B, v)
         sval = lmo_values[0] + lmo_values[1]
         nv = math.sqrt(nv2)
         gap = nv2 - sval
@@ -195,6 +209,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
         v = w @ S[:k]
 
     Pa, Pb = Pa[:k], Pb[:k]
+    bracket = stop not in ("certified_zero", "max_iter")  # no LMO call at the last v
     a = w @ Pa
     b = w @ Pb
     dist = math.sqrt(float((a - b) @ (a - b)))
@@ -205,7 +220,8 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
         witness_a=a,
         witness_b=b,
         functional=v.copy() if kind == POSITIVE else None,
-        lmo_values=None if stop in ("certified_zero", "max_iter") else lmo_values,
+        lmo_values=lmo_values if bracket else None,
+        lmo_error=lmo_error if bracket else 0.0,
         gap=max(gap, 0.0) if np.isfinite(gap) else 0.0,
         lower_bound=lower,
         iterations=it,

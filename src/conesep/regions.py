@@ -34,6 +34,8 @@ PROJ_ZERO_TOL = 1e-11
 class LmoResult:
     value: float
     witness: np.ndarray
+    # a bound on value's error: the true minimum is at least value - error
+    error: float = 0.0
 
 
 class _Leaf:
@@ -108,7 +110,7 @@ class _BoundaryLeaf(_Leaf):
                     res = None
             if res is not None:
                 return res
-        return _lmo_min(self.pieces, f)
+        return _least([_lmo_piece(p, f) for p in self.pieces])
 
     def contains_unit_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
         ok = np.zeros(X.shape[0], dtype=bool)
@@ -166,7 +168,8 @@ class _ComplementLeaf(_Leaf):
         res = _lmo_across_facet(N, s, u, fn)
         if res is None:
             facets = geometry.facets(self.cone).pieces
-            res = _lmo_min(facets, f) if facets else LmoResult(fn, -N[0])
+            res = (_least([_lmo_piece(p, f) for p in facets]) if facets
+                   else LmoResult(fn, -N[0]))
         return res
 
     def contains_unit_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
@@ -248,13 +251,9 @@ class ConeRegion:
                 "LMO needs a nonzero direction" if fn <= 1e-300
                 else "LMO needs a finite direction"
             )
-        # the earliest leaf wins a tie, as with min()
-        best = self.leaves[0].lmo(f)
-        for leaf in self.leaves[1:]:
-            res = leaf.lmo(f)
-            if res.value < best.value:
-                best = res
-        return best
+        if len(self.leaves) == 1:
+            return self.leaves[0].lmo(f)
+        return _least([leaf.lmo(f) for leaf in self.leaves])
 
     def contains_unit_batch(self, X, tol: float = geometry.MEMBERSHIP_TOL) -> np.ndarray:
         """Membership of unit vectors in the closure of the region's base."""
@@ -286,7 +285,7 @@ class ConeRegion:
 
 
 def _lmo_piece(cone: PolyCone, f: np.ndarray) -> LmoResult:
-    """Exact LMO over the norm-base of a convex piece.
+    """LMO over the norm-base of a convex piece, exact but for its error.
 
     Dichotomy: if the projection p of -f onto the cone is nonzero, the
     minimum of <f, x> over unit x in the cone equals -|p| at p/|p|; otherwise
@@ -305,33 +304,88 @@ def _lmo_piece(cone: PolyCone, f: np.ndarray) -> LmoResult:
     NNLS would return it.  Only a projection onto a face of two or more
     rays calls ``kernels.nnls``.  Either way the coefficients, and so p,
     are NNLS's to the bit.
+
+    The result's error bounds what rounding and the KKT slack may hide,
+    wherever some score is negative; a minimum taken with every score 0 or
+    more is exact.  After an NNLS solve, p sums terms of total size
+    sum(lambda), which exceeds |p| by up to the face's condition number
+    (about 1/eta for two rays eta short of opposite), so |p| is known to
+    KKT_TOL * sum(lambda), NNLS's precision; the one-ray step is exact to
+    rounding.  Then ``_slack_gap`` adds what the generators the slack left
+    out could add, from lambda = 0 when f is in the dual cone to the slack,
+    unless |f| - |p|, which bounds it as well, is within the slack.
     """
     G = cone.generators
     vals = f @ G
     j = int(vals.argmin())
     vj = float(vals[j])
-    # a best score of 0 or more is never below -slack
     if vj < 0.0:
         fn = math.sqrt(float(f @ f))
         tol_w = kernels.KKT_TOL * max(fn, float(np.abs(vals).max()))
+        y = -f
+        pn = err = 0.0
         if -vj > tol_w:
-            y = -f
             lam, _, w = kernels.first_step(G, y, -vj, j)
             w[j] = -np.inf
-            if float(w.max()) > tol_w:
+            wmax = float(w.max())
+            if wmax > tol_w:
                 # kernels.project_onto_cone would also form the Moreau
                 # residuals, which this hot path never reads
                 lam = kernels.nnls(G, y).coeffs
+                # the duals at NNLS's end; p's terms sum to sum(lambda), the
+                # generators being unit
+                w = np.where(lam > 0.0, -np.inf, G.T @ (y - G @ lam))
+                wmax, err = float(w.max()), kernels.KKT_TOL * float(lam.sum())
             p = G @ lam
             pn = math.sqrt(float(p @ p))
-            if pn > PROJ_ZERO_TOL * fn:
-                return LmoResult(-pn, p / pn)
+        else:  # f in the dual cone to the slack: NNLS stays at lambda = 0
+            lam, w, wmax = np.zeros(len(vals)), -vals, -vj
+        if wmax > -tol_w:
+            # no projection is longer than y, so fn - pn bounds the gap too;
+            # within the slack it is tight enough
+            gap = fn - pn
+            err += max(gap, 0.0) if gap <= tol_w else _slack_gap(G, y, lam, w,
+                                                                   tol_w, pn)
+        if pn > PROJ_ZERO_TOL * fn:
+            return LmoResult(-pn, p / pn, err)
+        # the best generator stands for a projection at zero, or none: the
+        # minimum is at least -(pn + err)
+        return LmoResult(vj, G[:, j].copy(), vj + pn + err)
     return LmoResult(vj, G[:, j].copy())
 
 
-def _lmo_min(pieces, f: np.ndarray) -> LmoResult:
-    """Per-piece minimum: the fallback of the boundary and complement LMOs."""
-    return min((_lmo_piece(p, f) for p in pieces), key=lambda r: r.value)
+def _slack_gap(G: np.ndarray, y: np.ndarray, lam: np.ndarray, w: np.ndarray,
+               tol_w: float, pn: float) -> float:
+    """What the generators off the face of lam could add to |p| = pn.
+
+    w holds their duals g_j . (y - p), the passive entries -inf.  A dual
+    within the KKT slack tol_w of 0 may still hide a generator that adds
+    much: a ray eta short of opposite a face ray adds up to w_j / eta, and
+    a nearly opposite pair off the face more together than either alone.
+    So the bound is the length of y's projection onto the span of the face
+    and every such generator (some dual is above -tol_w), less pn.  An SVD
+    gives that span, singular values under d eps of the largest dropped,
+    so a generator in the face's span adds nothing.
+    """
+    near = w > -tol_w
+    U, sv, _ = np.linalg.svd(G[:, (lam > 0.0) | near], full_matrices=False)
+    z = U[:, sv > sv[0] * len(y) * np.finfo(float).eps].T @ y
+    return max(0.0, math.sqrt(float(z @ z)) - pn)
+
+
+def _least(results: list[LmoResult]) -> LmoResult:
+    """The least value, the earliest on a tie as with min(), for a union
+    or the per-piece fallback of the boundary and complement LMOs; its
+    error widens to cover every result's lower bound value - error."""
+    best = results[0]
+    low = best.value - best.error
+    for res in results[1:]:
+        if res.value < best.value:
+            best = res
+        low = min(low, res.value - res.error)
+    if low < best.value - best.error:
+        best = LmoResult(best.value, best.witness, best.value - low)
+    return best
 
 
 def _lmo_across_facet(N: np.ndarray, s: np.ndarray, u: np.ndarray,
@@ -369,7 +423,7 @@ def support_norm_base(region: ConeRegion, functional) -> LmoResult:
     """sup over cl(B_region) of <functional, x> with an attaining witness."""
     f = np.asarray(functional, dtype=float)
     res = region.lmo(-f)
-    return LmoResult(-res.value, res.witness)
+    return LmoResult(-res.value, res.witness, res.error)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,6 @@ from .regions import ConeRegion, body
 
 # classification band for membership queries, scaled by 1 + |x|
 MEMBERSHIP_BAND = 1e-10
-# strictness tolerance for augmented-dual flags
-DUAL_TOL = 1e-12
 
 
 class Membership(Enum):
@@ -192,20 +190,18 @@ def augmented_dual_membership(cone: ConeRegion, x_star, alpha: float) -> dict[st
       aw_sharp    strict on the closed norm-base; for the closed polyhedral
                   bases here this coincides with a_sharp
       cor_a_plus  m > alpha > 0, the interior condition driving separation
-    Negative alpha is outside all four domains; comparisons take a DUAL_TOL band.
+    Negative alpha is outside all four domains.  The comparisons are exact
+    on the LMO's value of m.  A certificate's alpha lies half its interval's
+    width below its bracket's m, so its (x*, alpha) lands in its family
+    here whenever that width exceeds the rounding of m.
     """
     _check_nontrivial(cone)
     m = cone.lmo(np.asarray(x_star, dtype=float)).value
     if alpha < 0.0:
         return {"a_plus": False, "a_sharp": False, "aw_sharp": False,
                 "cor_a_plus": False}
-    strict = m > alpha + DUAL_TOL
-    return {
-        "a_plus": m >= alpha - DUAL_TOL,
-        "a_sharp": strict,
-        "aw_sharp": strict,
-        "cor_a_plus": strict and alpha > DUAL_TOL,
-    }
+    return {"a_plus": m >= alpha, "a_sharp": m > alpha, "aw_sharp": m > alpha,
+            "cor_a_plus": m > alpha > 0.0}
 
 
 CERTIFICATE_FAMILY = frozenset({"BP", "a_sharp", "aw_sharp", "cor_a_plus"})
@@ -223,7 +219,8 @@ class SeparationCertificate:
     is a certified lower bound on the distance between the hulls.
     witnesses are points of the two hull bodies near that iterate, and
     distance, their gap, is an upper bound.  family, CERTIFICATE_FAMILY,
-    holds exactly, as 0 <= lo < alpha < hi proves.
+    holds exactly, as 0 <= lo + e < alpha < hi - e proves for the bracket's
+    error bound e >= 0.
     """
 
     orientation: Orientation
@@ -262,9 +259,12 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     (not the max-margin functional), and the exact threshold interval
     hi = min of x* over C's base, lo = max(0, sup of x* over K's).  hi - lo
     is the bracket's lower bound on the gap; the witnesses' gap, the
-    certificate's distance, an upper bound.  A certified zero gap proves no
-    certificate exists.  Gaps inside the tolerance dead-band raise
-    Inconclusive, as does, structurally, an interval left with no interior.
+    certificate's distance, an upper bound.  The LMO values carry an error
+    bound (``regions.LmoResult``), nonzero only where K's supremum came from
+    a projection on an NNLS face, so alpha must clear both ends by it.  A
+    certified zero gap proves no certificate exists.  Gaps inside the
+    tolerance dead-band raise Inconclusive, as does, structurally, an
+    interval with no interior once the error bound is taken off it.
     """
     if C.dim != K.dim:
         raise DimensionMismatch("regions live in different dimensions")
@@ -274,12 +274,10 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
                         tol=tol, until_decided=True)
     if not decide_gap(res, "distance", tol):
         return None
-    nv = float(np.linalg.norm(res.functional))
-    x_star = res.functional / nv
-    x_star.setflags(write=False)
-    lo, hi = max(0.0, -res.lmo_values[1] / nv), res.lmo_values[0] / nv
+    x_star, hi, low_k, err = res.bracket()
+    lo = max(0.0, -low_k)
     alpha = 0.5 * (lo + hi)
-    if not lo < alpha < hi:
+    if not lo + err < alpha < hi - err:
         raise Inconclusive("threshold interval has no interior at the deciding bracket")
     return SeparationCertificate(
         orientation=Orientation.C_FROM_K,

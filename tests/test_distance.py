@@ -275,16 +275,16 @@ def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False
     # the engine as it was before its corral lived in fixed buffers: the
     # corral rebuilt with vstack, and its differences formed anew, on
     # every iteration; it returns the engine's fields, the iterate as the
-    # functional and the LMO values taken at it
+    # functional and the LMO values taken at it, with their error bound
     tol2 = tol * tol
     d0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
     if math.sqrt(float(d0 @ d0)) <= 1e-12:
         d0 = np.eye(A.dim)[0]
-    _, a0, b0 = distance._support_difference(A, B, d0)
+    _, _, a0, b0 = distance._support_difference(A, B, d0)
     Pa, Pb, w = a0[None, :], b0[None, :], np.array([1.0])
     v = a0 - b0
     lower = 0.0
-    lmo_values = None
+    lmo_values, lmo_error = None, 0.0
     gap = float("inf")
     best_gap = float("inf")
     stalled = 0
@@ -299,7 +299,7 @@ def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False
             stop = "certified_zero"
             gap = 0.0
             break
-        lmo_values, wa, wb = distance._support_difference(A, B, v)
+        lmo_values, lmo_error, wa, wb = distance._support_difference(A, B, v)
         sval = lmo_values[0] + lmo_values[1]
         nv = math.sqrt(nv2)
         gap = nv2 - sval
@@ -338,7 +338,7 @@ def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False
         Pa = np.vstack((Pa, wa))[keep]
         Pb = np.vstack((Pb, wb))[keep]
         v = w @ S[keep]
-        lmo_values = None
+        lmo_values, lmo_error = None, 0.0
     a = w @ Pa
     b = w @ Pb
     dist = math.sqrt(float((a - b) @ (a - b)))
@@ -350,6 +350,7 @@ def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False
         witness_b=b,
         functional=v.copy() if kind == distance.POSITIVE else None,
         lmo_values=lmo_values,
+        lmo_error=lmo_error,
         gap=max(gap, 0.0) if np.isfinite(gap) else 0.0,
         lower_bound=lower,
         iterations=it,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from conesep.regions import (
     PROJ_ZERO_TOL,
     ConeRegion,
     LmoResult,
+    _least,
     _lmo_piece,
     body,
     lmo_norm_base,
@@ -442,3 +445,61 @@ def test_complement_of_a_one_dimensional_ray(sign):
         assert res.value == -sign * f
     with pytest.raises(TrivialRegion, match="empty"):
         ConeRegion.boundary(ray)
+
+
+def test_piece_lmo_error_covers_ill_conditioned_projections():
+    # y lies in K, so the exact minimum of f = -y over K's base is -|y|.
+    # K has a ray eta short of opposite g1: in R^2 the projection solves on
+    # both rays, with coefficients about |y| / eta; in R^3 a face of g1 and
+    # a third ray may leave that ray out, its dual inside the KKT slack.
+    # value - error must stay at or below -|y| either way.
+    rng = np.random.default_rng(61)
+    overstated = 0
+    for k in range(300):
+        dim = 2 + k % 2
+        eta = 10.0 ** rng.uniform(-11, -3)
+        g1 = rng.standard_normal(dim)
+        g1 /= np.linalg.norm(g1)
+        u = rng.standard_normal(dim)
+        u -= (u @ g1) * g1
+        u /= np.linalg.norm(u)
+        gens = [g1, -math.cos(eta) * g1 + math.sin(eta) * u]
+        if dim == 3:
+            gens.append(np.cross(g1, u) + rng.standard_normal(3) * 0.3)
+        cone = make_polycone(gens)
+        y = rng.uniform(0.1, 1.0, len(gens)) @ cone.generators.T * 10.0 ** rng.uniform(-12, 0)
+        res = _lmo_piece(cone, -y)
+        exact = -float(np.linalg.norm(y))
+        assert res.value - res.error <= exact * (1.0 - 4e-16)
+        overstated += res.value > exact * (1.0 - 4e-16)
+    # the bound is needed: the value alone overstates the minimum on many
+    assert overstated >= 50
+
+
+def test_piece_lmo_error_is_zero_off_nnls_and_small_on_a_clean_face():
+    region = ConeRegion.piece(ORTHANT)
+    assert region.lmo(np.array([1.0, 2.0])).error == 0.0  # in the dual cone
+    assert region.lmo(np.array([1.0, -2.0])).error == 0.0  # one-ray step
+    res = region.lmo(np.array([-1.0, -2.0]))  # NNLS on both rays
+    assert res.value == -float(np.sqrt(5.0))
+    assert 0.0 < res.error <= 2.0 * kernels.KKT_TOL * float(np.sqrt(5.0))
+
+
+def test_least_lmo_error_covers_every_lower_bound():
+    a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    res = _least([LmoResult(-1.0, a, 0.0), LmoResult(-0.9, b, 0.5)])
+    assert (res.value, res.witness is a, res.error) == (-1.0, True, pytest.approx(0.4))
+    res = _least([LmoResult(-1.0, a, 0.25), LmoResult(-1.0, b, 0.0)])
+    assert (res.value, res.witness is a, res.error) == (-1.0, True, 0.25)
+    # -f is the ray and lies in the flat cone, whose projection is off by
+    # about 3e-8 and carries an error of 1e-3: the ray's exact value wins,
+    # and the union's error takes in the flat cone's lower bound
+    flat = ConeRegion.piece(make_polycone([[1.0, 1e-9], [-1.0, 1e-9]]))
+    ray = ConeRegion.piece(make_polycone([[0.29, 1.0]]))
+    f = -np.array([0.29, 1.0])
+    (fv, fe), (rv, re_) = ((r.value, r.error) for r in (flat.lmo(f), ray.lmo(f)))
+    assert rv < fv and re_ == 0.0 and fe > 1e-4
+    for region in (ConeRegion.union(flat, ray), ConeRegion.union(ray, flat)):
+        res = region.lmo(f)
+        assert res.value == rv
+        assert res.value - res.error == pytest.approx(fv - fe, rel=1e-15)

@@ -39,6 +39,7 @@ from conesep.separation import (
     boundary_equivalence_report,
     boundary_forms,
     bp_boundary_rays_2d,
+    bp_family_flags,
     bp_membership,
     cones_meet_only_at_origin,
     eval_norm_linear,
@@ -1145,6 +1146,30 @@ def test_certificate_interval_matches_the_lmos_at_its_functional():
     assert checked >= 80
 
 
+def test_certificate_family_agrees_with_augmented_dual_membership():
+    # The family holds exactly, as lo + error < alpha < hi - error proves;
+    # augmented_dual_membership compares m at x* with alpha exactly, so it
+    # finds the same classes, for the 1e-13 certificate at tol 1e-15 (alpha
+    # 5e-14) as for random pairs.
+    C, K = _ray_pair(1e-13)
+    certs = [(C, separate_nonsym(C, K, tol=1e-15)), (K, separate_nonsym(K, C, tol=1e-15))]
+    rng = np.random.default_rng(3005)
+    for dim in range(2, 7):
+        for _ in range(8):
+            A, B = random_region(rng, dim), random_region(rng, dim)
+            try:
+                cert = separate_nonsym(A, B)
+            except Inconclusive:
+                continue
+            if cert is not None:
+                certs.append((A, cert))
+    assert len(certs) >= 20
+    for enclosed, cert in certs:
+        flags = augmented_dual_membership(enclosed, cert.x_star, cert.alpha)
+        assert {name for name, ok in flags.items() if ok} == cert.family - {"BP"} | {"a_plus"}
+        assert bp_family_flags(cert.functional()) == {"BP"}
+
+
 def test_certificates_make_no_lmo_call_after_the_solve(monkeypatch):
     solved = []
     real_solve, real_lmo = separation.body_distance, ConeRegion.lmo
@@ -1175,15 +1200,81 @@ def test_certificates_make_no_lmo_call_after_the_solve(monkeypatch):
 
 def test_ray_inside_a_nearly_flat_cone_gets_no_certificate():
     # K is 2e-4 to 2e-10 rad short of a half-plane and holds C's ray, so no
-    # certificate exists.  Its projections are ill-conditioned; a scale-free
-    # LMO and a stop on LMO values above |v|^2 keep every bracket from a
-    # false gap, and most solves certify the zero.
+    # certificate exists.  Its projections are ill-conditioned: a face of
+    # both rays, or one ray with the other's dual left in the KKT slack.
+    # The LMO's error bound on them keeps every bracket, at every tol down
+    # to 1e-15, from giving a certificate, and most solves certify the zero.
     verdicts = []
     for eta in (1e-4, 1e-6, 1e-8, 1e-10):
         K = ConeRegion.piece(make_polycone([[1.0, eta], [-1.0, eta]]))
         for t in (0.3, 3e-2, 3e-4, -1e-3, 1e-6):
-            for tol in (1e-9, 1e-10, 1e-11, 1e-12):
+            for tol in (10.0 ** -k for k in range(9, 16)):
                 verdicts.append(_verdict(lambda: separate_nonsym(ray_region([t, 1.0]), K,
                                                                  tol=tol)))
     assert all(v in (None, "inconclusive") for v in verdicts)
-    assert verdicts.count(None) >= 70
+    assert verdicts.count(None) >= 100
+
+
+def _nearly_flat_pair(rng, dim):
+    # K: a ray g1, a ray eta short of -g1, and one or two rays on one side
+    # of the plane of those two (in R^2, the pair alone); C: a ray inside K
+    eta = 10.0 ** rng.uniform(-11, -4)
+    g1 = rng.standard_normal(dim)
+    g1 /= np.linalg.norm(g1)
+    u = rng.standard_normal(dim)
+    u -= (u @ g1) * g1
+    u /= np.linalg.norm(u)
+    gens = [g1, -math.cos(eta) * g1 + math.sin(eta) * u]
+    if dim > 2:
+        n = rng.standard_normal(dim)
+        n -= (n @ g1) * g1 + (n @ u) * u
+        n /= np.linalg.norm(n)
+        extra = rng.standard_normal((int(rng.integers(1, 3)), dim))
+        gens += list(extra + (np.abs(extra @ n) + 0.1)[:, None] * n)
+    gens = np.array(gens)
+    w = rng.uniform(0.1, 1.0, len(gens))
+    w[:2] = rng.uniform(0.5, 1.0, 2)
+    return ray_region(w @ gens), ConeRegion.piece(make_polycone(gens))
+
+
+def _flat_pair_beside_a_ray(rng):
+    # K: a flat pair g1 and a ray eta short of -g1, spanning a plane
+    # orthogonal to a third ray g3; C = g3 + c u + a g1, inside K.  NNLS may
+    # settle on g3 alone, both rays of the pair left out with duals about
+    # eta c inside the slack.
+    g1, u, g3 = np.linalg.qr(rng.standard_normal((3, 3)))[0].T
+    eta, c = 10.0 ** rng.uniform(-10, -4), 10.0 ** rng.uniform(-9, -2)
+    K = ConeRegion.piece(make_polycone([g1, -math.cos(eta) * g1 + math.sin(eta) * u, g3]))
+    return ray_region(g3 + c * u + rng.uniform(-1, 1) * c * 10.0 ** rng.uniform(-6, 0) * g1), K
+
+
+def test_ray_inside_a_nearly_flat_cone_is_never_called_disjoint_from_it():
+    # through cones_meet_only_at_origin: a positive verdict read from a
+    # bracket its LMO error bound swallows would call the two cones disjoint
+    rng = np.random.default_rng(2025)
+    verdicts = []
+    for _ in range(80):
+        C, K = _flat_pair_beside_a_ray(rng)
+        tol = 10.0 ** -int(rng.integers(9, 16))
+        verdicts.append(_verdict(lambda: cones_meet_only_at_origin(C, K, tol=tol)))
+    assert all(v in (False, "inconclusive") for v in verdicts)
+    assert verdicts.count(False) >= 30
+
+
+def test_ray_inside_a_nearly_flat_cone_gets_no_certificate_in_random_draws():
+    # C inside K again, drawn at random in R^2 to R^4 under tol 1e-9 to
+    # 1e-15: none may be certified.  In R^3 and up the face NNLS settles
+    # on often leaves out the ray nearly opposite g1, whose dual sits in the
+    # KKT slack while it could add up to 1e-4 of |p|.
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for k in range(150):
+        C, K = _nearly_flat_pair(rng, 2 + k % 3)
+        tol = 10.0 ** -int(rng.integers(9, 16))
+        verdicts.append(_verdict(lambda: separate_nonsym(C, K, tol=tol)))
+    for _ in range(90):
+        C, K = _flat_pair_beside_a_ray(rng)
+        tol = 10.0 ** -int(rng.integers(9, 16))
+        verdicts.append(_verdict(lambda: separate_nonsym(C, K, tol=tol)))
+    assert all(v in (None, "inconclusive") for v in verdicts)
+    assert verdicts.count(None) >= 140
