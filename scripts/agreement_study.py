@@ -18,10 +18,12 @@ how often the independent routes agree:
     certificate drawn: its threshold interval's width is a lower bound on
     the hull distance, its witnesses' gap an upper bound,
   * every certificate's threshold interval, which separate_nonsym reads
-    from its deciding bracket, against the LMOs re-evaluated at its x*:
-    lo = max(0, sup of x* over the excluded base) and hi = min of x* over
-    the enclosed base; and is_well_based's alpha against the minimum of its
-    x* over the base, backed off by ALPHA_BACKOFF,
+    from its deciding bracket, against the LMOs re-evaluated at its x* as
+    the same certified bounds, each value net of its error bound:
+    lo = max(0, sup of x* over the excluded base + error) and hi = min of
+    x* over the enclosed base - error; and is_well_based's alpha against
+    that certified minimum of its x* over the base, backed off by
+    ALPHA_BACKOFF,
   * the bracket [lower_bounds, distances] of each of the five boundary
     forms, whose solves stop once decided, against the distance of the
     same pair solved to the end; a derived form has no distance, so only
@@ -84,12 +86,20 @@ def bracketed(cert) -> bool:
     return DEAD_BAND * DEFAULT_TOL < hi - lo <= cert.distance + ROUNDING
 
 
+def certified_min(region, x_star) -> float:
+    """The LMO's certified lower bound on the minimum of x_star over the base."""
+    res = lmo_norm_base(region, x_star)
+    return res.value - res.error
+
+
 def reread(cert, C, K) -> bool:
-    """Whether cert's threshold interval is the LMOs re-evaluated at its x*."""
+    """Whether cert's threshold interval is the LMOs' certified bounds
+    re-evaluated at its x*."""
     enclosed, excluded = (C, K) if cert.orientation is Orientation.C_FROM_K else (K, C)
     lo, hi = cert.alpha_interval
-    return (abs(lo - max(0.0, support_norm_base(excluded, cert.x_star).value)) <= ROUNDING
-            and abs(hi - lmo_norm_base(enclosed, cert.x_star).value) <= ROUNDING)
+    sup = support_norm_base(excluded, cert.x_star)
+    return (abs(lo - max(0.0, sup.value + sup.error)) <= ROUNDING
+            and abs(hi - certified_min(enclosed, cert.x_star)) <= ROUNDING)
 
 
 def base_check(C, rng):
@@ -103,7 +113,7 @@ def base_check(C, rng):
         verdicts.add(pointedness(C.single_cone()).pointed)
     if not cb.has_base:
         return len(verdicts) == 1, None, None
-    alpha = (1.0 - ALPHA_BACKOFF) * lmo_norm_base(C, wb.x_star).value
+    alpha = (1.0 - ALPHA_BACKOFF) * certified_min(C, wb.x_star)
     pts = sample_norm_base(C, count=1000, rng=rng).points
     sound = ((pts @ cb.x_star > 0.0).all()
              and np.abs(cb.base_vertices @ cb.x_star - 1.0).max() <= VERTEX_TOL)
@@ -311,7 +321,7 @@ def main() -> int:
           f"{ex['verified']}/{ex['certificates']}")
     print(f"  DEAD_BAND * tol < hi - lo <= distance + {ROUNDING:g}: "
           f"{ex['bracket_ok']}/{ex['brackets']} certificates")
-    print(f"  threshold interval (and well-based alpha) = LMOs re-evaluated at x* "
+    print(f"  threshold interval (and well-based alpha) = certified LMO bounds at x* "
           f"(+- {ROUNDING:g}): {ex['reread_ok']}/{ex['rereads']}")
     print(f"  sym = OR of one-sided: {ex['sym_agree']}/{ex['sym_pairs']} "
           f"({ex['sym_inconclusive']} Inconclusive, not counted)")

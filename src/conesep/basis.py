@@ -99,10 +99,9 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
     and the solve stops at the first bracket that decides it.  A positive
     gap yields, read from that bracket with no further LMO call, the
     functional x* = -v/|v| for the iterate v (not the max-margin one) and
-    threshold alpha, the exact minimum of x* over the base, backed off by
-    ALPHA_BACKOFF; a certified zero yields the vanishing hull combination.
-    That minimum is positive, so every leaf took it at a generator or in
-    closed form, with no NNLS face, and its error bound is zero.
+    threshold alpha, the bracket's certified lower bound on the minimum of
+    x* over the base, backed off by ALPHA_BACKOFF; a certified zero yields
+    the vanishing hull combination.
     """
     _check_nontrivial(region)
     res = body_distance(origin_body(region.dim), body(region, False), tol=tol,
@@ -114,7 +113,7 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
             witness_weights=res.weights,
             witness_pair=_maybe_pair(region, res.support_b, res.weights),
         )
-    u, _, low, _ = res.bracket()
+    u, _, low = res.bracket()
     x_star = -u
     x_star.setflags(write=False)
     alpha = low * (1.0 - ALPHA_BACKOFF)
@@ -169,11 +168,7 @@ def interpolate(C: ConeRegion | PolyCone, K: PolyCone,
     C minus the origin inside the interior of G and G inside K.
 
     Works by separating C from the closed complement of K with
-    separate_nonsym.  The resulting certificate (attached to the returned
-    cone) holds a separating functional, not the max-margin one, and the
-    exact interval of thresholds for it.  The interval's width is a
-    certified lower bound on the distance between the hull bodies, and the
-    certificate's distance, the witnesses' gap, an upper bound.  Returns
+    separate_nonsym, whose certificate the returned cone carries.  Returns
     None when the hull bodies of C and of the complement's base touch,
     which happens exactly when C reaches the boundary of K.
     """
@@ -260,9 +255,8 @@ def verify_interpolation(gamma: BishopPhelpsCone, C: ConeRegion | PolyCone,
     nx = np.linalg.norm(inner, axis=1)
     scores = inner @ f.x_star - f.alpha * nx
     inner_bad = int((scores <= MEMBERSHIP_BAND * (1.0 + nx)).sum())
-    margins = inner @ (f.x_star / np.linalg.norm(f.x_star)) - (
-        f.alpha / np.linalg.norm(f.x_star)
-    )
+    xn = np.linalg.norm(f.x_star)
+    margins = inner @ (f.x_star / xn) - f.alpha / xn
     base_pts = _bp_base_samples(gamma, count, rng)
     base_bad = int((~geometry.cone_membership_batch(base_pts, K)).sum())
     return InterpolationCheck(

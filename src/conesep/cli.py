@@ -8,9 +8,9 @@ separation verdict, independent of the engine).
 
 Documents are JSON on stdout with shortest round-trip float rendering.
 Exit codes: 0 separated / certificate found, 1 not separated / absent,
-2 inconclusive (tolerance dead-band, uncertified solve, bidir's failed
-exact support check, failed sample verification, or a check "defect":
-the five conditions disagree), 3 input or usage error.
+2 inconclusive (tolerance dead-band, uncertified solve, a cone within
+rounding of a line, failed sample verification, or a check "defect": the
+five conditions disagree), 3 input or usage error.
 Several instance files may be given to most subcommands; they are
 evaluated in order and emitted one JSON document per line, with the worst
 exit code winning.  Every subcommand rejects a non-Euclidean instance.

@@ -38,6 +38,8 @@ TOL_POINT = 1e-9
 RANK_REL = 1e-10
 # Rays whose cosine reaches this collapse to a single generator.
 DEDUP_COS = 1.0 - 1e-12
+# Unit generators whose nonzero sum is this short are within rounding of a line.
+NEAR_LINE = 64 * np.finfo(float).eps
 # Norms within this of 1 count as unit: such rays stay untouched.
 _UNIT_SLACK = 8 * np.finfo(float).eps
 # Facet normals whose cosine reaches this collapse to the first one.
@@ -264,6 +266,22 @@ def is_whole_space(cone: PolyCone) -> bool:
         )
         cone._cache["whole"] = v
     return bool(v)
+
+
+def nearly_a_line(cone: PolyCone) -> bool:
+    """True iff two unit generators have 0 < |g_i + g_j| <= NEAR_LINE (an
+    exact line, a sum of 0, is legal); cached.  Such a pair's scores under
+    the generator mean y sum to at most NEAR_LINE |y|, so only generators
+    scoring that or less are summed with every generator."""
+    v = cone._cache.get("near_line")
+    if v is None:
+        G, y = cone.generators, generator_mean(cone)
+        scores, bound = (y @ G).tolist(), NEAR_LINE * math.hypot(*y.tolist())
+        v = cone._cache["near_line"] = min(scores) <= bound and any(
+            ((s > 0.0) & (s <= NEAR_LINE)).any()
+            for s in (np.linalg.norm(G + g[:, None], axis=0)
+                      for g, score in zip(G.T, scores) if score <= bound))
+    return v
 
 
 def _oriented_normals(points: np.ndarray, idx: np.ndarray):

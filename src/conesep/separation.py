@@ -89,11 +89,6 @@ def eval_norm_linear(f: NormLinearFunctional, x) -> float:
     return float(f.x_star @ x) + f.alpha * norm_value(x, f.norm)
 
 
-def _bp_score(f: NormLinearFunctional, x: np.ndarray) -> tuple[float, float]:
-    nx = norm_value(x, f.norm)
-    return float(f.x_star @ x) - f.alpha * nx, nx
-
-
 def bp_family_flags(f: NormLinearFunctional) -> frozenset[str]:
     flags = set()
     if 0.0 < f.alpha < f.dual_norm_value:
@@ -147,7 +142,8 @@ def bp_membership(bp: BishopPhelpsCone, x) -> Membership:
     x = np.asarray(x, dtype=float)
     if x.shape != (f.dim,):
         raise DimensionMismatch("point dimension does not match the cone")
-    score, nx = _bp_score(f, x)
+    nx = norm_value(x, f.norm)
+    score = float(f.x_star @ x) - f.alpha * nx
     band = MEMBERSHIP_BAND * (1.0 + nx)
     if score > band:
         return Membership.INTERIOR
@@ -181,6 +177,18 @@ def _check_nontrivial(region: ConeRegion) -> None:
             raise TrivialRegion("a piece covers the whole space")
 
 
+def _check_separable(C: ConeRegion, K: ConeRegion) -> None:
+    """Reject regions in different dimensions or with a whole-space piece,
+    and, structurally Inconclusive at any tol, a cone within rounding of a
+    line (``geometry.nearly_a_line``), which no LMO error bound covers."""
+    if C.dim != K.dim:
+        raise DimensionMismatch("regions live in different dimensions")
+    _check_nontrivial(C)
+    _check_nontrivial(K)
+    if any(geometry.nearly_a_line(leaf.cone) for leaf in C.leaves + K.leaves):
+        raise Inconclusive("a cone's generators come within rounding of opposite")
+
+
 def augmented_dual_membership(cone: ConeRegion, x_star, alpha: float) -> dict[str, bool]:
     """Membership of (x*, alpha) in the augmented dual classes of the cone.
 
@@ -191,9 +199,8 @@ def augmented_dual_membership(cone: ConeRegion, x_star, alpha: float) -> dict[st
                   bases here this coincides with a_sharp
       cor_a_plus  m > alpha > 0, the interior condition driving separation
     Negative alpha is outside all four domains.  The comparisons are exact
-    on the LMO's value of m.  A certificate's alpha lies half its interval's
-    width below its bracket's m, so its (x*, alpha) lands in its family
-    here whenever that width exceeds the rounding of m.
+    on the LMO's value of m, which a certificate's alpha clears by half its
+    certified interval's width, so it lands in its family here.
     """
     _check_nontrivial(cone)
     m = cone.lmo(np.asarray(x_star, dtype=float)).value
@@ -219,8 +226,7 @@ class SeparationCertificate:
     is a certified lower bound on the distance between the hulls.
     witnesses are points of the two hull bodies near that iterate, and
     distance, their gap, is an upper bound.  family, CERTIFICATE_FAMILY,
-    holds exactly, as 0 <= lo + e < alpha < hi - e proves for the bracket's
-    error bound e >= 0.
+    holds exactly, as 0 <= lo < alpha < hi proves on that certified bracket.
     """
 
     orientation: Orientation
@@ -255,29 +261,22 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
     Decided through a single distance: the gap between the hull body of
     C's norm-base and the origin-adjoined hull body of K's.  The solve stops
     at the first bracket that decides it, and the certificate is read from
-    that bracket with no further LMO call: x* = v/|v| for its iterate v
-    (not the max-margin functional), and the exact threshold interval
-    hi = min of x* over C's base, lo = max(0, sup of x* over K's).  hi - lo
-    is the bracket's lower bound on the gap; the witnesses' gap, the
-    certificate's distance, an upper bound.  The LMO values carry an error
-    bound (``regions.LmoResult``), nonzero only where K's supremum came from
-    a projection on an NNLS face, so alpha must clear both ends by it.  A
-    certified zero gap proves no certificate exists.  Gaps inside the
-    tolerance dead-band raise Inconclusive, as does, structurally, an
-    interval with no interior once the error bound is taken off it.
+    that certified bracket with no further LMO call: x* = v/|v| for its
+    iterate v (not the max-margin functional), hi = min of x* over C's base
+    and lo = max(0, sup of x* over K's).  A certified zero gap proves no
+    certificate exists.  Gaps inside the tolerance dead-band raise
+    Inconclusive, as does, structurally, an interval with no interior or a
+    cone within rounding of a line (``_check_separable``).
     """
-    if C.dim != K.dim:
-        raise DimensionMismatch("regions live in different dimensions")
-    _check_nontrivial(C)
-    _check_nontrivial(K)
+    _check_separable(C, K)
     res = body_distance(body(C, adjoin_origin=False), body(K, adjoin_origin=True),
                         tol=tol, until_decided=True)
     if not decide_gap(res, "distance", tol):
         return None
-    x_star, hi, low_k, err = res.bracket()
+    x_star, hi, low_k = res.bracket()
     lo = max(0.0, -low_k)
     alpha = 0.5 * (lo + hi)
-    if not lo + err < alpha < hi - err:
+    if not lo < alpha < hi:
         raise Inconclusive("threshold interval has no interior at the deciding bracket")
     return SeparationCertificate(
         orientation=Orientation.C_FROM_K,
@@ -304,13 +303,9 @@ def separate_sym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
                  ) -> SeparationCertificate | None:
     """Separation in either orientation: C from K first, then K from C.
 
-    Each orientation is separate_nonsym's: its x* separates but need not be
-    the max-margin functional, and its alpha_interval is the exact threshold
-    interval for that x*.  The first certificate is returned as it stands:
-    with exact LMOs its non-empty threshold interval (lo, hi) puts the two
-    norm-base hulls at least hi - lo apart; its distance, the witnesses'
-    gap, bounds theirs from above.  Without one, an Inconclusive from
-    either orientation is re-raised, one inside the dead band before an
+    Each orientation is separate_nonsym's, and the first certificate is
+    returned as it stands.  Without one, an Inconclusive from either
+    orientation is re-raised, one inside the dead band before an
     uncertified one.  Two certified zero gaps, each at most tol, give None,
     and no third solve could overturn it: the plain distance d between
     conv B_C and conv B_K is then at most 2 tol, below DEAD_BAND * tol.
@@ -359,9 +354,9 @@ def separate_convex_bidirectional(C: ConeRegion, K: ConeRegion,
     with both one-sided gaps certified the union distance exceeds 5 tol.
     The separator's existence is then decided, wherever that distance
     lies, dead band included: a solve certified positive gives v, and only
-    one that ends uncertified raises Inconclusive.  v is checked exactly,
-    by its infimum over C's base hull and its supremum over K's, a check
-    that cannot fail with exact LMOs.
+    one that ends uncertified raises Inconclusive.  No LMO is called after
+    it: certified, its last bracket has min over the union of x.p above 0
+    (at the iterate -x), so v is positive on C's generators, negative on K's.
     """
     if not (C.is_single_piece and K.is_single_piece):
         raise NotConvex("bidirectional separation needs single convex pieces")
@@ -378,8 +373,6 @@ def separate_convex_bidirectional(C: ConeRegion, K: ConeRegion,
                 f"lies in [{res.lower_bound:.3e}, {res.distance:.3e}]"
             )
         v = res.witness_b / np.linalg.norm(res.witness_b)
-        if not -K.lmo(-v).value < 0.0 < C.lmo(v).value:
-            raise Inconclusive("linear functional failed the exact support check")
         v.setflags(write=False)
         linear = v
     return BidirectionalResult(cfromk=cfromk, kfromc=kfromc, linear=linear)
@@ -512,8 +505,7 @@ def boundary_equivalence_report(C: ConeRegion, K: ConeRegion,
     fail forms 3 to 5, take form 1's bracket too (in R^2 and up).  Else
     each distinct pair of regions takes one solve: a closed cone is its own
     closure, and a region without a solid leaf cone is its own boundary."""
-    _check_nontrivial(C)
-    _check_nontrivial(K)
+    _check_separable(C, K)
 
     @functools.cache
     def solve(a: ConeRegion, b: ConeRegion) -> DistanceResult:
@@ -575,7 +567,7 @@ def verify_certificate(cert: SeparationCertificate, C: ConeRegion,
     pk = sample_norm_base(excluded, count=count, rng=rng).points
     vc = pc @ cert.x_star - cert.alpha
     vk = cert.alpha - (pk @ cert.x_star)
-    report = VerificationReport(
+    return VerificationReport(
         ok=bool((vc > 0.0).all() and (vk > 0.0).all()),
         enclosed_count=len(pc),
         excluded_count=len(pk),
@@ -584,4 +576,3 @@ def verify_certificate(cert: SeparationCertificate, C: ConeRegion,
         min_enclosed_margin=float(vc.min()),
         min_excluded_margin=float(vk.min()),
     )
-    return report

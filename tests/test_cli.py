@@ -156,6 +156,27 @@ def test_rays_1e13_apart_separate_at_tol_1e15(capsys, tmp_path, mode):
     assert doc["verification"]["ok"] is True
 
 
+@pytest.mark.parametrize("command", [["separate", "--mode", "nonsym"],
+                                     ["separate", "--mode", "sym"],
+                                     ["check", "--report", "bd-equivalence"]])
+def test_cone_within_rounding_of_a_line_is_inconclusive(capsys, tmp_path, command):
+    # K holds C's ray through (g1 + g2) / 1e-15, yet sampling cannot see it;
+    # the verdict is structural, at any tol
+    path = _write(tmp_path, "near_line.json", {
+        "dim": 3,
+        "cones": {
+            "C": {"pieces": [{"generators": [[0.7, 1.3, 1.0]]}]},
+            "K": {"pieces": [{"generators": [[1, 0, 0], [-1, 1e-15, 0], [0, 0, 1]]}]},
+        },
+    })
+    for tol in ("1e-6", "1e-15"):
+        code, doc = _run(capsys, [command[0], path, *command[1:], "--tol", tol,
+                                  "--pair", "C,K"])
+        assert code == 2
+        assert doc["verdict"] == "inconclusive"
+        assert "within rounding of opposite" in doc["error"]
+
+
 def test_non_euclidean_rejected(capsys, tmp_path):
     path = _write(tmp_path, "l1.json", {
         "dim": 2, "norm": "l1",

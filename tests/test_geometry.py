@@ -174,6 +174,39 @@ def test_whole_space_test_matches_its_definition(dim):
     assert seen == {True, False}
 
 
+def test_nearly_a_line_flags_rays_within_rounding_of_opposite():
+    def cone(gap):
+        return make_polycone([[1.0, 0.0, 0.0], [-1.0, gap, 0.0], [0.0, 0.0, 1.0]])
+
+    near = cone(1e-15)
+    assert geometry.nearly_a_line(near) and near._cache["near_line"] is True
+    assert not geometry.nearly_a_line(cone(1e-13))  # over 64 eps: resolved
+    assert not geometry.nearly_a_line(cone(0.0))  # an exact line is legal
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_nearly_a_line_matches_its_definition(dim):
+    # 0 < |g_i + g_j| <= NEAR_LINE for some pair: the definition the
+    # generator-mean shortcut must agree with, on cones in a half-space and
+    # on cones with lines, exact and within rounding
+    rng = np.random.default_rng([61, dim])
+    seen = set()
+    for _ in range(4):
+        cases = list(_whole_space_cases(dim, rng))
+        for base in cases[:2]:
+            g = base.generators[:, 0]
+            for gap in (1e-15, 1e-13):
+                h = -g + gap * np.linalg.svd(g[None, :])[2][1]
+                cases.append(make_polycone(np.vstack([base.generators.T, h])))
+        for cone in cases:
+            G = cone.generators
+            sums = np.linalg.norm(G[:, :, None] + G[:, None, :], axis=0)
+            ref = bool(((sums > 0.0) & (sums <= geometry.NEAR_LINE)).any())
+            assert geometry.nearly_a_line(cone) == ref
+            seen.add(ref)
+    assert seen == {True, False}
+
+
 def test_facets_first_orthant_2d():
     decomp = facets(make_polycone([[1.0, 0.0], [0.0, 1.0]]))
     rays = sorted(tuple(np.round(p.generators[:, 0], 9)) for p in decomp.pieces)

@@ -1061,33 +1061,39 @@ def _solve_with_lmo_values(monkeypatch, values):
     return separate_nonsym(ORTHANT, NEG_ORTHANT)
 
 
-def _bidirectional_with_near_point(monkeypatch, w):
-    # ORTHANT / NEG_ORTHANT: both orientations certify, and the union solve,
-    # the one run to the end, has its near point replaced by w
-    real = separation.body_distance
-
-    def solve(*args, until_decided=False, **kwargs):
-        res = real(*args, until_decided=until_decided, **kwargs)
-        if until_decided:
-            return res
-        return dataclasses.replace(res, witness_b=np.asarray(w, dtype=float))
-
-    monkeypatch.setattr(separation, "body_distance", solve)
-    return separate_convex_bidirectional(ORTHANT, NEG_ORTHANT)
-
-
 @pytest.mark.parametrize("message, reach", [
     # an iterate negative on C: hi < 0 = lo
     ("threshold interval has no interior at the deciding bracket",
      lambda mp: _solve_with_lmo_values(mp, (-1.0, 0.0))),
-    # a near point negative on C's generator (0, 1)
-    ("linear functional failed the exact support check",
-     lambda mp: _bidirectional_with_near_point(mp, [1.0, -1.0])),
 ])
 def test_structural_inconclusive_is_not_a_dead_band(monkeypatch, message, reach):
     with pytest.raises(Inconclusive, match=f"^{re.escape(message)}$") as exc:
         reach(monkeypatch)
     assert exc.value.dead_band is False
+
+
+# K holds (0, 1, 0) = (g1 + g2) / 1e-15, and so C's ray; no certificate
+# exists, but the sampled check cannot see it
+NEAR_LINE_C = [0.7, 1.3, 1.0]
+NEAR_LINE_K = [[1.0, 0.0, 0.0], [-1.0, 1e-15, 0.0], [0.0, 0.0, 1.0]]
+
+
+def test_cone_within_rounding_of_a_line_is_structurally_inconclusive():
+    C = ray_region(NEAR_LINE_C)
+    K = ConeRegion.piece(make_polycone(NEAR_LINE_K))
+    for tol in (1e-6, 1e-9, 1e-15):
+        for call in (separate_nonsym, separate_sym, boundary_equivalence_report):
+            for pair in ((C, K), (K, C)):
+                with pytest.raises(Inconclusive, match="within rounding of opposite") as exc:
+                    call(*pair, tol=tol)
+                assert exc.value.dead_band is False
+    # its base hull reaches the origin: a certified "no"
+    assert basis.is_well_based(K).kind is basis.BaseKind.NOT_WELL_BASED
+    # an exact line is legal: (0, 1, 0) is off the half-plane y = 0, z >= 0
+    line = ConeRegion.piece(make_polycone([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                                           [0.0, 0.0, 1.0]]))
+    cert = separate_nonsym(C, line)
+    assert cert is not None and verify_certificate(cert, C, line).ok
 
 
 def _ray_pair(theta):
@@ -1126,7 +1132,8 @@ def test_sym_inconclusive_on_ray_pairs_is_always_dead_band():
 
 def test_certificate_interval_matches_the_lmos_at_its_functional():
     # The interval is read from the deciding bracket's LMO values at the
-    # iterate v; re-evaluated at x* = v / |v| it agrees to rounding.
+    # iterate v, each net of its error bound; re-evaluated at x* = v / |v|
+    # as the same certified bounds it agrees to rounding.
     checked = 0
     rng = np.random.default_rng(3003)
     for dim in range(2, 7):
@@ -1140,17 +1147,18 @@ def test_certificate_interval_matches_the_lmos_at_its_functional():
                 if cert is None:
                     continue
                 checked += 1
-                lo = max(0.0, support_norm_base(excluded, cert.x_star).value)
-                hi = lmo_norm_base(enclosed, cert.x_star).value
+                sup = support_norm_base(excluded, cert.x_star)
+                low = lmo_norm_base(enclosed, cert.x_star)
+                lo, hi = max(0.0, sup.value + sup.error), low.value - low.error
                 assert cert.alpha_interval == pytest.approx((lo, hi), abs=1e-14)
     assert checked >= 80
 
 
 def test_certificate_family_agrees_with_augmented_dual_membership():
-    # The family holds exactly, as lo + error < alpha < hi - error proves;
-    # augmented_dual_membership compares m at x* with alpha exactly, so it
-    # finds the same classes, for the 1e-13 certificate at tol 1e-15 (alpha
-    # 5e-14) as for random pairs.
+    # The family holds exactly, as lo < alpha < hi proves on the certified
+    # bracket; augmented_dual_membership compares m at x* with alpha
+    # exactly, so it finds the same classes, for the 1e-13 certificate at
+    # tol 1e-15 (alpha 5e-14) as for random pairs.
     C, K = _ray_pair(1e-13)
     certs = [(C, separate_nonsym(C, K, tol=1e-15)), (K, separate_nonsym(K, C, tol=1e-15))]
     rng = np.random.default_rng(3005)
@@ -1171,10 +1179,13 @@ def test_certificate_family_agrees_with_augmented_dual_membership():
 
 
 def test_certificates_make_no_lmo_call_after_the_solve(monkeypatch):
+    # no region LMO is called between one solve and the next, or after the
+    # last: bidir's linear separator is read from its union solve too
     solved = []
     real_solve, real_lmo = separation.body_distance, ConeRegion.lmo
 
     def solve(*args, **kwargs):
+        solved.clear()
         res = real_solve(*args, **kwargs)
         solved.append(True)
         return res
@@ -1187,15 +1198,15 @@ def test_certificates_make_no_lmo_call_after_the_solve(monkeypatch):
     monkeypatch.setattr(basis, "body_distance", solve)
     monkeypatch.setattr(ConeRegion, "lmo", lmo)
     rng = np.random.default_rng(3004)
-    certs = bases = 0
+    certs = bases = linear = 0
     for dim in range(2, 7):
         for _ in range(6):
             C, K = random_region(rng, dim), random_region(rng, dim)
-            solved.clear()
             certs += separate_nonsym(C, K) is not None
-            solved.clear()
             bases += basis.is_well_based(C).well_based
-    assert certs >= 20 and bases >= 25
+            C, K = (ConeRegion.piece(random_pointed_cone(rng, dim)) for _ in range(2))
+            linear += separate_convex_bidirectional(C, K).linear is not None
+    assert certs >= 20 and bases >= 25 and linear >= 10
 
 
 def test_ray_inside_a_nearly_flat_cone_gets_no_certificate():
@@ -1248,6 +1259,18 @@ def _flat_pair_beside_a_ray(rng):
     return ray_region(g3 + c * u + rng.uniform(-1, 1) * c * 10.0 ** rng.uniform(-6, 0) * g1), K
 
 
+def _flat_pair_with_a_spread_ray(rng):
+    # K: g1, a ray eta short of -g1, and g3 orthogonal to both; C = g3 + c u
+    # + a g1, c and a in [0, 2], u the unit sum of K's first two rays: C
+    # lies in K, so the answer is a certified "no"
+    g1, w, g3 = np.linalg.qr(rng.standard_normal((3, 3)))[0].T
+    eta = 10.0 ** rng.uniform(-10, -4)
+    cone = make_polycone([g1, -math.cos(eta) * g1 + math.sin(eta) * w, g3])
+    u = cone.generators[:, 0] + cone.generators[:, 1]
+    c, a = rng.uniform(0.0, 2.0, 2)
+    return ray_region(g3 + c * u / np.linalg.norm(u) + a * g1), ConeRegion.piece(cone)
+
+
 def test_ray_inside_a_nearly_flat_cone_is_never_called_disjoint_from_it():
     # through cones_meet_only_at_origin: a positive verdict read from a
     # bracket its LMO error bound swallows would call the two cones disjoint
@@ -1278,3 +1301,9 @@ def test_ray_inside_a_nearly_flat_cone_gets_no_certificate_in_random_draws():
         verdicts.append(_verdict(lambda: separate_nonsym(C, K, tol=tol)))
     assert all(v in (None, "inconclusive") for v in verdicts)
     assert verdicts.count(None) >= 140
+    # With eta from 1e-10 up, the LMOs' error bounds resolve the zero: a
+    # stop test reading the value alone stopped "decided" on a bracket its
+    # error swallowed, a structural or dead-band Inconclusive at distance 0.
+    spread = [_verdict(lambda: separate_nonsym(*_flat_pair_with_a_spread_ray(rng)))
+              for _ in range(120)]
+    assert spread == [None] * len(spread)
