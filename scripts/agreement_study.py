@@ -38,7 +38,12 @@ how often the independent routes agree:
     that of x1 - x2, the construction it replaced, and of x1/hi1 - x2/hi2,
     which separates for any two certificates.  v is the max-margin
     functional to within its solve's precision, tol, and either
-    construction can itself be the max-margin one.
+    construction can itself be the max-margin one,
+  * in R^2 and R^3, separate_nonsym with the boundary of a solid cone (the
+    union of its facet cones) on one side and a random region on the
+    other, against the grid search ``oracle_separation``; pairs whose
+    distance is within 3 covering bounds of the sampled clouds are beyond
+    the oracle's resolving power and are skipped.
 
 Draws whose reference distance solve did not certify, and pairs that raise
 Inconclusive, are counted and reported rather than compared.  Exits 1 when
@@ -53,8 +58,10 @@ import numpy as np
 from conesep.basis import ALPHA_BACKOFF, has_convex_base, is_well_based
 from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance, decide_gap
 from conesep.errors import Inconclusive
-from conesep.geometry import is_whole_space, pointedness
+from conesep.geometry import is_whole_space, pointedness, solidity
 from conesep.oracle import (
+    covering_bound,
+    oracle_separation,
     random_pointed_cone,
     random_region,
     random_unpointed_cone,
@@ -295,6 +302,34 @@ def bidir_study(dims, per_dim, margin, rng):
             "inconclusive": inconclusive}
 
 
+def boundary_oracle_study(dims, count, rng):
+    dims = [d for d in dims if d <= 3]  # the covering bound's calibration
+    done = agree = separated = skipped = inconclusive = 0
+    while dims and done < count:
+        dim = int(rng.choice(dims))
+        cone = random_pointed_cone(rng, dim, n_rays=int(rng.integers(dim, 2 * dim + 1)))
+        if not solidity(cone):
+            continue
+        pair = [ConeRegion.boundary(cone), random_region(rng, dim)]
+        C, K = pair if done % 2 == 0 else pair[::-1]
+        resolution = 0.5 if dim == 2 else 1.0
+        full = body_distance(body(C, False), body(K, True))
+        if not full.certified or (full.kind == "positive"
+                                  and full.distance <= 3 * covering_bound(dim, resolution)):
+            skipped += 1
+            continue
+        try:
+            cert = separate_nonsym(C, K)
+        except Inconclusive:
+            inconclusive += 1
+            continue
+        done += 1
+        separated += cert is not None
+        agree += (cert is not None) == oracle_separation(C, K, resolution=resolution).separated
+    return {"pairs": done, "agree": agree, "separated": separated, "skipped": skipped,
+            "inconclusive": inconclusive}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dims", default="2,3",
@@ -311,6 +346,7 @@ def main() -> int:
     ex = existence_study(dims, args.per_dim, args.margin, rng)
     bd = boundary_study(dims, args.boundary_pairs, args.margin, rng)
     bi = bidir_study(dims, args.per_dim, args.margin, rng)
+    bo = boundary_oracle_study(dims, args.boundary_pairs, rng)
     elapsed = time.perf_counter() - t0
 
     print(f"dims {dims}, {args.per_dim} pairs per dim, margin {args.margin:g}, "
@@ -344,6 +380,10 @@ def main() -> int:
           f"({bi['inconclusive']} Inconclusive, not counted)")
     print(f"  bidir margin + tol >= that of x1 - x2 and of x1/hi1 - x2/hi2: "
           f"{bi['margin_ok']}/{bi['linear']}")
+    print(f"  boundary region on either side (R^2, R^3): separate_nonsym = "
+          f"oracle_separation: {bo['agree']}/{bo['pairs']} "
+          f"({bo['separated']} separated; {bo['skipped']} within 3 covering "
+          f"bounds or uncertified, {bo['inconclusive']} Inconclusive, not counted)")
     print(f"  margin-filtered draws: {ex['margin_skipped']}")
     print(f"  uncertified distance solves (draw skipped): {ex['uncertified']}")
     print(f"  total time: {elapsed:.1f} s")
@@ -358,7 +398,8 @@ def main() -> int:
              or bd["consistent"] < bd["pairs"]
              or bd["bracket_ok"] < bd["brackets"]
              or bi["agree"] < bi["pairs"]
-             or bi["margin_ok"] < bi["linear"])
+             or bi["margin_ok"] < bi["linear"]
+             or bo["agree"] < bo["pairs"])
     return 1 if short else 0
 
 

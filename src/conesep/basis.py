@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry
 from .distance import DEFAULT_TOL, body_distance, decide_gap, origin_body
-from .errors import NonPositiveRay, NotNested, TrivialRegion
+from .errors import NonPositiveRay, NotNested
 from .geometry import Norm, PolyCone
 # unused here; kept bound because the benchmark tracer wraps it by this name
 from .kernels import min_norm_point
@@ -139,9 +139,10 @@ def has_convex_base(region: ConeRegion, tol: float = DEFAULT_TOL,
     verdicts coincide on the same solve: a functional positive on a piece
     attains its base minimum at a unit extreme ray (``regions._lmo_piece``),
     so the origin's distance to the hull of the base equals its distance
-    to the hull of the unit generators whenever either is positive.
-    ConvexBase carries is_well_based's x*, plus, for piece and union
-    regions, the base vertices ``make_base`` cuts from each piece.  A
+    to the hull of the unit generators whenever either is positive.  A
+    boundary region is the union of its facet cones, so it is one of these.
+    ConvexBase carries is_well_based's x*, plus, for a region without a
+    complement leaf, the base vertices ``make_base`` cuts from each piece.  A
     NoConvexBase witness is the solve's corral: unit base points and their
     convex weights.
     """
@@ -167,18 +168,17 @@ def interpolate(C: ConeRegion | PolyCone, K: PolyCone,
     """Squeeze a Bishop-Phelps cone G strictly between nested cones:
     C minus the origin inside the interior of G and G inside K.
 
-    Works by separating C from the closed complement of K with
-    separate_nonsym, whose certificate the returned cone carries.  Returns
-    None when the hull bodies of C and of the complement's base touch,
-    which happens exactly when C reaches the boundary of K.
+    C is a piece, a union, or a boundary (a union of facet cones); a
+    complement cannot be nested.  Works by separating C from the closed
+    complement of K with separate_nonsym, whose certificate the returned
+    cone carries.  Returns None when the hull bodies of C and of the
+    complement's base touch, which happens exactly when C reaches the
+    boundary of K.
     """
     region = ConeRegion.piece(C) if isinstance(C, PolyCone) else C
     if region.has_compound_leaves:
-        raise NotNested("only piece or union regions can be nested in a cone")
-    pieces = region.piece_cones()
-    if not pieces:
-        raise TrivialRegion("the inner region has no pieces")
-    for cone in pieces:
+        raise NotNested("a complement region cannot be nested in a cone")
+    for cone in region.piece_cones():
         if not geometry.cone_membership_batch(cone.generators.T, K).all():
             raise NotNested("an inner generator lies outside the outer cone")
     k_hat = ConeRegion.complement(K)

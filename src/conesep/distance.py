@@ -210,7 +210,9 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
     a = w @ Pa
     b = w @ Pb
     dist = math.sqrt(float((a - b) @ (a - b)))
-    kind = ZERO if dist <= tol else POSITIVE
+    # |v| <= tol certified contact, though rounding may leave the witnesses'
+    # distance a hair above tol
+    kind = ZERO if stop == "certified_zero" or dist <= tol else POSITIVE
     return DistanceResult(
         distance=dist,
         kind=kind,

@@ -60,10 +60,14 @@ class InstanceOptions:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
+    """A parsed instance.  ``pieces`` holds each cone's pieces as the file
+    gave them: a boundary region's leaves are its facet cones instead."""
+
     dim: int
     norm: Norm
     regions: dict[str, ConeRegion]
     kinds: dict[str, str]
+    pieces: dict[str, list[PolyCone]]
     options: InstanceOptions = field(default_factory=InstanceOptions)
 
     def region(self, name: str) -> ConeRegion:
@@ -104,7 +108,8 @@ def _build_piece(raw: dict, dim: int, where: str) -> PolyCone:
     return geometry.make_polycone(gens)
 
 
-def _build_region(name: str, raw: dict, dim: int) -> tuple[ConeRegion, str]:
+def _build_region(name: str, raw: dict, dim: int
+                  ) -> tuple[ConeRegion, str, list[PolyCone]]:
     where = f"cones.{name}"
     if not isinstance(raw, dict):
         raise InstanceError(f"{where}: a cone entry must be a mapping")
@@ -121,12 +126,14 @@ def _build_region(name: str, raw: dict, dim: int) -> tuple[ConeRegion, str]:
     if kind in ("convex", "complement", "boundary") and len(pieces) != 1:
         raise InstanceError(f"{where}: kind {kind!r} takes exactly one piece")
     if kind == "convex":
-        return ConeRegion.piece(pieces[0]), kind
-    if kind == "union":
-        return ConeRegion.union(*[ConeRegion.piece(p) for p in pieces]), kind
-    if kind == "complement":
-        return ConeRegion.complement(pieces[0]), kind
-    return ConeRegion.boundary(pieces[0]), kind
+        region = ConeRegion.piece(pieces[0])
+    elif kind == "union":
+        region = ConeRegion.union(*[ConeRegion.piece(p) for p in pieces])
+    elif kind == "complement":
+        region = ConeRegion.complement(pieces[0])
+    else:
+        region = ConeRegion.boundary(pieces[0])
+    return region, kind, pieces
 
 
 def parse_instance(text: str) -> Instance:
@@ -154,14 +161,15 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError("'cones' must be a non-empty mapping")
     regions: dict[str, ConeRegion] = {}
     kinds: dict[str, str] = {}
+    pieces: dict[str, list[PolyCone]] = {}
     for name, raw in cones.items():
-        regions[name], kinds[name] = _build_region(name, raw, dim)
+        regions[name], kinds[name], pieces[name] = _build_region(name, raw, dim)
     opts_raw = doc.get("options", {})
     if not isinstance(opts_raw, dict):
         raise InstanceError("'options' must be a mapping")
     _check_keys(opts_raw, {f.name for f in fields(InstanceOptions)}, "options")
     return Instance(dim=dim, norm=norm, regions=regions, kinds=kinds,
-                    options=InstanceOptions(**opts_raw))
+                    pieces=pieces, options=InstanceOptions(**opts_raw))
 
 
 def load_instance(path: str) -> Instance:
@@ -176,10 +184,9 @@ def load_instance(path: str) -> Instance:
         raise InstanceError(f"{path}: {exc}") from None
 
 
-def _region_doc(region: ConeRegion, kind: str) -> dict:
-    pieces = [{"generators": leaf.cone.generators.T.tolist()}
-              for leaf in region.leaves]
-    return {"kind": kind, "pieces": pieces}
+def _region_doc(pieces: list[PolyCone], kind: str) -> dict:
+    return {"kind": kind,
+            "pieces": [{"generators": p.generators.T.tolist()} for p in pieces]}
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -187,7 +194,7 @@ def serialize_instance(inst: Instance) -> str:
         "dim": inst.dim,
         "norm": inst.norm.value,
         "cones": {
-            name: _region_doc(inst.regions[name], inst.kinds[name])
+            name: _region_doc(inst.pieces[name], inst.kinds[name])
             for name in sorted(inst.regions)
         },
         "options": jsonable(inst.options),

@@ -204,9 +204,9 @@ def sample_norm_base(region: ConeRegion, resolution: float | None = None,
     """Unit vectors in the closure of the region's norm-base.
 
     Every returned point passes region membership within
-    geometry.MEMBERSHIP_TOL.  Leaf generators (facet rays for boundary and
-    complement leaves) are always included as exact anchors, so patch
-    endpoints are represented at any resolution.  With count= the points
+    geometry.MEMBERSHIP_TOL.  Leaf generators (facet rays for a complement
+    leaf) are always included as exact anchors, so patch endpoints are
+    represented at any resolution.  With count= the points
     are drawn at random from each leaf's base patch instead of from a grid
     (regions whose base is a finite set of rays simply return all of it).
     """

@@ -1,12 +1,13 @@
 """Cone regions and the convex bodies spanned by their norm-bases.
 
-A region denotes a (possibly nonconvex) cone assembled from convex
-polyhedral leaves: single pieces, finite unions, the closed complement
-(X \\ K) united with {0}, and the boundary of a solid cone.  All analytic
-access goes through the linear minimization oracle (LMO) over the closure
-of the region's norm-base B = region intersect unit sphere; the convex body
-used by the distance engine is conv(B), optionally with the origin adjoined
-(the S vs S0 hull of the base).
+A region denotes a (possibly nonconvex) cone assembled from two leaf
+kinds: convex polyhedral pieces, and the closed complement (X \\ K) united
+with {0}.  A finite union is a region of several leaves, and the boundary
+of a solid cone is the union of its facet cones.  All analytic access goes
+through the linear minimization oracle (LMO) over the closure of the
+region's norm-base B = region intersect unit sphere; the convex body used
+by the distance engine is conv(B), optionally with the origin adjoined (the
+S vs S0 hull of the base).
 """
 from __future__ import annotations
 
@@ -41,9 +42,10 @@ class LmoResult:
 class _Leaf:
     """The protocol every leaf kind shares; no other module tells them apart.
 
-    ``cone`` is the cone the leaf is built from.  ``pieces`` are convex
-    cones whose union is the base closure; a leaf without pieces has as its
-    base closure the unit sphere outside the interior of ``cone``.
+    ``cone`` is the cone the leaf is built from.  ``pieces`` are the convex
+    cones whose union is the base closure: a piece leaf's is ``cone``
+    itself.  Only the complement leaf has no pieces; its base closure is
+    the unit sphere outside the interior of ``cone``.
     """
 
     __slots__ = ("cone", "pieces")
@@ -71,58 +73,6 @@ class _PieceLeaf(_Leaf):
 
     def centroid(self) -> np.ndarray:
         return geometry.generator_mean(self.cone)
-
-
-class _BoundaryLeaf(_Leaf):
-    __slots__ = ("normals",)
-
-    def __init__(self, cone: PolyCone):
-        self.cone = cone
-        self.pieces = geometry.facets(cone).pieces
-        if not self.pieces:
-            raise TrivialRegion("the boundary of a ray in R^1 is {0}, whose base is empty")
-        self.normals = geometry.facet_normals(cone) if geometry.solidity(cone) else None
-
-    def lmo(self, f: np.ndarray) -> LmoResult:
-        """Minimum over the unit sphere on the boundary of K.
-
-        A non-solid K is its own boundary: one piece.  For a solid K with
-        u = -f/|f| strictly interior, the minimum over the larger set
-        outside int K (``_lmo_across_facet``) lands on a facet, so it is
-        the answer.  Otherwise the piece LMO of K is the answer when its
-        witness lies on the boundary: the projection of an exterior u
-        does, and so does the generator it picks when f is in the dual
-        cone (an interior generator scores above the best extreme ray).
-        The witness is checked against the facet normals all the same,
-        and a failed check falls back to the minimum over the facet
-        pieces.
-        """
-        N = self.normals
-        if N is not None:
-            fn = math.sqrt(float(f @ f))
-            u = -f / fn
-            s = N @ u
-            if float(s.min()) > geometry.MEMBERSHIP_TOL:
-                res = _lmo_across_facet(N, s, u, fn)
-            else:
-                res = _lmo_piece(self.cone, f)
-                if float((N @ res.witness).min()) > geometry.MEMBERSHIP_TOL:
-                    res = None
-            if res is not None:
-                return res
-        return _least([_lmo_piece(p, f) for p in self.pieces])
-
-    def contains_unit_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
-        ok = np.zeros(X.shape[0], dtype=bool)
-        for p in self.pieces:
-            ok |= geometry.contains_batch(p, X, tol)
-        return ok
-
-    def anchor_points(self) -> np.ndarray:
-        return np.concatenate([p.generators.T for p in self.pieces], axis=0)
-
-    def centroid(self) -> np.ndarray:
-        return self.anchor_points().mean(axis=0)
 
 
 class _ComplementLeaf(_Leaf):
@@ -220,7 +170,12 @@ class ConeRegion:
 
     @staticmethod
     def boundary(cone: PolyCone) -> "ConeRegion":
-        return ConeRegion([_BoundaryLeaf(cone)])
+        """The boundary of a cone: the union of its facet cones, or the cone
+        itself when it is not solid."""
+        pieces = geometry.facets(cone).pieces
+        if not pieces:
+            raise TrivialRegion("the boundary of a ray in R^1 is {0}, whose base is empty")
+        return ConeRegion([_PieceLeaf(p) for p in pieces])
 
     # -- structure --------------------------------------------------------
     @property
@@ -233,7 +188,7 @@ class ConeRegion:
         return self.leaves[0].cone
 
     def piece_cones(self) -> list[PolyCone]:
-        """Cones of plain piece leaves (boundary/complement leaves excluded)."""
+        """Cones of the piece leaves (complement leaves excluded)."""
         return [leaf.cone for leaf in self.leaves if isinstance(leaf, _PieceLeaf)]
 
     @property
@@ -375,8 +330,8 @@ def _slack_gap(G: np.ndarray, y: np.ndarray, lam: np.ndarray, w: np.ndarray,
 
 def _least(results: list[LmoResult]) -> LmoResult:
     """The least value, the earliest on a tie as with min(), for a union
-    or the per-piece fallback of the boundary and complement LMOs; its
-    error widens to cover every result's lower bound value - error."""
+    or the per-facet fallback of the complement LMO; its error widens to
+    cover every result's lower bound value - error."""
     best = results[0]
     low = best.value - best.error
     for res in results[1:]:

@@ -379,11 +379,12 @@ def separate_convex_bidirectional(C: ConeRegion, K: ConeRegion,
 
 
 def boundary_region(region: ConeRegion) -> ConeRegion:
-    """Region whose pieces are the boundaries of the input's leaf cones.
+    """Region whose pieces are the boundaries of the input's leaf cones:
+    the facet cones of each solid one.
 
     A non-solid cone is its own boundary, so a region without a solid leaf
-    cone is returned unchanged; the boundary of a complement region is the
-    boundary of the underlying cone; boundary leaves map to themselves.
+    cone, a boundary region among them, is returned unchanged; the
+    boundary of a complement region is the boundary of the underlying cone.
     """
     if not any(geometry.solidity(leaf.cone) for leaf in region.leaves):
         return region
@@ -425,7 +426,7 @@ def _inside_interior(P: PolyCone, cone: PolyCone) -> bool:
 def cones_meet_only_at_origin(C: ConeRegion, K: ConeRegion,
                               tol: float = DEFAULT_TOL) -> bool:
     """Exact triviality test for the intersection of two regions, leaf by
-    leaf through their pieces (a boundary leaf's are its facet cones).
+    leaf through their pieces.
 
     Every ray of a cone crosses the convex hull of its unit generators, and
     for a pointed cone that hull misses the origin; so piece P meets piece Q

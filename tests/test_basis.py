@@ -91,6 +91,21 @@ def test_orthant_has_convex_base():
         assert v @ cert.x_star == pytest.approx(1.0, abs=1e-9)
 
 
+def test_boundary_region_has_convex_base_vertices():
+    # a boundary region is the union of its facet cones, so has_convex_base
+    # cuts a base vertex from every facet ray
+    rng = np.random.default_rng(9)
+    cones = [ORTHANT, sector_cone_2d(rng.uniform(0.0, 360.0), 30.0),
+             cone_about(rng.standard_normal(3), 40.0, n_rays=7),
+             cone_about(rng.standard_normal(3), 70.0, n_rays=5)]
+    for cone in cones:
+        cert = has_convex_base(ConeRegion.boundary(cone))
+        assert cert.kind is BaseKind.CONVEX_BASE and cert.base_vertices is not None
+        verts = np.asarray(cert.base_vertices)
+        assert len(verts) == sum(p.n_rays for p in geometry.facets(cone).pieces)
+        assert np.abs(verts @ cert.x_star - 1.0).max() <= 1e-12
+
+
 def test_line_has_no_convex_base():
     cert = has_convex_base(ConeRegion.piece(LINE))
     assert cert.kind is BaseKind.NO_CONVEX_BASE
@@ -320,6 +335,24 @@ def test_interpolate_union_inner_region():
     assert gamma is not None
     check = verify_interpolation(gamma, inner, HALF_PLANE, count=500)
     assert check.ok
+
+
+def test_interpolate_boundary_inner_region():
+    # the boundary of the inner cone is the union of its facet cones, so it
+    # nests in the outer cone as any union does
+    wedge = make_polycone([[-1.0, 1.0], [1.0, 1.0]])
+    rng = np.random.default_rng(4)
+    pairs = [(wedge, HALF_PLANE)]
+    for _ in range(4):
+        ax = rng.standard_normal(3)
+        pairs.append((cone_about(ax, 20, 8), cone_about(ax, 50, 12)))
+    for inner, outer in pairs:
+        region = ConeRegion.boundary(inner)
+        gamma = interpolate(region, outer)
+        assert gamma is not None
+        check = verify_interpolation(gamma, region, outer, count=300,
+                                     rng=np.random.default_rng(2))
+        assert check.ok and check.min_inner_margin > 0
 
 
 def test_verify_interpolation_wedge():

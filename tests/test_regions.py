@@ -8,6 +8,7 @@ from conesep import kernels
 from conesep.errors import NotConvex, NotSolid, TrivialRegion, ZeroDirection
 from conesep.geometry import (
     cone_membership,
+    facet_normals,
     facets,
     make_polycone,
     solidity,
@@ -16,6 +17,7 @@ from conesep.geometry import (
 from conesep.kernels import project_onto_cone
 from conesep.oracle import (
     cone_about,
+    covering_bound,
     random_pointed_cone,
     random_region,
     sample_norm_base,
@@ -265,6 +267,43 @@ def test_closed_form_lmos_match_the_per_facet_minimum(kind):
             assert abs(np.linalg.norm(res.witness) - 1.0) <= 1e-12
             assert region.contains_unit_batch(res.witness)[0]
             assert abs(float(f @ res.witness) - res.value) <= 1e-12 * fn
+
+
+def _boundary_cases():
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        yield sector_cone_2d(rng.uniform(0.0, 360.0), rng.uniform(5.0, 85.0))
+        yield cone_about(rng.standard_normal(3), rng.uniform(5.0, 80.0),
+                         int(rng.integers(3, 9)))
+        for dim in (2, 3):
+            cone = random_pointed_cone(rng, dim, n_rays=int(rng.integers(dim, 7)))
+            if solidity(cone):
+                yield cone
+
+
+def test_boundary_lmo_agrees_with_a_sampled_minimum():
+    # The boundary LMO is the least facet-piece LMO; this referee reads
+    # only sampled points, each on the boundary (on some facet hyperplane).
+    # The engine's minimum is at or below every sampled value and within
+    # the cloud's covering bound of them.
+    rng = np.random.default_rng(47)
+    cases = 0
+    for cone in _boundary_cases():
+        cases += 1
+        region = ConeRegion.boundary(cone)
+        resolution = 0.5 if cone.dim == 2 else 1.0
+        pts = sample_norm_base(region, resolution=resolution).points
+        assert np.abs(pts @ facet_normals(cone).T).min(axis=1).max() <= 1e-12
+        for i in range(20):
+            f = rng.standard_normal(cone.dim)
+            if i % 2:
+                f = -cone.generators @ rng.uniform(size=cone.n_rays) + 0.05 * f
+            fn = float(np.linalg.norm(f))
+            sampled = float((pts @ f).min())
+            value = region.lmo(f).value
+            assert value <= sampled + 1e-12 * fn
+            assert sampled - value <= covering_bound(cone.dim, resolution, fn)
+    assert cases >= 12
 
 
 def test_complement_of_a_half_plane_at_its_normal_falls_back_to_the_facet():

@@ -1307,3 +1307,16 @@ def test_ray_inside_a_nearly_flat_cone_gets_no_certificate_in_random_draws():
     spread = [_verdict(lambda: separate_nonsym(*_flat_pair_with_a_spread_ray(rng)))
               for _ in range(120)]
     assert spread == [None] * len(spread)
+
+
+def test_certified_zero_with_witnesses_a_hair_apart_is_a_no():
+    # C's ray lies in K, two rays 8.7e-8 rad short of opposite.  The solve
+    # certifies |v| <= tol = 1e-15, but its witnesses end 1.02e-15 apart;
+    # the verdict is the certified "no", not a dead band at distance 0.
+    C = ray_region([-0.7168050942087477, 0.6972735882825252])
+    K = ConeRegion.piece(make_polycone([[0.9996003579948987, -0.028268786611217418],
+                                        [-0.9996003555483798, 0.028268873121381436]]))
+    res = body_distance(body(C, False), body(K, True), tol=1e-15, until_decided=True)
+    assert res.stop == "certified_zero" and res.distance > 1e-15
+    assert res.kind == distance.ZERO
+    assert separate_nonsym(C, K, tol=1e-15) is None
