@@ -11,9 +11,17 @@ the facets, one ray at a time, and each facet's normal comes from its first
 subset of tight rays; a cone whose enumeration would hold over MAX_DD_RAYS
 rays raises DimensionTooHigh.  Both paths give the normals of testing every
 subset, bit for bit and in the same order.
+
+A fresh cone pays for this set-up once, so its cheap cases take shortcuts,
+each of which keeps every output bit: a cofactor screen decides only which
+subsets reach the SVD, with margins far above its rounding; a dedupe that
+keeps every row returns the rows as they are; a solid cone's membership
+skips the span test, which X @ identity passes exactly; and a batch all
+inside at tolerance 0 needs no second pass.  Each docstring says why.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,6 +50,8 @@ DEDUP_COS = 1.0 - 1e-12
 NEAR_LINE = 64 * np.finfo(float).eps
 # Norms within this of 1 count as unit: such rays stay untouched.
 _UNIT_SLACK = 8 * np.finfo(float).eps
+# Smallest normal float: a squared norm below it has lost precision.
+_TINY = np.finfo(float).tiny
 # Facet normals whose cosine reaches this collapse to the first one.
 FACET_DEDUP_COS = 1.0 - 1e-9
 # Default membership tolerance (distance of x to the cone).
@@ -140,16 +150,28 @@ def make_polycone(generators) -> PolyCone:
 
     Rays are normalized and near-duplicates collapsed.  The norms are
     ``np.linalg.norm(G, axis=1)``'s own operations on a real array, so
-    they carry its bits.
+    they carry its bits.  A row whose squared norm overflows, or falls
+    below the normal floats, would lose its direction that way: such a row
+    alone is divided by its largest |entry| first.
     """
     G = np.asarray(generators, dtype=float)
     if G.ndim == 1:
         G = G[None, :]
     if G.ndim != 2 or G.size == 0:
         raise EmptyCone("a cone needs at least one generator ray")
-    norms = np.sqrt(np.add.reduce(G * G, axis=1))
-    if (norms <= 1e-300).any() or not np.isfinite(G).all():
+    if not np.isfinite(G).all():
         raise ZeroGenerator("generator rays must be nonzero finite vectors")
+    with np.errstate(over="ignore", under="ignore"):
+        sq = np.add.reduce(G * G, axis=1)
+    lost = ~((sq >= _TINY) & (sq < np.inf))
+    if lost.any():
+        big = np.abs(G[lost]).max(axis=1)
+        if not big.all():
+            raise ZeroGenerator("generator rays must be nonzero finite vectors")
+        G = G.copy()
+        G[lost] /= big[:, None]
+        sq[lost] = np.add.reduce(G[lost] * G[lost], axis=1)
+    norms = np.sqrt(sq)
     # vectors already unit to machine precision stay untouched, so that
     # serialized cones re-parse to the same bits (renormalizing can flip
     # the last ulp back and forth)
@@ -179,12 +201,15 @@ def cone_membership_batch(X, cone: PolyCone) -> np.ndarray:
     MEMBERSHIP_TOL is farther than that from it, since the distance to the
     cone is at least the distance to its span and to each facet's
     half-space.  The rows in between, and non-finite rows (where NNLS
-    raises), go to NNLS.
+    raises), go to NNLS.  When every row is accepted at tolerance 0 the
+    second pass would find no row in between, so it is skipped.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != cone.dim:
         raise DimensionMismatch("point dimension does not match the cone")
     inside = contains_batch(cone, X, 0.0)
+    if inside.all():
+        return inside
     band = ~inside & (contains_batch(cone, X) | ~np.isfinite(X).all(axis=1))
     inside[band] = [cone_membership(x, cone) for x in X[band]]
     return inside
@@ -306,7 +331,9 @@ def _oriented_normals(points: np.ndarray, idx: np.ndarray):
 def _first_distinct(rows: np.ndarray, cos: float = FACET_DEDUP_COS) -> np.ndarray:
     """The unit rows whose cosine with every earlier row kept is below cos,
     compared BLOCK rows at a time.  Most blocks hold no near pair, and one
-    product with the rows up to the block's end settles them."""
+    product with the rows up to the block's end settles them.  When every
+    row is kept the rows are returned as they are: the same bits, without
+    the copy ``rows[keep]`` makes."""
     keep = np.ones(len(rows), dtype=bool)
     for lo in range(0, len(rows), BLOCK):
         near = rows[lo:lo + BLOCK] @ rows[:lo + BLOCK].T >= cos
@@ -315,24 +342,51 @@ def _first_distinct(rows: np.ndarray, cos: float = FACET_DEDUP_COS) -> np.ndarra
         if near.any():
             for i in np.flatnonzero(near.any(axis=1)):
                 keep[lo + i] = not (near[i] & keep[:lo + m]).any()
-    return rows[keep]
+    return rows if keep.all() else rows[keep]
+
+
+@functools.lru_cache(maxsize=64)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n), one row each in lexicographic order.
+    The array depends on (n, k) alone and is read-only, since every caller
+    shares it."""
+    idx = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    idx.setflags(write=False)
+    return idx
+
+
+@functools.cache
+def _minors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: the d-1 columns left when column i is struck out; and the
+    cofactor signs (-1)^i."""
+    minors = np.array([[j for j in range(d) if j != i] for i in range(d)])
+    return minors, (-1.0) ** np.arange(d)
 
 
 def _subset_facets(points: np.ndarray) -> np.ndarray:
     """Candidate normals from every (d-1)-subset of the columns, in subset
     order, in one stacked call; a cofactor pre-screen drops the subsets the
-    sign test would reject before the SVD."""
+    sign test would reject before the SVD.
+
+    The screen only decides which subsets reach ``_oriented_normals``, whose
+    stacked SVD gives each kept subset the bits it would have alone, and
+    its margins (1e-6 of the cofactor's length) are far above the rounding
+    of any way to form the cofactor: in 3-D it is the cross product of the
+    pair, written out, and otherwise the signed determinants of the
+    minors."""
     d, n = points.shape
-    idx = np.array(list(combinations(range(n), d - 1)), dtype=np.intp)
-    A = points.T[idx]
-    # minors[i]: the columns left when column i is struck out.  The cofactor
-    # vector is normal to the subset and its length is the product of the
-    # singular values, so above 1e-6 (unit rows) the subset is well
-    # conditioned and the SVD null direction lies within about 1e-9 of it:
-    # slack past 1e-6 of its length on both sides means the sign test would
-    # reject it too.
-    minors = np.array([[j for j in range(d) if j != i] for i in range(d)])
-    cof = (-1.0) ** np.arange(d) * np.linalg.det(A[:, :, minors].transpose(0, 2, 1, 3))
+    idx = _subsets(n, d - 1)
+    # The cofactor vector is normal to the subset and its length is the
+    # product of the singular values, so above 1e-6 (unit rows) the subset
+    # is well conditioned and the SVD null direction lies within about 1e-9
+    # of it: slack past 1e-6 of its length on both sides means the sign
+    # test would reject it too.
+    if d == 3:
+        (ax, ay, az), (bx, by, bz) = points[:, idx[:, 0]], points[:, idx[:, 1]]
+        cof = np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=1)
+    else:
+        minors, signs = _minors(d)
+        cof = signs * np.linalg.det(points.T[idx][:, :, minors].transpose(0, 2, 1, 3))
     length = np.linalg.norm(cof, axis=1)
     slack = cof @ points
     mixed = ((length > 1e-6) & (slack.min(axis=1) < -1e-6 * length)
@@ -520,18 +574,29 @@ def facets(cone: PolyCone) -> BoundaryDecomposition:
 
 
 def contains_batch(cone: PolyCone, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """Vectorized membership for points given as rows of X."""
+    """Vectorized membership for points given as rows of X: within tol
+    (relative to max(1, |x|)) of the generators' span and of each facet's
+    half-space in it.
+
+    A solid cone's span is the whole space, and its basis B the identity.
+    X @ B is then X itself, since a finite entry times 1 plus zeros is that
+    entry, so its span residual is exactly 0 and passes at any tol >= 0; a
+    non-finite row makes the residual NaN and fails.  So a solid cone skips
+    both products and tests finiteness instead, with the same verdicts.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     if X.shape[1] != cone.dim:
         raise DimensionMismatch("point dimension does not match the cone")
     B, N = _inspan_hrep(cone)
-    coords = X @ B
-    resid = np.linalg.norm(X - coords @ B.T, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
-    return ((resid <= tol * scale)
-            & ((coords @ N.T).min(axis=1, initial=np.inf) >= -tol * scale))
+    if B.shape[1] == cone.dim:
+        coords, in_span = X, np.isfinite(X).all(axis=1)
+    else:
+        coords = X @ B
+        in_span = np.linalg.norm(X - coords @ B.T, axis=1) <= tol * scale
+    return in_span & ((coords @ N.T).min(axis=1, initial=np.inf) >= -tol * scale)
 
 
 def strictly_interior(cone: PolyCone, x) -> bool:

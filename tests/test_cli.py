@@ -538,3 +538,21 @@ def test_render_is_deterministic(capsys, sector_vs_line_pair, tmp_path):
     _run(capsys, ["render", sector_vs_line_pair, "--out", str(a)])
     _run(capsys, ["render", sector_vs_line_pair, "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+def test_rays_whose_squared_norm_leaves_the_float_range_parse(capsys, tmp_path):
+    # (1e200)^2 overflows and (1e-200)^2 underflows; either ray is the
+    # direction (1, 0), so every document matches the plain file's
+    def doc(x):
+        return {"dim": 2, "cones": {
+            "C": {"pieces": [{"generators": [[x, 0.0], [1.0, 1.0]]}]},
+            "K": {"pieces": [{"generators": [[-1.0, 0.2], [-1.0, 1.0]]}]}}}
+
+    plain = _write(tmp_path, "plain.json", doc(1.0))
+    for x in (1e200, 1e-200):
+        path = _write(tmp_path, f"ray_{x}.json", doc(x))
+        for argv in (["separate", "--pair", "C,K"], ["base", "--cone", "C"]):
+            code, got = _run(capsys, [argv[0], path, *argv[1:]])
+            ref_code, ref = _run(capsys, [argv[0], plain, *argv[1:]])
+            assert code == ref_code == 0
+            assert {**got, "instance": None} == {**ref, "instance": None}

@@ -15,9 +15,12 @@ from conesep.errors import (
     ZeroGenerator,
 )
 from conesep.geometry import (
+    BLOCK,
     DEDUP_COS,
+    FACET_DEDUP_COS,
     FACET_TOL,
     MAX_DD_RAYS,
+    MEMBERSHIP_TOL,
     RANK_REL,
     SUBSET_CROSSOVER,
     Norm,
@@ -373,6 +376,24 @@ def _enumeration_cases():
     Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     cases.append(make_polycone(np.array(cube + mids) @ Q.T).generators)
     cases.append(_cap_cone_48().generators)
+    # 3-D cones with a pair of rays eta short of antipodal: the pair's
+    # cross product is about eta long, under the screen's 1e-6 cut for the
+    # smaller etas
+    for eta in (1e-4, 1e-8, 1e-15):
+        cases.append(make_polycone([[1, 0, 0], [-1, eta, 0], [0, 0, 1],
+                                    [0.2, 0.5, -0.4]]).generators)
+        cases.append(make_polycone([[1, 0, 0], [-1, eta, 0.3 * eta], [0, 0.3, 1],
+                                    [0.1, 1, 0.2]]).generators)
+    # a ray within 1e-9 of a facet plane, outside it or inside: the
+    # facet's subset has slack far below the screen's 1e-6 margin, so the
+    # SVD's sign test decides it
+    near = np.random.default_rng(3)
+    for off in (1e-9, -1e-9, 3e-10, 1e-12):
+        c = cone_about(near.standard_normal(3), 35.0, 6).generators
+        n = np.cross(c[:, 0], c[:, 1])
+        n *= np.sign(n @ c[:, 3]) / np.linalg.norm(n)
+        mid = (c[:, 0] + c[:, 1]) / np.linalg.norm(c[:, 0] + c[:, 1])
+        cases.append(make_polycone(np.vstack([c.T, mid - off * n])).generators)
     return cases
 
 
@@ -674,5 +695,110 @@ def test_make_polycone_matches_its_reference_bit_for_bit():
                 assert not cone.generators.flags.writeable
     assert _same_bits(make_polycone([3.0, 4.0]).generators, np.array([[0.6], [0.8]]))
     for bad in ([[np.inf, 0.0]], [[np.nan, 1.0]], [[1.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(ZeroGenerator):
+            make_polycone(bad)
+
+
+def _first_distinct_blocked(rows, cos):
+    """Reference: the blocked loop of ``_first_distinct``, which always
+    returns the copy ``rows[keep]``."""
+    keep = np.ones(len(rows), dtype=bool)
+    for lo in range(0, len(rows), BLOCK):
+        near = rows[lo:lo + BLOCK] @ rows[:lo + BLOCK].T >= cos
+        m = len(near)
+        near[:, lo:] &= np.tri(BLOCK, k=-1, dtype=bool)[:m, :m]
+        for i in np.flatnonzero(near.any(axis=1)):
+            keep[lo + i] = not (near[i] & keep[:lo + m]).any()
+    return rows[keep]
+
+
+def test_first_distinct_matches_the_blocked_loop():
+    rng = np.random.default_rng(17)
+    for dim in (2, 3, 6):
+        for n in (1, 2, 5, 40, BLOCK):
+            rows = rng.standard_normal((n, dim))
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            for cos in (DEDUP_COS, FACET_DEDUP_COS):
+                # no near pair: the rows come back as they are
+                assert _first_distinct(rows, cos) is rows
+                assert _same_bits(_first_distinct_blocked(rows, cos), rows)
+                if n < 2:
+                    continue
+                # planted copies of earlier rows: exact, 1e-5 rad off (near at
+                # the facet cosine only) and 1e-3 rad off (near at neither)
+                planted = rows.copy()
+                pairs = np.sort(rng.choice(n, size=(3, 2), replace=False)) if n > 5 else [(0, 1)]
+                for (k, j), tilt in zip(pairs, (0.0, 1e-5, 1e-3)):
+                    p = rng.standard_normal(dim)
+                    p -= (p @ rows[k]) * rows[k]
+                    planted[j] = math.cos(tilt) * rows[k] + math.sin(tilt) * p / np.linalg.norm(p)
+                got, ref = _first_distinct(planted, cos), _first_distinct_blocked(planted, cos)
+                assert _same_bits(got, ref), (dim, n, cos)
+                assert len(got) < n
+    # over BLOCK rows, near pairs across blocks included
+    rows = rng.standard_normal((BLOCK + 50, 3))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    rows[BLOCK + 10] = rows[3]
+    got = _first_distinct(rows, DEDUP_COS)
+    assert len(got) == BLOCK + 49
+    assert _same_bits(got, _first_distinct_blocked(rows, DEDUP_COS))
+
+
+def _contains_batch_span_path(cone, X, tol):
+    """Reference: ``contains_batch`` through the span basis, as it runs on
+    a cone that is not solid, here with B the identity."""
+    B, N = _inspan_hrep(cone)
+    coords = X @ B
+    resid = np.linalg.norm(X - coords @ B.T, axis=1)
+    scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
+    return ((resid <= tol * scale)
+            & ((coords @ N.T).min(axis=1, initial=np.inf) >= -tol * scale))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_solid_contains_batch_matches_the_span_path(dim):
+    rng = np.random.default_rng(23 + dim)
+    cone = (make_polycone([[1.0]]) if dim == 1
+            else random_pointed_cone(rng, dim, n_rays=dim + 2))
+    B, N = _inspan_hrep(cone)
+    assert np.array_equal(B, np.eye(dim))
+    G = cone.generators.T
+    X = np.concatenate([
+        rng.standard_normal((200, dim)),  # mostly outside
+        rng.dirichlet(np.ones(len(G)), 20) @ G,  # inside
+        G, G[:1] + G[-1:], -G,  # generators and a sum of two lie on facets
+        G + 1e-10 * rng.standard_normal(G.shape),
+        1e200 * G[:1], -1e200 * G[:1],
+        np.full((1, dim), np.nan), np.full((1, dim), np.inf),
+        np.full((1, dim), -np.inf), np.pad([[np.nan]], ((0, 0), (0, dim - 1))),
+        np.pad([[np.inf]], ((0, 0), (dim - 1, 0))),
+    ])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for tol in (0.0, MEMBERSHIP_TOL, 1e-3):
+            got = contains_batch(cone, X, tol)
+            assert np.array_equal(got, _contains_batch_span_path(cone, X, tol)), tol
+            assert got.any() and not got.all()
+            assert not got[-5:].any()
+
+
+def test_make_polycone_scales_rays_whose_squared_norm_leaves_the_float_range():
+    # (1e200)^2 overflows and (1e-200)^2 underflows: each such row is
+    # divided by its largest entry first, and every other row keeps the
+    # bits of np.linalg.norm's arithmetic
+    ok = np.array([[3.0, 4.0], [0.0, 1.0]])
+    for big in (1e200, 1e-200, 1e308, 5e-324):
+        cone = make_polycone([[big, 0.0], [0.0, 1.0]])
+        assert _same_bits(cone.generators, np.eye(2))
+        cone = make_polycone(np.vstack([[big, big], ok]))
+        assert _same_bits(cone.generators.T[0], make_polycone([[1.0, 1.0]]).generators[:, 0])
+        assert _same_bits(cone.generators.T[1:], _make_polycone_reference(ok).T)
+    # a squared norm of 1e-319 is subnormal, with 4 digits left: the row
+    # would come out 1e-4 off unit length
+    tiny = make_polycone([[1e-160, 3e-160, 0.0]]).generators[:, 0]
+    assert abs(np.linalg.norm(tiny) - 1.0) <= 4 * np.finfo(float).eps
+    assert np.allclose(tiny, np.array([1.0, 3.0, 0.0]) / math.sqrt(10.0), rtol=1e-15, atol=0)
+    with np.errstate(over="raise"):
+        make_polycone([[1e200, -1e200, 1.0]])
+    for bad in ([[0.0, 0.0]], [[1e200, 0.0], [0.0, 0.0]], [[np.inf, 1e200]]):
         with pytest.raises(ZeroGenerator):
             make_polycone(bad)

@@ -542,3 +542,25 @@ def test_least_lmo_error_covers_every_lower_bound():
         res = region.lmo(f)
         assert res.value == rv
         assert res.value - res.error == pytest.approx(fv - fe, rel=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_region_centroid_is_numpys_mean_bit_for_bit(dim):
+    # pieces and complements mixed, 1 to 40 leaves; one leaf's centroid is
+    # copied, more are averaged by np.mean
+    rng = np.random.default_rng(29 + dim)
+    for count in range(1, 41):
+        parts = []
+        for k in range(count):
+            if k % 3 == 2:
+                K = (make_polycone([[1.0]]) if dim == 1
+                     else random_pointed_cone(rng, dim, n_rays=dim + 1))
+                parts.append(ConeRegion.complement(K))
+            else:
+                rays = rng.standard_normal((int(rng.integers(1, 4)), dim))
+                parts.append(ConeRegion.piece(make_polycone(rays)))
+        region = ConeRegion.union(*parts)
+        c = region.centroid()
+        ref = np.mean([leaf.centroid() for leaf in region.leaves], axis=0)
+        assert c.dtype == ref.dtype and c.tobytes() == ref.tobytes(), count
+        assert not c.flags.writeable and region.centroid() is c
