@@ -43,13 +43,18 @@ how often the independent routes agree:
     union of its facet cones) on one side and a random region on the
     other, against the grid search ``oracle_separation``; pairs whose
     distance is within 3 covering bounds of the sampled clouds are beyond
-    the oracle's resolving power and are skipped.
+    the oracle's resolving power and are skipped,
+  * in R^2 to R^4, separate_nonsym on flat pairs: a cone K with two rays
+    eta = 10^U(-16, -4) rad short of opposite, and a ray C inside K.  C
+    lies in K, so every certificate is false; an Inconclusive counts as no
+    certificate.
 
 Draws whose reference distance solve did not certify, and pairs that raise
 Inconclusive, are counted and reported rather than compared.  Exits 1 when
 any agreement count falls short of its total or any bracket is violated.
 """
 import argparse
+import math
 import sys
 import time
 
@@ -58,7 +63,7 @@ import numpy as np
 from conesep.basis import ALPHA_BACKOFF, has_convex_base, is_well_based
 from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance, decide_gap
 from conesep.errors import Inconclusive
-from conesep.geometry import is_whole_space, pointedness, solidity
+from conesep.geometry import is_whole_space, make_polycone, pointedness, solidity
 from conesep.oracle import (
     covering_bound,
     oracle_separation,
@@ -330,6 +335,38 @@ def boundary_oracle_study(dims, count, rng):
             "inconclusive": inconclusive}
 
 
+def flat_pair(rng, dim):
+    """K: a ray g1, a ray eta short of -g1, and in R^3 and up one or two rays
+    on one side of the plane of those two; C: a positive combination of
+    K's rays, so a ray inside K."""
+    eta = 10.0 ** rng.uniform(-16, -4)
+    Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    g1, u = Q[:, 0], Q[:, 1]
+    gens = [g1, -math.cos(eta) * g1 + math.sin(eta) * u]
+    if dim > 2:
+        n = Q[:, 2]
+        extra = rng.standard_normal((int(rng.integers(1, 3)), dim))
+        gens += list(extra + (np.abs(extra @ n) + 0.1)[:, None] * n)
+    gens = np.array(gens)
+    w = rng.uniform(0.1, 1.0, len(gens))
+    w[:2] = rng.uniform(0.5, 1.0, 2)
+    return ConeRegion.piece(make_polycone([w @ gens])), ConeRegion.piece(make_polycone(gens))
+
+
+def flat_study(dims, per_dim, rng):
+    done = no_cert = inconclusive = 0
+    for dim in (d for d in dims if 2 <= d <= 4):
+        for _ in range(per_dim):
+            C, K = flat_pair(rng, dim)
+            done += 1
+            try:
+                no_cert += separate_nonsym(C, K) is None
+            except Inconclusive:
+                inconclusive += 1
+                no_cert += 1
+    return {"pairs": done, "no_certificate": no_cert, "inconclusive": inconclusive}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dims", default="2,3",
@@ -347,6 +384,7 @@ def main() -> int:
     bd = boundary_study(dims, args.boundary_pairs, args.margin, rng)
     bi = bidir_study(dims, args.per_dim, args.margin, rng)
     bo = boundary_oracle_study(dims, args.boundary_pairs, rng)
+    fl = flat_study(dims, args.per_dim, rng)
     elapsed = time.perf_counter() - t0
 
     print(f"dims {dims}, {args.per_dim} pairs per dim, margin {args.margin:g}, "
@@ -384,6 +422,9 @@ def main() -> int:
           f"oracle_separation: {bo['agree']}/{bo['pairs']} "
           f"({bo['separated']} separated; {bo['skipped']} within 3 covering "
           f"bounds or uncertified, {bo['inconclusive']} Inconclusive, not counted)")
+    print(f"  flat pairs (R^2 to R^4, rays 10^U(-16, -4) rad short of opposite), "
+          f"C inside K, no certificate: {fl['no_certificate']}/{fl['pairs']} "
+          f"({fl['inconclusive']} of them Inconclusive)")
     print(f"  margin-filtered draws: {ex['margin_skipped']}")
     print(f"  uncertified distance solves (draw skipped): {ex['uncertified']}")
     print(f"  total time: {elapsed:.1f} s")
@@ -399,7 +440,8 @@ def main() -> int:
              or bd["bracket_ok"] < bd["brackets"]
              or bi["agree"] < bi["pairs"]
              or bi["margin_ok"] < bi["linear"]
-             or bo["agree"] < bo["pairs"])
+             or bo["agree"] < bo["pairs"]
+             or fl["no_certificate"] < fl["pairs"])
     return 1 if short else 0
 
 

@@ -96,9 +96,11 @@ def is_well_based(region: ConeRegion, tol: float = DEFAULT_TOL) -> BaseCertifica
     """Decide whether some functional is uniformly positive on the norm-base.
 
     The question is the distance from the origin to the hull of the base,
-    and the solve stops at the first bracket that decides it.  A positive
+    and the solve stops at the first bracket that decides it, often the
+    start bracket, aimed along minus the base's generator mean.  A positive
     gap yields, read from that bracket with no further LMO call, the
-    functional x* = -v/|v| for the iterate v (not the max-margin one) and
+    functional x* = -v/|v| for its direction v, the iterate or that start
+    direction (not the max-margin one), and
     threshold alpha, the bracket's certified lower bound on the minimum of
     x* over the base, backed off by ALPHA_BACKOFF; a certified zero yields
     the vanishing hull combination.

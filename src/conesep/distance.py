@@ -4,9 +4,12 @@ Wolfe's min-norm-point method on the Minkowski difference A - B with the
 LMOs as its vertex oracle, as GJK does for convex bodies: each iteration
 adds the support point of A - B against the iterate to a persistent
 corral, and Wolfe's minor cycles (``kernels.corral_step``) move the
-iterate to the min-norm point of the corral's hull.  Positive outcomes
-carry the deciding iterate and the certified LMO values at it; zero
-outcomes carry the common point and the convex combination realizing it.
+iterate to the min-norm point of the corral's hull.  The first LMO pair
+is aimed between two points of the bodies that cost no LMO call, and its
+bracket alone may decide.  Positive outcomes carry the deciding direction
+(an iterate, or that start direction) and the certified LMO values at it;
+zero outcomes carry the common point and the convex combination realizing
+it.
 """
 from __future__ import annotations
 
@@ -38,13 +41,15 @@ class DistanceResult:
     kind: str
     witness_a: np.ndarray
     witness_b: np.ndarray
-    # the last bracket's iterate v (None for a zero outcome) and its certified LMO
+    # the last bracket's direction v (None for a zero outcome): the iterate, or
+    # the start direction v0 where its bracket decided; and its certified LMO
     # values, each net of its error bound, whose sum over |v| is the bracket's lower
     # bound (None at "certified_zero" and "max_iter")
     functional: np.ndarray | None
     lmo_values: tuple[float, float] | None
     gap: float
     lower_bound: float
+    # Frank-Wolfe iterations after the start pair: 0 when its bracket decided
     iterations: int
     certified: bool
     support_a: np.ndarray
@@ -96,21 +101,52 @@ def _support_difference(A, B, v: np.ndarray):
     return (ra.value - ra.error, rb.value - rb.error), ra.witness, rb.witness
 
 
+def _start(A, B) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The direction v0 of a solve's first LMO pair, and the start points
+    it joins, or None, None where it joins none (see ``body_distance``)."""
+    pa, pb = (getattr(X, "start_point", lambda: None)() for X in (A, B))
+    if pa is not None and pb is not None:
+        v0 = pa - pb
+        if math.sqrt(float(v0 @ v0)) > 1e-12:
+            return v0, pa, pb
+    v0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
+    if math.sqrt(float(v0 @ v0)) <= 1e-12:
+        v0 = np.eye(A.dim)[0]
+    return v0, None, None
+
+
 def body_distance(A, B, tol: float = DEFAULT_TOL,
                   until_decided: bool = False) -> DistanceResult:
     """Distance between conv bodies A and B with witnesses.
 
-    A and B expose ``dim`` and ``lmo(direction) -> LmoResult`` over their
-    closures; sval sums the LMO values at the iterate v net of their error
-    bounds.  Terminates when |v| <= tol certifies contact or when the
+    A and B expose ``dim``, ``centroid()`` and ``lmo(direction) ->
+    LmoResult`` over their closures, and may expose ``start_point()``, a
+    point of the body that costs no LMO call, or None; sval sums the LMO
+    values at the iterate v net of their error bounds.
+
+    The first LMO pair is aimed at v0 = pA - pB for the start points pA
+    and pB.  Where a body names none, or the two lie within 1e-12, v0 is
+    the difference of the centroids (e_1 should they coincide).  Its
+    bracket's lower bound sval/|v0| holds for any direction.  With
+    ``until_decided``, for callers that read only the ``decide_gap``
+    verdict, a lower bound that clears DEAD_BAND * tol ends the solve
+    there, certified, with stop "decided" and 0 iterations: the functional
+    is v0, and the witnesses are (pA, pB), or that pair's support points
+    where v0 joins no start points.  LMO values summing above v0 . (a0 - b0)
+    for those support points a0 and b0 bound nothing, and the solve goes
+    on instead.  Every other solve goes on from the
+    corral {a0 - b0} of that pair's support points; the start points never
+    enter it.
+
+    The solve terminates when |v| <= tol certifies contact or when the
     duality gap certifies the distance to within tol: the true distance
     lies in [sval/|v|, |v|], an interval of width gap/|v|, so
     gap <= tol * |v| pins it.  A solve whose gap stops improving, or whose
     new support point repeats or leaves the corral again, stops there
-    instead of spinning.  With ``until_decided``, for callers that read only
-    the ``decide_gap`` verdict, it also stops, certified, with stop
-    "decided" once the lower bound clears DEAD_BAND * tol: the distance is
-    then surely beyond the dead band, though not pinned to within tol.
+    instead of spinning.  With ``until_decided`` it also stops, certified,
+    with stop "decided" once the lower bound clears DEAD_BAND * tol: the
+    distance is then surely beyond the dead band, though not pinned to
+    within tol.
 
     The corral lives in buffers of d + 2 rows: the support points of A and
     of B, and their differences, each formed once.  A new point is written
@@ -121,15 +157,38 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
         raise DimensionMismatch("bodies live in different dimensions")
     tol2 = tol * tol
 
-    d0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
-    if math.sqrt(float(d0 @ d0)) <= 1e-12:
-        d0 = np.eye(A.dim)[0]
-    _, a0, b0 = _support_difference(A, B, d0)
+    v0, pa, pb = _start(A, B)
+    lmo_values, a0, b0 = _support_difference(A, B, v0)
+    sval = lmo_values[0] + lmo_values[1]
+    nv2 = float(v0 @ v0)
+    nv = math.sqrt(nv2)
+    lower = sval / nv
+    v = a0 - b0
+    # v is a point of A - B, so the exact minimum against v0 is at most v0 . v
+    if (until_decided and lower > DEAD_BAND * tol
+            and sval - float(v0 @ v) <= max(tol * nv, tol2, GAP_REL_FLOOR * nv2)):
+        a, b = (a0, b0) if pa is None else (pa, pb)
+        a, b = a.copy(), b.copy()
+        return DistanceResult(
+            distance=math.sqrt(float((a - b) @ (a - b))),
+            kind=POSITIVE,
+            witness_a=a,
+            witness_b=b,
+            functional=v0,
+            lmo_values=lmo_values,
+            gap=max(nv2 - sval, 0.0),
+            lower_bound=lower,
+            iterations=0,
+            certified=True,
+            support_a=a[None, :],
+            support_b=b[None, :],
+            weights=np.array([1.0]),
+            stop="decided",
+        )
     # The first k rows hold the corral, with weights w.  A corral of d + 1
     # affinely independent points and a new point fill the d + 2 rows; the
     # buffers double should a degenerate corral keep more.
     Pa, Pb, S = (np.empty((A.dim + 2, A.dim)) for _ in range(3))
-    v = a0 - b0
     Pa[0], Pb[0], S[0] = a0, b0, v
     k = 1
     w = np.array([1.0])
@@ -249,6 +308,9 @@ class PolytopeBody:
 
     def centroid(self) -> np.ndarray:
         return self.points.mean(axis=0)
+
+    # the mean of the points is a point of their hull
+    start_point = centroid
 
 
 def origin_body(dim: int) -> PolytopeBody:

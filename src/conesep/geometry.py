@@ -235,8 +235,10 @@ def pointedness(cone: PolyCone) -> PointednessResult:
     """Decide pointedness via the distance from 0 to conv(normalized rays).
 
     The solve stops once its lower bound clears ``distance.DEAD_BAND`` *
-    TOL_POINT: the cone is then pointed, and the iterate's norm, above
-    that bound, is the reported hull_distance.  When the hull reaches the
+    TOL_POINT: the cone is then pointed, and the norm of the hull point
+    it ends on, above that bound, is the reported hull_distance.  That
+    point is often the generator mean, whose direction's bracket decides
+    before any corral is formed.  When the hull reaches the
     origin, the zero convex combination yields a witness ray x with both x
     and -x in the cone.  The result is cached on the cone, with a
     read-only witness.
@@ -578,11 +580,11 @@ def contains_batch(cone: PolyCone, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -
     (relative to max(1, |x|)) of the generators' span and of each facet's
     half-space in it.
 
-    A solid cone's span is the whole space, and its basis B the identity.
-    X @ B is then X itself, since a finite entry times 1 plus zeros is that
-    entry, so its span residual is exactly 0 and passes at any tol >= 0; a
-    non-finite row makes the residual NaN and fails.  So a solid cone skips
-    both products and tests finiteness instead, with the same verdicts.
+    A non-finite row is in no cone: it is zeroed before any product, where
+    it would form NaNs, and fails.  A solid cone's span is the whole space,
+    and its basis B the identity.  X @ B is then X itself, since a finite
+    entry times 1 plus zeros is that entry, so its span residual is exactly
+    0 and passes at any tol >= 0.  So a solid cone skips both products.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -590,12 +592,15 @@ def contains_batch(cone: PolyCone, X: np.ndarray, tol: float = MEMBERSHIP_TOL) -
     if X.shape[1] != cone.dim:
         raise DimensionMismatch("point dimension does not match the cone")
     B, N = _inspan_hrep(cone)
+    in_span = np.isfinite(X).all(axis=1)
+    if not in_span.all():
+        X = np.where(in_span[:, None], X, 0.0)
     scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
     if B.shape[1] == cone.dim:
-        coords, in_span = X, np.isfinite(X).all(axis=1)
+        coords = X
     else:
         coords = X @ B
-        in_span = np.linalg.norm(X - coords @ B.T, axis=1) <= tol * scale
+        in_span &= np.linalg.norm(X - coords @ B.T, axis=1) <= tol * scale
     return in_span & ((coords @ N.T).min(axis=1, initial=np.inf) >= -tol * scale)
 
 

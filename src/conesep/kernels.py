@@ -87,18 +87,22 @@ def nnls(G: np.ndarray, y: np.ndarray) -> NnlsResult:
     hold to roughly machine precision.  On a point deep in the cone, with
     coefficients far larger than |G.T @ y|, w's rounding error outgrows a
     slack set by |G.T @ y| alone, and the loop would cycle to its cap.  A
-    non-finite target raises ZeroDirection.
+    non-finite target, or one whose dual vector overflows, raises
+    ZeroDirection.
     """
     G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=float)
     if G.ndim != 2 or y.ndim != 1 or G.shape[0] != y.shape[0]:
         raise ValueError("nnls expects G with shape (d, n) and y with shape (d,)")
     d, n = G.shape
+    # tested before G.T @ y, where inf times a zero entry would form a NaN
+    if not np.isfinite(y).all():
+        raise ZeroDirection("nnls needs a finite target")
     resid = y
     w = G.T @ y
     scale_y = float(np.abs(w).max(initial=0.0))
     if not scale_y < np.inf:
-        raise ZeroDirection("nnls needs a finite target")
+        raise ZeroDirection("nnls needs a target whose dual vector is finite")
     scale_y = max(math.sqrt(float(y @ y)), scale_y) or 1.0  # y = 0: lam = 0 at any slack
     # gmax * (lam @ gnorm) bounds every term of G.T @ (G @ lam)
     gnorm = np.sqrt(np.einsum("ij,ij->j", G, G))
@@ -256,7 +260,9 @@ def min_norm_point(P: np.ndarray, tol: float):
     ``distance.DistanceResult`` of the engine's origin-to-polytope solve,
     stopped at its first deciding bracket: ``witness_b`` is the point,
     ``distance`` its norm, an upper bound on the hull distance, and
-    ``support_b`` and ``weights`` the corral that forms it.  Its one
+    ``support_b`` and ``weights`` the corral that forms it.  The first
+    bracket is aimed at minus the mean of the rows; where it decides,
+    that mean is the point, with weight 1.  Its one
     caller, ``geometry.pointedness``, reads only the verdict; the name is
     kept for the benchmark tracer, which wraps it."""
     # imported here: distance imports this module

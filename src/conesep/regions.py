@@ -401,6 +401,17 @@ class ConvexBody:
     def centroid(self) -> np.ndarray:
         return self.region.centroid()
 
+    def start_point(self) -> np.ndarray | None:
+        """A point of the body that costs no LMO call: the origin when it
+        is adjoined, else the region's centroid, a convex combination of
+        unit generators.  None where a leaf is a complement, whose
+        centroid, minus the excluded cone's generator mean, need not lie in
+        the body: the solve then aims its first LMO pair along the
+        centroids' difference, origin adjoined or not."""
+        if self.region.has_compound_leaves:
+            return None
+        return np.zeros(self.dim) if self.adjoin_origin else self.region.centroid()
+
 
 def body(region: ConeRegion, adjoin_origin: bool) -> ConvexBody:
     return ConvexBody(region, adjoin_origin)

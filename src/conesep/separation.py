@@ -260,10 +260,12 @@ def separate_nonsym(C: ConeRegion, K: ConeRegion, tol: float = DEFAULT_TOL
 
     Decided through a single distance: the gap between the hull body of
     C's norm-base and the origin-adjoined hull body of K's.  The solve stops
-    at the first bracket that decides it, and the certificate is read from
-    that certified bracket with no further LMO call: x* = v/|v| for its
-    iterate v (not the max-margin functional), hi = min of x* over C's base
-    and lo = max(0, sup of x* over K's).  A certified zero gap proves no
+    at the first bracket that decides it, often the start bracket, aimed
+    from the origin to the generator mean of C's base, and the certificate
+    is read from that certified bracket with no further LMO call:
+    x* = v/|v| for its direction v, the iterate or that start direction
+    (not the max-margin functional), hi = min of x* over C's base and
+    lo = max(0, sup of x* over K's).  A certified zero gap proves no
     certificate exists.  Gaps inside the tolerance dead-band raise
     Inconclusive, as does, structurally, an interval with no interior or a
     cone within rounding of a line (``_check_separable``).

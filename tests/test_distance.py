@@ -106,6 +106,15 @@ def test_lmo_values_above_the_iterate_stop_the_solve_uncertified():
         distance.decide_gap(res, "distance", distance.DEFAULT_TOL)
 
 
+def test_lmo_values_above_the_start_pair_decide_nothing():
+    # the start pair's support points (1, 0) and the origin bound the
+    # minimum against v0 = (1, 0) by 1, so values summing to 2 may not stop
+    # the solve at its start; the first iteration finds them inconsistent
+    res = body_distance(PolytopeBody(np.array([[1.0, 0.0]])), _Overstated(),
+                        until_decided=True)
+    assert (res.stop, res.certified, res.iterations) == ("inconsistent", False, 1)
+
+
 def _cross2(u, v):
     return float(u[0] * v[1] - u[1] * v[0])
 
@@ -275,12 +284,43 @@ def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False
     # the engine as it was before its corral lived in fixed buffers: the
     # corral rebuilt with vstack, and its differences formed anew, on
     # every iteration; it returns the engine's fields, the iterate as the
-    # functional and the certified LMO values taken at it
+    # functional and the certified LMO values taken at it.  The first LMO
+    # pair is aimed from B's start point to A's, or along the centroids'
+    # difference where a body names none; its bracket alone may decide.
     tol2 = tol * tol
-    d0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
-    if math.sqrt(float(d0 @ d0)) <= 1e-12:
-        d0 = np.eye(A.dim)[0]
-    _, a0, b0 = distance._support_difference(A, B, d0)
+    pa = A.start_point() if hasattr(A, "start_point") else None
+    pb = B.start_point() if hasattr(B, "start_point") else None
+    if pa is None or pb is None or np.linalg.norm(pa - pb) <= 1e-12:
+        pa = pb = None
+        d0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
+        if math.sqrt(float(d0 @ d0)) <= 1e-12:
+            d0 = np.eye(A.dim)[0]
+    else:
+        d0 = pa - pb
+    values, a0, b0 = distance._support_difference(A, B, d0)
+    nv = math.sqrt(float(d0 @ d0))
+    lower = (values[0] + values[1]) / nv
+    slack = max(tol * nv, tol2, distance.GAP_REL_FLOOR * nv * nv)
+    consistent = values[0] + values[1] - float(d0 @ (a0 - b0)) <= slack
+    if until_decided and lower > distance.DEAD_BAND * tol and consistent:
+        a, b = (a0, b0) if pa is None else (pa, pb)
+        a, b = a.copy(), b.copy()
+        return distance.DistanceResult(
+            distance=math.sqrt(float((a - b) @ (a - b))),
+            kind=distance.POSITIVE,
+            witness_a=a,
+            witness_b=b,
+            functional=d0,
+            lmo_values=values,
+            gap=max(float(d0 @ d0) - (values[0] + values[1]), 0.0),
+            lower_bound=lower,
+            iterations=0,
+            certified=True,
+            support_a=a[None, :],
+            support_b=b[None, :],
+            weights=np.array([1.0]),
+            stop="decided",
+        )
     Pa, Pb, w = a0[None, :], b0[None, :], np.array([1.0])
     v = a0 - b0
     lower = 0.0

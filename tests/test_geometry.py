@@ -631,6 +631,20 @@ def test_cone_membership_batch_raises_on_a_non_finite_row():
         cone_membership_batch([[1.0, 1.0, 1.0], [np.nan, 0.0, 1.0]], cone)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows", [np.eye(3), np.eye(3)[:2]])
+def test_a_non_finite_row_forms_no_nan_on_its_way_to_zero_direction(rows):
+    # an inf row times a zero entry of the facet normals or of the
+    # generators would warn; it is masked in contains_batch, and nnls tests
+    # its target before G.T @ y.  Solid and non-solid cones alike.
+    cone = make_polycone(rows)
+    X = np.array([[1.0, 1.0, 0.0], [np.inf, 0.0, 1.0], [0.0, -np.inf, np.nan]])
+    assert contains_batch(cone, X).tolist() == [True, False, False]
+    assert contains_batch(cone, X, 0.0).tolist() == [True, False, False]
+    with pytest.raises(ZeroDirection):
+        cone_membership_batch(X, cone)
+
+
 def test_chamfered_pyramid_corner_is_outside():
     # a square pyramid with its (1, 1, 1) corner chamfered: the corner
     # direction has slack 0 against the four side normals, and y, tilted

@@ -1310,13 +1310,69 @@ def test_ray_inside_a_nearly_flat_cone_gets_no_certificate_in_random_draws():
 
 
 def test_certified_zero_with_witnesses_a_hair_apart_is_a_no():
-    # C's ray lies in K, two rays 8.7e-8 rad short of opposite.  The solve
+    # C's ray lies in K, two rays 6.4e-7 rad short of opposite.  The solve
     # certifies |v| <= tol = 1e-15, but its witnesses end 1.02e-15 apart;
     # the verdict is the certified "no", not a dead band at distance 0.
-    C = ray_region([-0.7168050942087477, 0.6972735882825252])
-    K = ConeRegion.piece(make_polycone([[0.9996003579948987, -0.028268786611217418],
-                                        [-0.9996003555483798, 0.028268873121381436]]))
+    C = ray_region([-0.5989140801988839, 0.8008132894373848])
+    K = ConeRegion.piece(make_polycone([[0.8554343235980975, -0.5179113032269769],
+                                        [-0.8554339914103246, 0.5179118519012678]]))
     res = body_distance(body(C, False), body(K, True), tol=1e-15, until_decided=True)
     assert res.stop == "certified_zero" and res.distance > 1e-15
     assert res.kind == distance.ZERO
     assert separate_nonsym(C, K, tol=1e-15) is None
+
+
+def _recording_solves(monkeypatch):
+    """Record every ConeRegion.lmo call and every solve separation makes."""
+    lmo_calls, solves = [], []
+    real_lmo, real_solve = ConeRegion.lmo, separation.body_distance
+
+    def lmo(self, direction):
+        lmo_calls.append(1)
+        return real_lmo(self, direction)
+
+    def solve(*args, **kwargs):
+        res = real_solve(*args, **kwargs)
+        solves.append(res)
+        return res
+
+    monkeypatch.setattr(ConeRegion, "lmo", lmo)
+    monkeypatch.setattr(separation, "body_distance", solve)
+    return lmo_calls, solves
+
+
+def test_a_clearly_separated_pair_is_decided_by_the_start_bracket(monkeypatch):
+    # the first LMO pair is aimed from K's start point (the origin, adjoined)
+    # to C's (its generator mean); its bracket clears the dead band, so the
+    # solve stops there, with those two points as witnesses
+    C = ConeRegion.piece(sector_cone_2d(90.0, 20.0))
+    K = ConeRegion.piece(sector_cone_2d(-90.0, 30.0))
+    lmo_calls, solves = _recording_solves(monkeypatch)
+    cert = separate_nonsym(C, K)
+    assert len(lmo_calls) == 2
+    (res,) = solves
+    assert (res.stop, res.iterations, res.certified) == ("decided", 0, True)
+    assert np.array_equal(res.witness_a, C.centroid())
+    assert np.array_equal(res.witness_b, np.zeros(2))
+    assert res.distance == np.linalg.norm(C.centroid())
+    assert res.lower_bound > DEAD_BAND * DEFAULT_TOL
+    assert cert.iterations == 0
+    assert verify_certificate(cert, C, K, rng=np.random.default_rng(0)).ok
+
+
+def test_interpolate_on_a_nested_pair_stops_at_the_start(monkeypatch):
+    # the complement body names no start point: the first pair is aimed
+    # along the centroids' difference, and its bracket decides too, with
+    # that pair's support points as the witnesses
+    ax = [0.2, 0.5, 1.0]
+    inner, outer = cone_about(ax, 20.0, 8), cone_about(ax, 50.0, 12)
+    lmo_calls, solves = _recording_solves(monkeypatch)
+    gamma = basis.interpolate(inner, outer)
+    assert len(lmo_calls) == 2
+    (res,) = solves
+    assert (res.stop, res.iterations, res.certified) == ("decided", 0, True)
+    # a unit point of the complement's base, not the adjoined origin
+    assert abs(np.linalg.norm(res.witness_b) - 1.0) <= 1e-12
+    assert gamma.certificate.iterations == 0
+    assert basis.verify_interpolation(gamma, inner, outer,
+                                      rng=np.random.default_rng(0)).ok
