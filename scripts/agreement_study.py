@@ -47,7 +47,14 @@ how often the independent routes agree:
   * in R^2 to R^4, separate_nonsym on flat pairs: a cone K with two rays
     eta = 10^U(-16, -4) rad short of opposite, and a ray C inside K.  C
     lies in K, so every certificate is false; an Inconclusive counts as no
-    certificate.
+    certificate,
+  * in R^2 and R^3, interpolate on strictly nested pairs: sectors, and
+    ``cone_about`` cones about random axes, the inner axis tilted by less
+    than the angular margin the outer cone leaves.  The interpolant
+    BP(x*, a) is checked with no sampling, every generator g of C having
+    x*.g > a|g| and every facet normal n of K having
+    n.x* > |n| sqrt(|x*|^2 - a^2) (BP minus 0 inside int K), and by
+    ``verify_interpolation``; a None or an Inconclusive counts as wrong.
 
 Draws whose reference distance solve did not certify, and pairs that raise
 Inconclusive, are counted and reported rather than compared.  Exits 1 when
@@ -60,11 +67,24 @@ import time
 
 import numpy as np
 
-from conesep.basis import ALPHA_BACKOFF, has_convex_base, is_well_based
+from conesep.basis import (
+    ALPHA_BACKOFF,
+    has_convex_base,
+    interpolate,
+    is_well_based,
+    verify_interpolation,
+)
 from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance, decide_gap
 from conesep.errors import Inconclusive
-from conesep.geometry import is_whole_space, make_polycone, pointedness, solidity
+from conesep.geometry import (
+    facet_normals,
+    is_whole_space,
+    make_polycone,
+    pointedness,
+    solidity,
+)
 from conesep.oracle import (
+    cone_about,
     covering_bound,
     oracle_separation,
     random_pointed_cone,
@@ -367,6 +387,56 @@ def flat_study(dims, per_dim, rng):
     return {"pairs": done, "no_certificate": no_cert, "inconclusive": inconclusive}
 
 
+def nested_pair(rng, dim):
+    """Inner and outer cones about random axes, the inner one strictly inside.
+
+    The outer cone is inscribed in the circular cone of half-angle t, so it
+    holds the circular cone of half-angle atan(tan t cos(pi/n)) for n rays
+    (t itself for a sector); the inner one's rays lie at its half-angle from
+    its axis, which is tilted off the outer axis by less than the margin
+    left over, less 1 degree."""
+    axis = rng.standard_normal(dim)
+    axis /= np.linalg.norm(axis)
+    t_out = rng.uniform(25.0, 70.0)
+    n_out = int(rng.integers(5, 13))
+    room = t_out if dim == 2 else math.degrees(
+        math.atan(math.tan(math.radians(t_out)) * math.cos(math.pi / n_out)))
+    t_in = rng.uniform(2.0, room - 3.0)
+    side = rng.standard_normal(dim)
+    side -= (side @ axis) * axis
+    side /= np.linalg.norm(side)
+    tilt = math.radians(rng.uniform(0.0, room - t_in - 1.0))
+    inner_axis = math.cos(tilt) * axis + math.sin(tilt) * side
+    return (cone_about(inner_axis, t_in, int(rng.integers(3, 9))),
+            cone_about(axis, t_out, n_out))
+
+
+def interpolation_study(dims, per_dim, rng):
+    done = encloses = inside = verified = none = inconclusive = 0
+    vrng = np.random.default_rng(rng.integers(2**32))
+    for dim in (d for d in dims if d in (2, 3)):
+        for _ in range(per_dim):
+            C, K = nested_pair(rng, dim)
+            done += 1
+            try:
+                gamma = interpolate(C, K)
+            except Inconclusive:
+                inconclusive += 1
+                continue
+            if gamma is None:
+                none += 1
+                continue
+            x, a = gamma.functional.x_star, gamma.functional.alpha
+            G = C.generators
+            encloses += bool((x @ G > a * np.linalg.norm(G, axis=0)).all())
+            N = facet_normals(K)
+            rim = math.sqrt(max(float(x @ x) - a * a, 0.0))
+            inside += bool((N @ x > np.linalg.norm(N, axis=1) * rim).all())
+            verified += verify_interpolation(gamma, C, K, rng=vrng).ok
+    return {"pairs": done, "encloses": encloses, "inside": inside, "verified": verified,
+            "none": none, "inconclusive": inconclusive}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dims", default="2,3",
@@ -385,6 +455,7 @@ def main() -> int:
     bi = bidir_study(dims, args.per_dim, args.margin, rng)
     bo = boundary_oracle_study(dims, args.boundary_pairs, rng)
     fl = flat_study(dims, args.per_dim, rng)
+    ip = interpolation_study(dims, args.per_dim, rng)
     elapsed = time.perf_counter() - t0
 
     print(f"dims {dims}, {args.per_dim} pairs per dim, margin {args.margin:g}, "
@@ -425,6 +496,11 @@ def main() -> int:
     print(f"  flat pairs (R^2 to R^4, rays 10^U(-16, -4) rad short of opposite), "
           f"C inside K, no certificate: {fl['no_certificate']}/{fl['pairs']} "
           f"({fl['inconclusive']} of them Inconclusive)")
+    print(f"  interpolate on strictly nested pairs (R^2, R^3), C's generators "
+          f"inside BP, BP inside int K by K's facets, verify_interpolation: "
+          f"{ip['encloses']}/{ip['pairs']}, {ip['inside']}/{ip['pairs']}, "
+          f"{ip['verified']}/{ip['pairs']} ({ip['none']} None, "
+          f"{ip['inconclusive']} Inconclusive)")
     print(f"  margin-filtered draws: {ex['margin_skipped']}")
     print(f"  uncertified distance solves (draw skipped): {ex['uncertified']}")
     print(f"  total time: {elapsed:.1f} s")
@@ -441,7 +517,8 @@ def main() -> int:
              or bi["agree"] < bi["pairs"]
              or bi["margin_ok"] < bi["linear"]
              or bo["agree"] < bo["pairs"]
-             or fl["no_certificate"] < fl["pairs"])
+             or fl["no_certificate"] < fl["pairs"]
+             or min(ip["encloses"], ip["inside"], ip["verified"]) < ip["pairs"])
     return 1 if short else 0
 
 

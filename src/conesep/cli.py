@@ -27,6 +27,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
+from . import separation
 from .basis import has_convex_base, interpolate, is_well_based, verify_interpolation
 from .errors import ConesepError, Inconclusive, InstanceError
 from .geometry import Norm
@@ -39,7 +40,6 @@ from .instances import (
 )
 from .oracle import oracle_separation
 from .separation import (
-    boundary_equivalence_report,
     separate_convex_bidirectional,
     separate_nonsym,
     separate_sym,
@@ -144,6 +144,12 @@ def cmd_interpolate(inst: Instance, args) -> tuple[dict, int]:
     return doc, EXIT_SEPARATED
 
 
+def boundary_equivalence_report(C, K, tol: float):
+    """``separation.boundary_equivalence_report``, looked up on its module at
+    each call, so that a wrapper set there (a tracer's span) sees the call."""
+    return separation.boundary_equivalence_report(C, K, tol=tol)
+
+
 def cmd_check(inst: Instance, args) -> tuple[dict, int]:
     name_c, name_k = args.pair
     report = boundary_equivalence_report(
@@ -178,8 +184,11 @@ def cmd_render(inst: Instance, args) -> tuple[dict, int]:
     cert = load_certificate(args.certificate) if args.certificate else None
     order = list(inst.regions)
     text = render_svg(inst.regions, order=order, certificate=cert)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InstanceError(f"{args.out}: {exc.strerror or exc}") from None
     return {"out": args.out, "verdict": "rendered"}, EXIT_SEPARATED
 
 

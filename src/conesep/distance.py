@@ -5,11 +5,11 @@ LMOs as its vertex oracle, as GJK does for convex bodies: each iteration
 adds the support point of A - B against the iterate to a persistent
 corral, and Wolfe's minor cycles (``kernels.corral_step``) move the
 iterate to the min-norm point of the corral's hull.  The first LMO pair
-is aimed between two points of the bodies that cost no LMO call, and its
-bracket alone may decide.  Positive outcomes carry the deciding direction
-(an iterate, or that start direction) and the certified LMO values at it;
-zero outcomes carry the common point and the convex combination realizing
-it.
+is aimed from B's start point to A's, points each body names at no LMO
+cost, and its bracket alone may decide.  Positive outcomes carry the
+deciding direction (an iterate, or that start direction) and the
+certified LMO values at it; zero outcomes carry the common point and the
+convex combination realizing it.
 """
 from __future__ import annotations
 
@@ -101,42 +101,35 @@ def _support_difference(A, B, v: np.ndarray):
     return (ra.value - ra.error, rb.value - rb.error), ra.witness, rb.witness
 
 
-def _start(A, B) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The direction v0 of a solve's first LMO pair, and the start points
-    it joins, or None, None where it joins none (see ``body_distance``)."""
-    pa, pb = (getattr(X, "start_point", lambda: None)() for X in (A, B))
-    if pa is not None and pb is not None:
-        v0 = pa - pb
-        if math.sqrt(float(v0 @ v0)) > 1e-12:
-            return v0, pa, pb
-    v0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
+def _start(A, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The direction v0 = pA - pB of a solve's first LMO pair, aimed from
+    B's start point pB to A's pA; e_1 where the two lie within 1e-12."""
+    pa, pb = A.start_point(), B.start_point()
+    v0 = pa - pb
     if math.sqrt(float(v0 @ v0)) <= 1e-12:
         v0 = np.eye(A.dim)[0]
-    return v0, None, None
+    return v0, pa, pb
 
 
 def body_distance(A, B, tol: float = DEFAULT_TOL,
                   until_decided: bool = False) -> DistanceResult:
     """Distance between conv bodies A and B with witnesses.
 
-    A and B expose ``dim``, ``centroid()`` and ``lmo(direction) ->
-    LmoResult`` over their closures, and may expose ``start_point()``, a
-    point of the body that costs no LMO call, or None; sval sums the LMO
-    values at the iterate v net of their error bounds.
+    A and B expose ``dim``, ``lmo(direction) -> LmoResult`` over their
+    closures, and ``start_point()``, a point of the body that costs no LMO
+    call; sval sums the LMO values at the iterate v net of their error
+    bounds.
 
     The first LMO pair is aimed at v0 = pA - pB for the start points pA
-    and pB.  Where a body names none, or the two lie within 1e-12, v0 is
-    the difference of the centroids (e_1 should they coincide).  Its
-    bracket's lower bound sval/|v0| holds for any direction.  With
-    ``until_decided``, for callers that read only the ``decide_gap``
-    verdict, a lower bound that clears DEAD_BAND * tol ends the solve
-    there, certified, with stop "decided" and 0 iterations: the functional
-    is v0, and the witnesses are (pA, pB), or that pair's support points
-    where v0 joins no start points.  LMO values summing above v0 . (a0 - b0)
-    for those support points a0 and b0 bound nothing, and the solve goes
-    on instead.  Every other solve goes on from the
-    corral {a0 - b0} of that pair's support points; the start points never
-    enter it.
+    and pB, or at e_1 where the two lie within 1e-12.  Its bracket's lower
+    bound sval/|v0| holds for any direction.  With ``until_decided``, for
+    callers that read only the ``decide_gap`` verdict, a lower bound that
+    clears DEAD_BAND * tol ends the solve there, certified, with stop
+    "decided" and 0 iterations: the functional is v0 and the witnesses are
+    (pA, pB).  LMO values summing above v0 . (a0 - b0) for that pair's
+    support points a0 and b0 bound nothing, and the solve goes on instead.
+    Every other solve goes on from the corral {a0 - b0}; the start points
+    never enter it.
 
     The solve terminates when |v| <= tol certifies contact or when the
     duality gap certifies the distance to within tol: the true distance
@@ -167,8 +160,7 @@ def body_distance(A, B, tol: float = DEFAULT_TOL,
     # v is a point of A - B, so the exact minimum against v0 is at most v0 . v
     if (until_decided and lower > DEAD_BAND * tol
             and sval - float(v0 @ v) <= max(tol * nv, tol2, GAP_REL_FLOOR * nv2)):
-        a, b = (a0, b0) if pa is None else (pa, pb)
-        a, b = a.copy(), b.copy()
+        a, b = pa.copy(), pb.copy()
         return DistanceResult(
             distance=math.sqrt(float((a - b) @ (a - b))),
             kind=POSITIVE,
@@ -306,11 +298,9 @@ class PolytopeBody:
         j = int(np.argmin(vals))
         return LmoResult(float(vals[j]), self.points[j])
 
-    def centroid(self) -> np.ndarray:
+    def start_point(self) -> np.ndarray:
+        """The mean of the points, a point of their hull."""
         return self.points.mean(axis=0)
-
-    # the mean of the points is a point of their hull
-    start_point = centroid
 
 
 def origin_body(dim: int) -> PolytopeBody:

@@ -78,8 +78,8 @@ class _PieceLeaf(_Leaf):
 class _ComplementLeaf(_Leaf):
     """The closure of X \\ K with {0}, for a solid K other than the whole
     space.  It keeps only the unit facet normals of K, from the cached
-    ``_inspan_hrep``: the LMO's closed form, ``centroid`` and membership
-    read nothing else.  K's facet cones (``geometry.facets``, cached on K)
+    ``_inspan_hrep``: the LMO's closed form and membership read nothing
+    else, and ``centroid`` K's cached generator mean.  K's facet cones (``geometry.facets``, cached on K)
     are built on first use, by the half-space fallback of ``lmo`` and by
     ``anchor_points``.
     """
@@ -139,7 +139,7 @@ class _ComplementLeaf(_Leaf):
 class ConeRegion:
     """Union-of-leaves view of a cone region; LMO = min over the leaves."""
 
-    __slots__ = ("leaves", "dim", "_centroid")
+    __slots__ = ("leaves", "dim")
 
     def __init__(self, leaves):
         leaves = tuple(leaves)
@@ -150,7 +150,6 @@ class ConeRegion:
             raise DimensionMismatch("region leaves live in different dimensions")
         self.leaves = leaves
         self.dim = dim
-        self._centroid = None
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -225,18 +224,12 @@ class ConeRegion:
         return np.concatenate([leaf.anchor_points() for leaf in self.leaves], axis=0)
 
     def centroid(self) -> np.ndarray:
-        """Mean of the leaf centroids, computed once; the array is read-only.
-        One leaf's centroid is copied as it is: the mean of one item is
-        that item, bit for bit."""
-        c = self._centroid
-        if c is None:
-            if len(self.leaves) == 1:
-                c = self.leaves[0].centroid().copy()
-            else:
-                c = np.mean([leaf.centroid() for leaf in self.leaves], axis=0)
-            c.setflags(write=False)
-            self._centroid = c
-        return c
+        """Mean of the leaf centroids, a point of the base hull (see
+        ``ConvexBody.start_point``); one leaf's is returned as it is, the
+        mean of one item being that item, bit for bit."""
+        if len(self.leaves) == 1:
+            return self.leaves[0].centroid()
+        return np.mean([leaf.centroid() for leaf in self.leaves], axis=0)
 
 
 def _lmo_piece(cone: PolyCone, f: np.ndarray) -> LmoResult:
@@ -398,18 +391,15 @@ class ConvexBody:
             return LmoResult(0.0, np.zeros(self.dim))
         return res
 
-    def centroid(self) -> np.ndarray:
-        return self.region.centroid()
-
-    def start_point(self) -> np.ndarray | None:
+    def start_point(self) -> np.ndarray:
         """A point of the body that costs no LMO call: the origin when it
-        is adjoined, else the region's centroid, a convex combination of
-        unit generators.  None where a leaf is a complement, whose
-        centroid, minus the excluded cone's generator mean, need not lie in
-        the body: the solve then aims its first LMO pair along the
-        centroids' difference, origin adjoined or not."""
-        if self.region.has_compound_leaves:
-            return None
+        is adjoined, else the region's centroid, the mean of its leaves'.
+        A piece's is its generator mean, a convex combination of unit
+        generators.  A complement's is -m for the generator mean m of its
+        solid cone K other than the whole space: K lies in a closed
+        half-space {a . x >= 0}, so the base holds the closed hemisphere
+        a . x <= 0, whose hull, the half-ball, holds -m (|m| <= 1 and
+        a . m >= 0)."""
         return np.zeros(self.dim) if self.adjoin_origin else self.region.centroid()
 
 

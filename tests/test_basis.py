@@ -536,3 +536,8 @@ def test_interpolate_between_two_one_dimensional_rays():
     assert f.x_star[0] > 0.0 and 0.0 < f.alpha < f.x_star[0]
     assert bp_membership(gamma, np.array([1.0])) == Membership.INTERIOR
     assert bp_membership(gamma, np.array([-1.0])) == Membership.EXTERIOR
+
+
+def test_interpolate_rejects_a_complement_as_the_inner_region():
+    with pytest.raises(NotNested, match="complement"):
+        interpolate(ConeRegion.complement(ORTHANT), ORTHANT)

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conesep import cli
+from conesep import cli, separation
 from conesep.cli import build_parser, main
 
 
@@ -538,6 +538,33 @@ def test_render_is_deterministic(capsys, sector_vs_line_pair, tmp_path):
     _run(capsys, ["render", sector_vs_line_pair, "--out", str(a)])
     _run(capsys, ["render", sector_vs_line_pair, "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+def test_render_to_an_unwritable_path_is_an_input_error(capsys, sector_vs_line_pair,
+                                                        tmp_path):
+    out = tmp_path / "no" / "such" / "dir" / "x.svg"
+    code, doc = _run(capsys, ["render", sector_vs_line_pair, "--out", str(out)])
+    assert code == 3
+    assert doc["verdict"] == "error"
+    assert str(out) in doc["error"]
+    assert not out.exists()
+
+
+def test_check_calls_the_report_through_the_separation_module(
+        capsys, sector_vs_line_pair, monkeypatch):
+    # a wrapper set on the separation module, as a tracer's span is, sees
+    # every call the check command makes
+    calls = []
+    real = separation.boundary_equivalence_report
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(separation, "boundary_equivalence_report", counted)
+    code, doc = _run(capsys, ["check", sector_vs_line_pair, "--pair", "C,K"])
+    assert code == 0 and doc["verdict"] == "separated"
+    assert len(calls) == 1
 
 
 def test_rays_whose_squared_norm_leaves_the_float_range_parse(capsys, tmp_path):

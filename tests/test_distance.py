@@ -7,7 +7,7 @@ import pytest
 
 from conesep import distance, kernels, separation
 from conesep.distance import PolytopeBody, body_distance, origin_body
-from conesep.errors import Inconclusive, TrivialRegion
+from conesep.errors import DimensionMismatch, Inconclusive, TrivialRegion
 from conesep.geometry import make_polycone
 from conesep.instances import load_instance
 from conesep.oracle import (
@@ -92,7 +92,7 @@ class _Overstated:
     def lmo(self, direction):
         return LmoResult(1.0, np.zeros(2))
 
-    def centroid(self):
+    def start_point(self):
         return np.zeros(2)
 
 
@@ -285,26 +285,20 @@ def _reference_body_distance(A, B, tol=distance.DEFAULT_TOL, until_decided=False
     # corral rebuilt with vstack, and its differences formed anew, on
     # every iteration; it returns the engine's fields, the iterate as the
     # functional and the certified LMO values taken at it.  The first LMO
-    # pair is aimed from B's start point to A's, or along the centroids'
-    # difference where a body names none; its bracket alone may decide.
+    # pair is aimed from B's start point to A's (e_1 where they coincide);
+    # its bracket alone may decide.
     tol2 = tol * tol
-    pa = A.start_point() if hasattr(A, "start_point") else None
-    pb = B.start_point() if hasattr(B, "start_point") else None
-    if pa is None or pb is None or np.linalg.norm(pa - pb) <= 1e-12:
-        pa = pb = None
-        d0 = np.asarray(A.centroid(), dtype=float) - np.asarray(B.centroid(), dtype=float)
-        if math.sqrt(float(d0 @ d0)) <= 1e-12:
-            d0 = np.eye(A.dim)[0]
-    else:
-        d0 = pa - pb
+    pa, pb = A.start_point(), B.start_point()
+    d0 = pa - pb
+    if np.linalg.norm(d0) <= 1e-12:
+        d0 = np.eye(A.dim)[0]
     values, a0, b0 = distance._support_difference(A, B, d0)
     nv = math.sqrt(float(d0 @ d0))
     lower = (values[0] + values[1]) / nv
     slack = max(tol * nv, tol2, distance.GAP_REL_FLOOR * nv * nv)
     consistent = values[0] + values[1] - float(d0 @ (a0 - b0)) <= slack
     if until_decided and lower > distance.DEAD_BAND * tol and consistent:
-        a, b = (a0, b0) if pa is None else (pa, pb)
-        a, b = a.copy(), b.copy()
+        a, b = pa.copy(), pb.copy()
         return distance.DistanceResult(
             distance=math.sqrt(float((a - b) @ (a - b))),
             kind=distance.POSITIVE,
@@ -486,3 +480,8 @@ def test_buffered_corral_grows_past_d_plus_2_rows(monkeypatch):
             rows.append(len(res.support_a) / (dim + 2))
     # grown once (over d + 2 rows) and more than once (over 2 (d + 2))
     assert max(rows) > 2.0 and sum(r > 1.0 for r in rows) >= 4
+
+
+def test_bodies_of_different_dimensions_are_refused():
+    with pytest.raises(DimensionMismatch):
+        body_distance(origin_body(2), origin_body(3))

@@ -11,6 +11,7 @@ from conesep.errors import (
     DimensionTooHigh,
     EmptyCone,
     NotSolid,
+    TrivialRegion,
     ZeroDirection,
     ZeroGenerator,
 )
@@ -816,3 +817,17 @@ def test_make_polycone_scales_rays_whose_squared_norm_leaves_the_float_range():
     for bad in ([[0.0, 0.0]], [[1e200, 0.0], [0.0, 0.0]], [[np.inf, 1e200]]):
         with pytest.raises(ZeroGenerator):
             make_polycone(bad)
+
+
+def test_strictly_interior_of_a_flat_cone_and_of_the_whole_space():
+    flat = make_polycone([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert not strictly_interior(flat, [1.0, 1.0, 0.0])
+    whole = make_polycone(np.concatenate([np.eye(3), -np.eye(3)]))
+    assert strictly_interior(whole, [0.0, 0.0, -1.0])
+
+
+def test_facet_normals_need_a_solid_cone_other_than_the_whole_space():
+    with pytest.raises(NotSolid):
+        facet_normals(make_polycone([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    with pytest.raises(TrivialRegion, match="whole space"):
+        facet_normals(make_polycone(np.concatenate([np.eye(3), -np.eye(3)])))

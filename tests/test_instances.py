@@ -275,3 +275,33 @@ def test_jsonable_converts_each_kind():
     assert type(doc["inner"]["flag"]) is bool
     assert [type(v) for v in doc["pairs"]] == [int, list]
     assert json.dumps(doc, sort_keys=True) == json.dumps(jsonable(doc), sort_keys=True)
+
+
+@pytest.mark.parametrize("text, match", [
+    ('{"dim": 2, "cones": {"C": {"pieces": [{"generators": [["a", 0]]}]}}}',
+     r"cones\.C\.pieces\[0\]\.generators: not a numeric matrix"),
+    ('{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0], [1]]}]}}}',
+     r"cones\.C\.pieces\[0\]\.generators: not a numeric matrix"),
+    ('{"dim": 2, "cones": {"C": {"pieces": [{"generators": []}]}}}',
+     r"cones\.C\.pieces\[0\]\.generators: expected a non-empty list of vectors"),
+    ('{"dim": 2, "cones": {"C": {"pieces": [[1, 0]]}}}',
+     r"cones\.C\.pieces\[0\]: a piece must be a mapping"),
+    ('{"dim": 2, "cones": {"C": [1, 0]}}', r"cones\.C: a cone entry must be a mapping"),
+    ('{"dim": 2, "cones": {"C": {"pieces": {"generators": [[1, 0]]}}}}',
+     r"cones\.C\.pieces: expected a non-empty list"),
+    ('{"dim": 2, "cones": {"C": {"pieces": []}}}', r"cones\.C\.pieces: expected a non-empty list"),
+    ('{"cones": {"C": {"pieces": [{"generators": [[1, 0]]}]}}}',
+     "instance needs 'dim' and 'cones'"),
+    ('{"dim": 2}', "instance needs 'dim' and 'cones'"),
+    ('{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0]]}]}}, "options": [1]}',
+     "'options' must be a mapping"),
+])
+def test_rejected_documents_name_the_fault(text, match):
+    with pytest.raises(InstanceError, match=match):
+        parse_instance(text)
+
+
+def test_load_instance_on_an_unreadable_path(tmp_path):
+    # a directory cannot be read as a file
+    with pytest.raises(InstanceError, match=str(tmp_path)):
+        load_instance(str(tmp_path))

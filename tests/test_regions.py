@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conesep import kernels
-from conesep.errors import NotConvex, NotSolid, TrivialRegion, ZeroDirection
+from conesep.errors import (
+    DimensionMismatch,
+    NotConvex,
+    NotSolid,
+    TrivialRegion,
+    ZeroDirection,
+)
 from conesep.geometry import (
     cone_membership,
+    is_whole_space,
     facet_normals,
     facets,
     make_polycone,
@@ -20,6 +27,8 @@ from conesep.oracle import (
     covering_bound,
     random_pointed_cone,
     random_region,
+    random_unit,
+    random_unpointed_cone,
     sample_norm_base,
     sector_cone_2d,
 )
@@ -547,7 +556,7 @@ def test_least_lmo_error_covers_every_lower_bound():
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
 def test_region_centroid_is_numpys_mean_bit_for_bit(dim):
     # pieces and complements mixed, 1 to 40 leaves; one leaf's centroid is
-    # copied, more are averaged by np.mean
+    # taken as it is, more are averaged by np.mean
     rng = np.random.default_rng(29 + dim)
     for count in range(1, 41):
         parts = []
@@ -563,4 +572,65 @@ def test_region_centroid_is_numpys_mean_bit_for_bit(dim):
         c = region.centroid()
         ref = np.mean([leaf.centroid() for leaf in region.leaves], axis=0)
         assert c.dtype == ref.dtype and c.tobytes() == ref.tobytes(), count
-        assert not c.flags.writeable and region.centroid() is c
+
+
+def _solid_unpointed_cone(rng, dim):
+    # a solid cone with a line in it, other than the whole space
+    while True:
+        g = random_pointed_cone(rng, dim, n_rays=dim + 1).generators.T
+        line = random_unit(rng, dim)
+        cone = make_polycone(np.concatenate([g, [line], [-line]]))
+        if solidity(cone) and not is_whole_space(cone):
+            return cone
+
+
+def _start_point_regions(rng, dim):
+    """Pieces, unions, complements of pointed and non-pointed solid cones,
+    and mixed unions, in ``dim`` dimensions; R^1 rays in one."""
+    if dim == 1:
+        right, left = make_polycone([[1.0]]), make_polycone([[-1.0]])
+        return [ConeRegion.piece(right), ConeRegion.piece(left),
+                ConeRegion.complement(right), ConeRegion.complement(left),
+                ConeRegion.union(ConeRegion.piece(right), ConeRegion.complement(right))]
+    pieces = [ConeRegion.piece(random_pointed_cone(rng, dim)) for _ in range(3)]
+    pieces.append(ConeRegion.piece(random_unpointed_cone(rng, dim)))
+    halfspace = make_polycone(np.concatenate([np.eye(dim), -np.eye(dim)[1:]]))
+    complements = [ConeRegion.complement(random_pointed_cone(rng, dim, n_rays=dim + 1)),
+                   ConeRegion.complement(_solid_unpointed_cone(rng, dim)),
+                   ConeRegion.complement(halfspace)]
+    return (pieces + complements
+            + [ConeRegion.union(*pieces[:2]), ConeRegion.union(*pieces[1:]),
+               ConeRegion.union(pieces[0], complements[0]),
+               ConeRegion.union(complements[1], pieces[3], complements[2])])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_start_point_lies_in_the_body(dim):
+    # u . p >= min over the body of u . x for every unit u: the start point p
+    # lies in the body, complements included (a solid cone other than the
+    # whole space lies in a closed half-space; see ConvexBody.start_point)
+    rng = np.random.default_rng(61 + dim)
+    for region in _start_point_regions(rng, dim):
+        for adjoin in (False, True):
+            b = body(region, adjoin)
+            p = b.start_point()
+            assert p.shape == (dim,)
+            for _ in range(200):
+                u = random_unit(rng, dim)
+                res = b.lmo(u)
+                assert float(u @ p) >= res.value - res.error, (region.leaves, adjoin, u)
+
+
+def test_a_region_needs_leaves_of_one_dimension():
+    with pytest.raises(TrivialRegion, match="at least one leaf"):
+        ConeRegion([])
+    planar = ConeRegion.piece(ORTHANT).leaves[0]
+    spatial = ConeRegion.piece(make_polycone(np.eye(3))).leaves[0]
+    with pytest.raises(DimensionMismatch, match="different dimensions"):
+        ConeRegion([planar, spatial])
+
+
+def test_complement_of_the_whole_space_is_refused():
+    whole = make_polycone([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    with pytest.raises(TrivialRegion, match="whole space"):
+        ConeRegion.complement(whole)

@@ -13,6 +13,7 @@ from conesep.cli import main
 from conesep.distance import DEAD_BAND, DEFAULT_TOL, body_distance, decide_gap
 from conesep.errors import (
     DegenerateCone,
+    DimensionNot2D,
     DimensionTooHigh,
     Inconclusive,
     NotConvex,
@@ -1361,9 +1362,9 @@ def test_a_clearly_separated_pair_is_decided_by_the_start_bracket(monkeypatch):
 
 
 def test_interpolate_on_a_nested_pair_stops_at_the_start(monkeypatch):
-    # the complement body names no start point: the first pair is aimed
-    # along the centroids' difference, and its bracket decides too, with
-    # that pair's support points as the witnesses
+    # the first pair is aimed from the complement body's start point (the
+    # origin, adjoined) to the inner cone's generator mean; its bracket
+    # decides, with those two points as the witnesses
     ax = [0.2, 0.5, 1.0]
     inner, outer = cone_about(ax, 20.0, 8), cone_about(ax, 50.0, 12)
     lmo_calls, solves = _recording_solves(monkeypatch)
@@ -1371,8 +1372,20 @@ def test_interpolate_on_a_nested_pair_stops_at_the_start(monkeypatch):
     assert len(lmo_calls) == 2
     (res,) = solves
     assert (res.stop, res.iterations, res.certified) == ("decided", 0, True)
-    # a unit point of the complement's base, not the adjoined origin
-    assert abs(np.linalg.norm(res.witness_b) - 1.0) <= 1e-12
+    assert np.array_equal(res.witness_a, ConeRegion.piece(inner).centroid())
+    assert np.array_equal(res.witness_b, np.zeros(3))
     assert gamma.certificate.iterations == 0
     assert basis.verify_interpolation(gamma, inner, outer,
                                       rng=np.random.default_rng(0)).ok
+
+
+def test_a_zero_alpha_is_the_linear_family():
+    assert bp_family_flags(NormLinearFunctional(np.array([1.0, 2.0]), 0.0)) == {"Lin"}
+
+
+def test_boundary_rays_in_closed_form_need_a_planar_proper_cone():
+    with pytest.raises(DimensionNot2D):
+        bp_boundary_rays_2d([1.0, 0.0, 0.0], 0.5)
+    for x_star, alpha in (([1.0, 0.0], 1.0), ([1.0, 0.0], -2.0), ([0.0, 0.0], 0.0)):
+        with pytest.raises(DegenerateCone):
+            bp_boundary_rays_2d(x_star, alpha)
