@@ -182,8 +182,8 @@ def cmd_oracle(inst: Instance, args) -> tuple[dict, int]:
 
 def cmd_render(inst: Instance, args) -> tuple[dict, int]:
     cert = load_certificate(args.certificate) if args.certificate else None
-    order = list(inst.regions)
-    text = render_svg(inst.regions, order=order, certificate=cert)
+    regions = inst.regions
+    text = render_svg(regions, order=list(regions), certificate=cert)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -10,6 +10,7 @@ is the identity on canonical documents.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import geometry
-from .errors import InstanceError
+from .errors import InstanceError, ZeroGenerator
 from .geometry import Norm, PolyCone
 from .regions import ConeRegion
 from .separation import Orientation, SeparationCertificate
@@ -60,20 +61,30 @@ class InstanceOptions:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A parsed instance.  ``pieces`` holds each cone's pieces as the file
-    gave them: a boundary region's leaves are its facet cones instead."""
+    """A file's cones, each a kind and checked pieces.  ``region`` builds a
+    cone's region when a command names it: only then can its geometry fail
+    (NotSolid, TrivialRegion, DimensionTooHigh)."""
 
     dim: int
     norm: Norm
-    regions: dict[str, ConeRegion]
     kinds: dict[str, str]
     pieces: dict[str, list[PolyCone]]
     options: InstanceOptions = field(default_factory=InstanceOptions)
 
     def region(self, name: str) -> ConeRegion:
-        if name not in self.regions:
+        if name not in self.kinds:
             raise InstanceError(f"instance has no cone named {name!r}")
-        return self.regions[name]
+        kind, pieces = self.kinds[name], self.pieces[name]
+        if kind == "complement":
+            return ConeRegion.complement(pieces[0])
+        if kind == "boundary":
+            return ConeRegion.boundary(pieces[0])
+        return ConeRegion.union(*map(ConeRegion.piece, pieces))
+
+    @property
+    def regions(self) -> dict[str, ConeRegion]:
+        """Every cone's region, in file order, built anew at each read."""
+        return {name: self.region(name) for name in self.kinds}
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -87,10 +98,13 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 def _matrix(raw, where: str) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"{where}: not a numeric matrix ({exc})") from None
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise InstanceError(f"{where}: expected a non-empty list of vectors")
+    # numpy would read "1" and true as 1.0: only JSON numbers are entries
+    if not all(type(v) in (int, float) for row in raw for v in row):
+        raise InstanceError(f"{where}: not a numeric matrix (an entry is not a number)")
     return arr
 
 
@@ -105,11 +119,13 @@ def _build_piece(raw: dict, dim: int, where: str) -> PolyCone:
         raise InstanceError(
             f"{where}.generators: vectors have length {gens.shape[1]}, dim is {dim}"
         )
-    return geometry.make_polycone(gens)
+    try:
+        return geometry.make_polycone(gens)
+    except ZeroGenerator as exc:
+        raise InstanceError(f"{where}.generators: {exc}") from None
 
 
-def _build_region(name: str, raw: dict, dim: int
-                  ) -> tuple[ConeRegion, str, list[PolyCone]]:
+def _parse_cone(name: str, raw: dict, dim: int) -> tuple[str, list[PolyCone]]:
     where = f"cones.{name}"
     if not isinstance(raw, dict):
         raise InstanceError(f"{where}: a cone entry must be a mapping")
@@ -125,15 +141,7 @@ def _build_region(name: str, raw: dict, dim: int
     ]
     if kind in ("convex", "complement", "boundary") and len(pieces) != 1:
         raise InstanceError(f"{where}: kind {kind!r} takes exactly one piece")
-    if kind == "convex":
-        region = ConeRegion.piece(pieces[0])
-    elif kind == "union":
-        region = ConeRegion.union(*[ConeRegion.piece(p) for p in pieces])
-    elif kind == "complement":
-        region = ConeRegion.complement(pieces[0])
-    else:
-        region = ConeRegion.boundary(pieces[0])
-    return region, kind, pieces
+    return kind, pieces
 
 
 def parse_instance(text: str) -> Instance:
@@ -159,17 +167,16 @@ def parse_instance(text: str) -> Instance:
     cones = doc["cones"]
     if not isinstance(cones, dict) or not cones:
         raise InstanceError("'cones' must be a non-empty mapping")
-    regions: dict[str, ConeRegion] = {}
     kinds: dict[str, str] = {}
     pieces: dict[str, list[PolyCone]] = {}
     for name, raw in cones.items():
-        regions[name], kinds[name], pieces[name] = _build_region(name, raw, dim)
+        kinds[name], pieces[name] = _parse_cone(name, raw, dim)
     opts_raw = doc.get("options", {})
     if not isinstance(opts_raw, dict):
         raise InstanceError("'options' must be a mapping")
     _check_keys(opts_raw, {f.name for f in fields(InstanceOptions)}, "options")
-    return Instance(dim=dim, norm=norm, regions=regions, kinds=kinds,
-                    pieces=pieces, options=InstanceOptions(**opts_raw))
+    return Instance(dim=dim, norm=norm, kinds=kinds, pieces=pieces,
+                    options=InstanceOptions(**opts_raw))
 
 
 def load_instance(path: str) -> Instance:
@@ -195,7 +202,7 @@ def serialize_instance(inst: Instance) -> str:
         "norm": inst.norm.value,
         "cones": {
             name: _region_doc(inst.pieces[name], inst.kinds[name])
-            for name in sorted(inst.regions)
+            for name in sorted(inst.kinds)
         },
         "options": jsonable(inst.options),
     }
@@ -242,7 +249,7 @@ def certificate_to_doc(cert: SeparationCertificate) -> dict:
 
 def doc_to_certificate(doc: dict) -> SeparationCertificate:
     try:
-        return SeparationCertificate(
+        cert = SeparationCertificate(
             orientation=Orientation(doc["orientation"]),
             x_star=np.asarray(doc["x_star"], dtype=float),
             alpha=float(doc["alpha"]),
@@ -254,8 +261,18 @@ def doc_to_certificate(doc: dict) -> SeparationCertificate:
             family=frozenset(doc.get("family", [])),
             iterations=int(doc.get("iterations", 0)),
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"malformed certificate document: {exc}") from None
+    x = cert.x_star
+    if x.ndim != 1 or not (np.isfinite(x).all() and x.any()):
+        fault = "x_star must be a finite, nonzero vector"
+    elif any(w.shape != x.shape for w in cert.witnesses):
+        fault = "the witnesses must have x_star's length"
+    elif not math.isfinite(cert.alpha):
+        fault = "alpha must be finite"
+    else:
+        return cert
+    raise InstanceError(f"malformed certificate document: {fault}")
 
 
 def load_certificate(path: str) -> SeparationCertificate:

@@ -79,9 +79,9 @@ class _ComplementLeaf(_Leaf):
     """The closure of X \\ K with {0}, for a solid K other than the whole
     space.  It keeps only the unit facet normals of K, from the cached
     ``_inspan_hrep``: the LMO's closed form and membership read nothing
-    else, and ``centroid`` K's cached generator mean.  K's facet cones (``geometry.facets``, cached on K)
-    are built on first use, by the half-space fallback of ``lmo`` and by
-    ``anchor_points``.
+    else, and ``centroid`` K's cached generator mean.  Only
+    ``anchor_points`` builds K's facet cones (``geometry.facets``, cached
+    on K).
     """
 
     __slots__ = ("normals",)
@@ -103,11 +103,9 @@ class _ComplementLeaf(_Leaf):
         The free minimizer u = -f/|f| wins unless it is strictly interior
         to K (the test ``geometry.strictly_interior`` makes on a unit
         vector); then the minimum is the closed form of
-        ``_lmo_across_facet``, one product N @ u for all facets.  When that
-        finds K a half-space with inward normal n = u, the minimum, 0, is
-        attained on the facet; a ray in R^1 has only the facet {0}, with an
-        empty base, and the complement's base is the single point -n, where
-        <f, -n> = |f|.
+        ``_lmo_across_facet``, one product N @ u for all facets.  A
+        half-space K with inward normal n = u, a ray in R^1 included, has
+        its closed form there too.
         """
         N = self.normals
         fn = math.sqrt(float(f @ f))
@@ -115,12 +113,7 @@ class _ComplementLeaf(_Leaf):
         s = N @ u
         if float(s.min()) <= geometry.MEMBERSHIP_TOL:
             return LmoResult(-fn, u)
-        res = _lmo_across_facet(N, s, u, fn)
-        if res is None:
-            facets = geometry.facets(self.cone).pieces
-            res = (_least([_lmo_piece(p, f) for p in facets]) if facets
-                   else LmoResult(fn, -N[0]))
-        return res
+        return _lmo_across_facet(N, s, u, fn)
 
     def contains_unit_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
         N = self.normals
@@ -322,9 +315,8 @@ def _slack_gap(G: np.ndarray, y: np.ndarray, lam: np.ndarray, w: np.ndarray,
 
 
 def _least(results: list[LmoResult]) -> LmoResult:
-    """The least value, the earliest on a tie as with min(), for a union
-    or the per-facet fallback of the complement LMO; its error widens to
-    cover every result's lower bound value - error."""
+    """The least value, the earliest on a tie as with min(), for a union;
+    its error widens to cover every result's lower bound value - error."""
     best = results[0]
     low = best.value - best.error
     for res in results[1:]:
@@ -337,7 +329,7 @@ def _least(results: list[LmoResult]) -> LmoResult:
 
 
 def _lmo_across_facet(N: np.ndarray, s: np.ndarray, u: np.ndarray,
-                      fn: float) -> LmoResult | None:
+                      fn: float) -> LmoResult:
     """min of <f, x> over unit x outside int K, for u = -f/|f| strictly
     inside K = {x : N x >= 0} with unit rows N and slacks s = N @ u > 0.
 
@@ -347,19 +339,31 @@ def _lmo_across_facet(N: np.ndarray, s: np.ndarray, u: np.ndarray,
     -|f| |p_i| at p_i/|p_i|, which lies in K (n_j . p_i >= s_j - s_i >= 0
     when n_i . n_j >= 0, and > 0 otherwise), hence on its facet i.  p_i is
     zero only when s_i = 1, that is when every unit n_j has n_j . u >= 1
-    and so equals u: K is a half-space.  None is returned then, and the
-    caller takes the minimum over the facet pieces.
+    and so equals u: K is the half-space of inward normal n = n_i.  In R^1
+    the base is then the single point -n, where <f, -n> = |f|.  Otherwise
+    the minimum, -|f| |p_i| >= -|f| PROJ_ZERO_TOL, is nearly attained at
+    any unit x orthogonal to n: e_k - n_k n, normalized, for the least
+    |n_k| (n_k^2 <= 1/d <= 1/2, so one pass is exact to rounding).  The
+    error takes value - error down to that bound.
     """
     i = int(np.argmin(s))
-    p = u - s[i] * N[i]
+    n = N[i]
+    p = u - s[i] * n
     # Projecting twice leaves n_i . p at rounding relative to |p|, not to
     # |u| = 1, which matters when u is close to n_i: one pass left a
     # witness 8e-8 outside the base 2e-11 rad off a half-plane's normal.
-    p -= float(N[i] @ p) * N[i]
+    p -= float(n @ p) * n
     pn = math.sqrt(float(p @ p))
-    if pn <= PROJ_ZERO_TOL:
-        return None
-    return LmoResult(-fn * pn, p / pn)
+    if pn > PROJ_ZERO_TOL:
+        return LmoResult(-fn * pn, p / pn)
+    if len(n) == 1:
+        return LmoResult(fn, -n)
+    k = int(np.abs(n).argmin())
+    x = -n[k] * n
+    x[k] += 1.0
+    x /= math.sqrt(float(x @ x))
+    value = -fn * float(u @ x)
+    return LmoResult(value, x, max(0.0, value + fn * PROJ_ZERO_TOL))
 
 
 def lmo_norm_base(region: ConeRegion, direction) -> LmoResult:

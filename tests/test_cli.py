@@ -3,6 +3,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from conesep import cli, separation
@@ -583,3 +584,59 @@ def test_rays_whose_squared_norm_leaves_the_float_range_parse(capsys, tmp_path):
             ref_code, ref = _run(capsys, [argv[0], plain, *argv[1:]])
             assert code == ref_code == 0
             assert {**got, "instance": None} == {**ref, "instance": None}
+
+
+def _around(axis, t, d=10):
+    # four rays t off the axis, in the plane of the axis and its successors
+    rays = []
+    for i in range(4):
+        ray = [0.0] * d
+        ray[axis] = 1.0
+        ray[(axis + 1 + i) % d] = t if i % 2 == 0 else -t
+        rays.append(ray)
+    return rays
+
+
+def test_an_unused_cone_fails_only_the_command_that_reads_it(capsys, tmp_path):
+    # a 30-ray complement in R^10 needs a facet enumeration beyond
+    # geometry.MAX_DD_RAYS; commands on C and K never build it
+    d = 10
+    rng = np.random.default_rng(0)
+    cones = {"C": {"pieces": [{"generators": _around(0, 0.3)}]},
+             "K": {"pieces": [{"generators": [[-r[0]] + r[1:] for r in _around(0, 0.3)]}]}}
+    plain = _write(tmp_path, "plain.json", {"dim": d, "cones": cones})
+    X = np.column_stack([rng.standard_normal((30, d - 1)), np.ones(30)])
+    with_x = _write(tmp_path, "with_x.json", {"dim": d, "cones": {
+        **cones, "X": {"kind": "complement", "pieces": [{"generators": X.tolist()}]}}})
+    for argv in (["separate", "--mode", "nonsym", "--pair", "C,K"],
+                 ["separate", "--mode", "sym", "--pair", "C,K"],
+                 ["check", "--pair", "C,K"],
+                 ["base", "--cone", "C"]):
+        code, doc = _run(capsys, [argv[0], plain, *argv[1:]])
+        code_x, doc_x = _run(capsys, [argv[0], with_x, *argv[1:]])
+        assert code != 3
+        assert code_x == code
+        del doc["instance"], doc_x["instance"]
+        assert doc_x == doc
+    code, doc = _run(capsys, ["base", with_x, "--cone", "X"])
+    assert code == 3
+    assert doc["error"].startswith("DimensionTooHigh: ")
+
+
+@pytest.mark.parametrize("edit", [{"x_star": [0, 0]}, {"x_star": [1.0, float("nan")]},
+                                  {"witnesses": [[0, 1], [1, 0, 0]]},
+                                  {"alpha": float("inf")}])
+def test_render_rejects_a_degenerate_certificate(capsys, sector_vs_line_pair, tmp_path,
+                                                 edit):
+    code, sep_doc = _run(capsys, ["separate", sector_vs_line_pair, "--pair", "C,K"])
+    assert code == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({**sep_doc["certificate"], **edit}))
+    out = tmp_path / "out.svg"
+    code, doc = _run(capsys, ["render", sector_vs_line_pair, "--out", str(out),
+                              "--certificate", str(cert_path)])
+    assert code == 3
+    assert doc["verdict"] == "error"
+    assert doc["error"].startswith("malformed certificate document: ")
+    assert not out.exists()
+

@@ -5,7 +5,7 @@ from enum import Enum
 import numpy as np
 import pytest
 
-from conesep.errors import InstanceError
+from conesep.errors import InstanceError, NotSolid, TrivialRegion
 from conesep.geometry import Norm
 from conesep.instances import (
     certificate_to_doc,
@@ -168,6 +168,30 @@ def test_bad_documents():
                        ' "pieces": [{"generators": [[1, 0]]}]}}}')
 
 
+def test_a_cone_is_built_only_when_it_is_read():
+    # a complement of a non-solid cone and a boundary in R^1 parse, and so
+    # do the file's other cones; the fault is raised by reading that cone
+    flat = {"kind": "complement", "pieces": [{"generators": [[1, 0], [-1, 0]]}]}
+    inst = parse_instance(json.dumps({"dim": 2, "cones": {
+        "C": {"pieces": [{"generators": [[1, 1]]}]}, "X": flat}}))
+    assert inst.kinds == {"C": "convex", "X": "complement"}
+    assert inst.region("C").single_cone() is inst.pieces["C"][0]
+    with pytest.raises(NotSolid):
+        inst.region("X")
+    with pytest.raises(NotSolid):
+        inst.regions
+    assert json.loads(serialize_instance(inst))["cones"]["X"]["kind"] == "complement"
+    line = parse_instance('{"dim": 1, "cones": {"B": {"kind": "boundary",'
+                          ' "pieces": [{"generators": [[1]]}]}}}')
+    with pytest.raises(TrivialRegion):
+        line.region("B")
+
+
+def test_regions_are_every_cone_in_file_order():
+    inst = parse_instance(MIXED)
+    assert list(inst.regions) == list(inst.kinds) == ["C", "K", "H", "B"]
+
+
 def test_region_lookup_error():
     inst = parse_instance(MIXED)
     with pytest.raises(InstanceError, match="instance has no cone named 'Z'"):
@@ -233,6 +257,25 @@ def test_load_certificate_malformed(tmp_path):
         load_certificate(str(p))
 
 
+@pytest.mark.parametrize("edit, match", [
+    ({"x_star": [0.0, 0.0]}, "x_star must be a finite, nonzero vector"),
+    ({"x_star": [0.0, float("nan")]}, "x_star must be a finite, nonzero vector"),
+    ({"x_star": [float("inf"), 1.0]}, "x_star must be a finite, nonzero vector"),
+    ({"x_star": []}, "x_star must be a finite, nonzero vector"),
+    ({"x_star": [[0.0, 1.0]]}, "x_star must be a finite, nonzero vector"),
+    ({"x_star": 1.0}, "x_star must be a finite, nonzero vector"),
+    ({"witnesses": [[0.0, 1.0], [1.0, 0.0, 0.0]]}, "the witnesses must have x_star's length"),
+    ({"witnesses": [[0.0, 1.0], 1.0]}, "the witnesses must have x_star's length"),
+    ({"alpha": float("inf")}, "alpha must be finite"),
+    ({"alpha": float("nan")}, "alpha must be finite"),
+    ({"alpha": 10 ** 400}, "int too large"),
+])
+def test_degenerate_certificates_are_malformed(edit, match):
+    doc = {**certificate_to_doc(_ray_cert()), **edit}
+    with pytest.raises(InstanceError, match=f"malformed certificate document: {match}"):
+        doc_to_certificate(doc)
+
+
 class _Colour(Enum):
     RED = "red"
 
@@ -295,6 +338,20 @@ def test_jsonable_converts_each_kind():
     ('{"dim": 2}', "instance needs 'dim' and 'cones'"),
     ('{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0]]}]}}, "options": [1]}',
      "'options' must be a mapping"),
+    ('{"dim": 2, "cones": {"C": {"pieces": [{"generators": [["1", 0]]}]}}}',
+     r"cones\.C\.pieces\[0\]\.generators: not a numeric matrix"),
+    ('{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[true, 0]]}]}}}',
+     r"cones\.C\.pieces\[0\]\.generators: not a numeric matrix"),
+    pytest.param(
+        '{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1%s, 0]]}]}}}' % ("0" * 400),
+        r"cones\.C\.pieces\[0\]\.generators: not a numeric matrix", id="int-beyond-floats"),
+    ('{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0], [0, 0]]}]}}}',
+     r"cones\.C\.pieces\[0\]\.generators: generator rays must be nonzero finite"),
+    ('{"dim": 2, "cones": {"K": {"kind": "union", "pieces": [{"generators": [[1, 0]]},'
+     ' {"generators": [[1e400, 0]]}]}}}',
+     r"cones\.K\.pieces\[1\]\.generators: generator rays must be nonzero finite"),
+    ('{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[NaN, 1]]}]}}}',
+     r"cones\.C\.pieces\[0\]\.generators: generator rays must be nonzero finite"),
 ])
 def test_rejected_documents_name_the_fault(text, match):
     with pytest.raises(InstanceError, match=match):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conesep import kernels
+from conesep import geometry, kernels
 from conesep.errors import (
     DimensionMismatch,
     NotConvex,
@@ -315,13 +315,50 @@ def test_boundary_lmo_agrees_with_a_sampled_minimum():
     assert cases >= 12
 
 
-def test_complement_of_a_half_plane_at_its_normal_falls_back_to_the_facet():
+def test_complement_of_a_half_plane_at_its_normal_is_closed_form():
     # u = -f/|f| is the half-plane's inward normal, so p = u - n = 0
     region = ConeRegion.complement(HALF_PLANE)
     res = region.lmo(np.array([0.0, -1.0]))
     assert res.value == 0.0
     assert abs(res.witness[1]) <= 1e-12
     assert abs(np.linalg.norm(res.witness) - 1.0) <= 1e-12
+
+
+def _half_space(d, rng):
+    # the cone on a unit n and a basis of n's orthogonal complement, both ways
+    n = random_unit(rng, d)
+    Q = np.linalg.qr(np.column_stack([n, rng.standard_normal((d, d - 1))]))[0]
+    return make_polycone(np.vstack([n, Q[:, 1:].T, -Q[:, 1:].T]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_complement_of_a_half_space_at_its_normal_needs_no_facets(d, monkeypatch):
+    # f = -n exactly and 1e-12 off it: the closed form answers with a unit
+    # witness on the base, its bracket holds the minimum -|f - (f.n) n|,
+    # and K's facet cones are never built
+    rng = np.random.default_rng(d)
+    region = ConeRegion.complement(_half_space(d, rng))
+    (n,) = region.leaves[0].normals
+
+    def no_facets(cone):
+        raise AssertionError("geometry.facets was called")
+
+    monkeypatch.setattr(geometry, "facets", no_facets)
+    offsets = [np.zeros(d)] + [1e-12 * random_unit(rng, d) for _ in range(4)]
+    for scale in (1.0, 3.5):
+        for off in offsets:
+            f = -scale * (n + off)
+            res = region.lmo(f)
+            x = res.witness
+            assert abs(float(np.linalg.norm(x)) - 1.0) <= 1e-15
+            assert region.contains_unit_batch(x)[0]
+            assert res.error >= 0.0
+            if d == 1:
+                assert res.value == math.sqrt(float(f @ f)) and np.array_equal(x, -n)
+                continue
+            exact = -float(np.linalg.norm(f - float(f @ n) * n))
+            assert res.value - res.error <= exact <= res.value + 1e-15 * scale
+            assert abs(float(f @ x) - res.value) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("kind", ["complement", "boundary"])
