@@ -4,20 +4,22 @@ A ``PolyCone`` is its unit, deduplicated generator columns and nothing
 else.  Its one outer description, derived from them and cached, is
 ``_inspan_hrep``: inward facet normals within the generators' span; batch
 membership, facet normals, facets and the interior test all read it.
-Enumeration takes one of two paths by the count C(n, r-1) of (r-1)-subsets
-of the n rays (r the span dimension).  Up to SUBSET_CROSSOVER it tests every
-subset in one stacked call.  Over it the double-description method finds
-the facets, one ray at a time, and each facet's normal comes from its first
-subset of tight rays; a cone whose enumeration would hold over MAX_DD_RAYS
-rays raises DimensionTooHigh.  Both paths give the normals of testing every
-subset, bit for bit and in the same order.
+A candidate facet normal is the unit cofactor vector of an (r-1)-subset of
+the n rays (r the span dimension), or its SVD null direction when the
+subset spans little volume.
+Enumeration takes one of two paths by the count C(n, r-1) of subsets.  Up
+to SUBSET_CROSSOVER (SUBSET_CROSSOVER_3D in 3-D) it tests every subset in
+one stacked call.  Over it the double-description method finds the facets,
+one ray at a time, and each facet's normal comes from its first subset of
+tight rays; a cone whose enumeration would hold over MAX_DD_RAYS rays raises
+DimensionTooHigh.  Both paths give the normals of testing every subset, bit
+for bit and in the same order.
 
 A fresh cone pays for this set-up once, so its cheap cases take shortcuts,
-each of which keeps every output bit: a cofactor screen decides only which
-subsets reach the SVD, with margins far above its rounding; a dedupe that
-keeps every row returns the rows as they are; a solid cone's membership
-skips the span test, which X @ identity passes exactly; and a batch all
-inside at tolerance 0 needs no second pass.  Each docstring says why.
+each of which keeps every output bit: a dedupe that keeps every row returns
+the rows as they are; a solid cone's membership skips the span test, which
+X @ identity passes exactly; and a batch all inside at tolerance 0 needs no
+second pass.  Each docstring says why.
 """
 from __future__ import annotations
 
@@ -58,13 +60,18 @@ FACET_DEDUP_COS = 1.0 - 1e-9
 MEMBERSHIP_TOL = 1e-9
 # Sign slack for facet normal tests.
 FACET_TOL = 1e-10
+# A facet subset of d-1 unit columns whose cofactor is longer than this
+# takes its unit cofactor as its normal; a shorter one takes its SVD's.
+COFACTOR_MIN = 1e-3
 # Facet enumeration tests every (r-1)-subset of a cone's n rays in one
 # stacked call while C(n, r-1) is at most this, and runs the
 # double-description method over it.  Measured on random cones (CHANGES.md
-# has the table): double description wins from about 500 subsets in 4-D to
-# 6-D; in 3-D from about 800 when few rays are facets, but only near 5000
-# when every ray is one.
+# has the tables): double description wins from about 500 to 1100 subsets
+# in 4-D to 6-D; in 3-D, where a subset's normal is a cross product, from
+# about 6000 (110 rays) when few rays are facets, and between 20000 and
+# 31000 when every ray is one.
 SUBSET_CROSSOVER = 1000
+SUBSET_CROSSOVER_3D = 6000
 # Most rays the double-description method may hold at one step; over it
 # facet enumeration raises DimensionTooHigh.  Random 50-ray cones in 8-D
 # have about 4700 facets and take 0.2 s; 60 rays in 6-D have 642 and take
@@ -312,22 +319,39 @@ def nearly_a_line(cone: PolyCone) -> bool:
 
 
 def _oriented_normals(points: np.ndarray, idx: np.ndarray):
-    """The null directions of the column subsets idx (k, d-1), from one
-    stacked SVD (the same LAPACK routine per matrix, so the same bits as one
-    call per subset), with a mask of those that are facet normals.
+    """The normals of the column subsets idx (k, d-1), with a mask of those
+    that are facet normals.
 
-    A subset counts when its (d-1)-th singular value exceeds
-    RANK_REL * max(1, largest) and its null direction, or the negation (the
-    one returned), has every column at or above -FACET_TOL.
+    The cofactor vector of d-1 columns is normal to them, and its length is
+    their (d-1)-volume: in 3-D the pair's cross product, written out, else
+    the signed determinants of the minors.  Over COFACTOR_MIN the normal is
+    the unit cofactor, within a few eps / COFACTOR_MIN of the null
+    direction, and the (d-1)-th singular value is at least the length over
+    sqrt(d-1), so the subset has full rank.  The rest take one stacked SVD
+    (the same bits per matrix as one call each): the null direction, and
+    full rank when the (d-1)-th singular value exceeds RANK_REL * max(1,
+    largest).  A subset counts when it has full rank and its normal, or the
+    negation (the one returned), has every column at or above -FACET_TOL.
     """
     d = points.shape[0]
-    _, s, Vt = np.linalg.svd(points.T[idx])
-    nrm = Vt[:, d - 1]
+    if d == 3:
+        (ax, ay, az), (bx, by, bz) = points[:, idx[:, 0]], points[:, idx[:, 1]]
+        cof = np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=1)
+    else:
+        minors, signs = _minors(d)
+        cof = signs * np.linalg.det(points.T[idx][:, :, minors].transpose(0, 2, 1, 3))
+    length = np.linalg.norm(cof, axis=1)
+    ok = length > COFACTOR_MIN
+    nrm = cof / np.where(ok, length, 1.0)[:, None]
+    if not ok.all():
+        low = np.flatnonzero(~ok)
+        _, s, Vt = np.linalg.svd(points.T[idx[low]])
+        nrm[low] = Vt[:, d - 1]
+        ok[low] = s[:, d - 2] > RANK_REL * np.maximum(1.0, s[:, 0])
     slack = nrm @ points
     lower = slack.min(axis=1) >= -FACET_TOL
     upper = slack.max(axis=1) <= FACET_TOL
-    ok = (s[:, d - 2] > RANK_REL * np.maximum(1.0, s[:, 0])) & (lower | upper)
-    return np.where(lower[:, None], nrm, -nrm), ok
+    return np.where(lower[:, None], nrm, -nrm), ok & (lower | upper)
 
 
 def _first_distinct(rows: np.ndarray, cos: float = FACET_DEDUP_COS) -> np.ndarray:
@@ -367,33 +391,9 @@ def _minors(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _subset_facets(points: np.ndarray) -> np.ndarray:
     """Candidate normals from every (d-1)-subset of the columns, in subset
-    order, in one stacked call; a cofactor pre-screen drops the subsets the
-    sign test would reject before the SVD.
-
-    The screen only decides which subsets reach ``_oriented_normals``, whose
-    stacked SVD gives each kept subset the bits it would have alone, and
-    its margins (1e-6 of the cofactor's length) are far above the rounding
-    of any way to form the cofactor: in 3-D it is the cross product of the
-    pair, written out, and otherwise the signed determinants of the
-    minors."""
+    order, in one stacked call to ``_oriented_normals``."""
     d, n = points.shape
-    idx = _subsets(n, d - 1)
-    # The cofactor vector is normal to the subset and its length is the
-    # product of the singular values, so above 1e-6 (unit rows) the subset
-    # is well conditioned and the SVD null direction lies within about 1e-9
-    # of it: slack past 1e-6 of its length on both sides means the sign
-    # test would reject it too.
-    if d == 3:
-        (ax, ay, az), (bx, by, bz) = points[:, idx[:, 0]], points[:, idx[:, 1]]
-        cof = np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=1)
-    else:
-        minors, signs = _minors(d)
-        cof = signs * np.linalg.det(points.T[idx][:, :, minors].transpose(0, 2, 1, 3))
-    length = np.linalg.norm(cof, axis=1)
-    slack = cof @ points
-    mixed = ((length > 1e-6) & (slack.min(axis=1) < -1e-6 * length)
-             & (slack.max(axis=1) > 1e-6 * length))
-    nrm, ok = _oriented_normals(points, idx[~mixed])
+    nrm, ok = _oriented_normals(points, _subsets(n, d - 1))
     return nrm[ok]
 
 
@@ -460,8 +460,8 @@ def _dd_facets(points: np.ndarray) -> np.ndarray:
     """Candidate normals, one a double-description facet, each from the
     lexicographically first (d-1)-subset of the facet's tight columns that
     passes ``_oriented_normals``, in the order of those subsets.  That is
-    the first subset of the facet that subset enumeration accepts, so the
-    candidates carry its bits."""
+    the first subset of the facet that subset enumeration accepts, and the
+    same function forms its normal, so the candidates carry its bits."""
     d = points.shape[0]
     pending = [combinations(np.flatnonzero(t), d - 1) for t in _dd_tight_sets(points)]
     found: list[tuple[tuple, np.ndarray]] = []
@@ -481,14 +481,14 @@ def _enumerate_facet_normals(points: np.ndarray) -> np.ndarray:
     """Inward facet normals (m, d) of cone(columns) in its own (solid) space.
 
     Every facet of a finitely generated solid cone is spanned by d-1
-    linearly independent generators, so its normal shows up as the null
-    direction of some (d-1)-subset with all generators on one side.  The
-    columns are unit vectors.  Up to SUBSET_CROSSOVER subsets are all
-    tested; over it the double-description method finds the facets and
-    each is tested on its first subsets only.  Either way a candidate
-    within cosine FACET_DEDUP_COS of a normal kept earlier in subset order
-    is dropped, so both give the normals of testing every subset, bit for
-    bit and in order.
+    linearly independent generators, so its normal shows up as the normal
+    of some (d-1)-subset with all generators on one side.  The
+    columns are unit vectors.  Up to SUBSET_CROSSOVER subsets (in 3-D,
+    SUBSET_CROSSOVER_3D) are all tested; over it the double-description
+    method finds the facets and each is tested on its first subsets only.
+    Either way a candidate within cosine FACET_DEDUP_COS of a normal kept
+    earlier in subset order is dropped, so both give the normals of testing
+    every subset, bit for bit and in order.
     """
     d, n = points.shape
     if d == 1:
@@ -497,7 +497,7 @@ def _enumerate_facet_normals(points: np.ndarray) -> np.ndarray:
         if points[0].max() < 0:
             return np.array([[-1.0]])
         return np.zeros((0, 1))
-    if math.comb(n, d - 1) <= SUBSET_CROSSOVER:
+    if math.comb(n, d - 1) <= (SUBSET_CROSSOVER_3D if d == 3 else SUBSET_CROSSOVER):
         return _first_distinct(_subset_facets(points))
     return _first_distinct(_dd_facets(points))
 

@@ -17,6 +17,7 @@ from conesep.errors import (
 )
 from conesep.geometry import (
     BLOCK,
+    COFACTOR_MIN,
     DEDUP_COS,
     FACET_DEDUP_COS,
     FACET_TOL,
@@ -24,6 +25,7 @@ from conesep.geometry import (
     MEMBERSHIP_TOL,
     RANK_REL,
     SUBSET_CROSSOVER,
+    SUBSET_CROSSOVER_3D,
     Norm,
     _dd_facets,
     _enumerate_facet_normals,
@@ -44,7 +46,7 @@ from conesep.geometry import (
     solidity,
     strictly_interior,
 )
-from conesep.oracle import cone_about, random_pointed_cone, sector_cone_2d
+from conesep.oracle import cone_about, random_pointed_cone, random_unit, sector_cone_2d
 from conesep.regions import ConeRegion
 
 
@@ -319,23 +321,54 @@ def test_facets_union_covers_sampled_boundary():
         assert on_boundary == any(perturbed_out)
 
 
-def _facet_normals_per_subset(points):
-    """Reference: one SVD per (d-1)-subset, the loop that the stacked subset
-    path and the double-description path replaced, kept here to pin their
-    output bit for bit."""
+def _cofactor_length(M):
+    """The cofactor vector of the columns of M (d, d-1) and its length,
+    with the operations of the stacked enumeration, one subset at a time
+    (the written-out cross product in 3-D, else the determinant of each
+    minor as the stacked call lays it out)."""
+    d = M.shape[0]
+    if d == 3:
+        (ax, bx), (ay, by), (az, bz) = M
+        cof = np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+    else:
+        cof = np.array([(-1.0) ** i * np.linalg.det(np.delete(M, i, axis=0).T)
+                        for i in range(d)])
+    return cof, np.sqrt(np.add.reduce(cof * cof))
+
+
+def _svd_normal(M):
+    """The null direction of the columns of M from their own SVD, or None
+    when the (d-1)-th singular value is at most RANK_REL * max(1, largest):
+    the rule enumeration had before it took cofactors, kept here as an
+    independent referee."""
+    d = M.shape[0]
+    _, s, Vt = np.linalg.svd(M.T)
+    return Vt[d - 1] if s[d - 2] > RANK_REL * max(1.0, s[0]) else None
+
+
+def _cofactor_normal(M):
+    """The rule of the stacked enumeration, one subset at a time: the unit
+    cofactor when it is longer than COFACTOR_MIN, else the SVD's rule."""
+    cof, length = _cofactor_length(M)
+    return cof / length if length > COFACTOR_MIN else _svd_normal(M)
+
+
+def _facets_per_subset(points, normal=_cofactor_normal):
+    """(subset, inward normal) of each facet, testing one (d-1)-subset at a
+    time in lexicographic order and keeping a normal unless it is within
+    cosine 1 - 1e-9 of one kept earlier."""
     d, n = points.shape
     if d == 1:
         if points[0].min() > 0:
-            return [np.array([1.0])]
+            return [((), np.array([1.0]))]
         if points[0].max() < 0:
-            return [np.array([-1.0])]
+            return [((), np.array([-1.0]))]
         return []
     found = []
     for subset in combinations(range(n), d - 1):
-        _, s, Vt = np.linalg.svd(points[:, subset].T)
-        if s[d - 2] <= RANK_REL * max(1.0, s[0]):
+        nrm = normal(points[:, subset])
+        if nrm is None:
             continue
-        nrm = Vt[d - 1]
         slack = points.T @ nrm
         if slack.min() >= -FACET_TOL:
             cand = nrm
@@ -343,15 +376,59 @@ def _facet_normals_per_subset(points):
             cand = -nrm
         else:
             continue
-        if not any(float(cand @ f) >= 1.0 - 1e-9 for f in found):
-            found.append(cand)
+        if not any(float(cand @ f) >= 1.0 - 1e-9 for _, f in found):
+            found.append((subset, cand))
     return found
+
+
+def _facet_normals_per_subset(points):
+    """Reference: one cofactor per (d-1)-subset, the loop that the stacked
+    subset path and the double-description path replace, kept here to pin
+    their output bit for bit."""
+    return [v for _, v in _facets_per_subset(points)]
+
+
+# The unit cofactor is off by a few eps / |cof|, and the SVD's null
+# direction by a few eps / s[d-2].  With unit columns |cof| is the product
+# of the singular values, and the product of all but the smallest is at
+# most sqrt(d-1) (the sum of the Gram matrix's principal minors of order
+# d-2, each at most 1, bounds its square), so eps / s[d-2] is at most
+# sqrt(d-1) eps / |cof|.  The two normals of a facet may differ by this
+# many eps / |cof| (random cones in R^2 to R^10 and the enumeration cases
+# read at most 2.8).
+_SVD_REFEREE_EPS = 64
+
+
+def _assert_svd_referee_agrees(points, facets):
+    """Given the (subset, normal) pairs of ``_facets_per_subset``: the SVD
+    referee finds the same facets from the same first subsets, in the same
+    order; each normal whose cofactor is over COFACTOR_MIN is within
+    _SVD_REFEREE_EPS * eps / |cof| of the referee's, and the others are
+    the referee's bit for bit.  Returns the referee's normals."""
+    ref = _facets_per_subset(points, _svd_normal)
+    assert [h for h, _ in ref] == [h for h, _ in facets]
+    eps = np.finfo(float).eps
+    for (subset, v), (_, w) in zip(facets, ref):
+        length = _cofactor_length(points[:, subset])[1] if points.shape[0] > 1 else 0.0
+        if length > COFACTOR_MIN:
+            assert np.abs(v - w).max() <= _SVD_REFEREE_EPS * eps / length
+        else:
+            assert np.array_equal(v, w)
+    return np.array([w for _, w in ref]).reshape(-1, points.shape[0])
 
 
 def _cap_cone_48():
     # 48 rays in a 35-degree cap of R^4: C(48, 3) = 17296 subsets
     return random_pointed_cone(np.random.default_rng(48), 4, n_rays=48,
                                cap_half_angle_deg=35.0)
+
+
+def _delta_simplex_cone(d, delta):
+    """The d rays e0 + delta * u_i in R^d, u_i the unit vertices of a
+    regular simplex in the other d - 1 coordinates."""
+    E = np.eye(d) - 1.0 / d
+    U = np.linalg.svd(E)[0][:, :d - 1] * math.sqrt(d / (d - 1.0))
+    return make_polycone(np.column_stack([np.ones(d), delta * U]))
 
 
 def _enumeration_cases():
@@ -378,16 +455,26 @@ def _enumeration_cases():
     cases.append(make_polycone(np.array(cube + mids) @ Q.T).generators)
     cases.append(_cap_cone_48().generators)
     # 3-D cones with a pair of rays eta short of antipodal: the pair's
-    # cross product is about eta long, under the screen's 1e-6 cut for the
-    # smaller etas
+    # cross product is about eta long, under COFACTOR_MIN, so the pair's
+    # SVD decides its rank
     for eta in (1e-4, 1e-8, 1e-15):
         cases.append(make_polycone([[1, 0, 0], [-1, eta, 0], [0, 0, 1],
                                     [0.2, 0.5, -0.4]]).generators)
         cases.append(make_polycone([[1, 0, 0], [-1, eta, 0.3 * eta], [0, 0.3, 1],
                                     [0.1, 1, 0.2]]).generators)
+    # such a pair spanning a facet (z = 0): its cofactor, eta long, is the
+    # facet's only subset, so the rank rule keeps the facet down to RANK_REL
+    for eta in (1e-7, 1e-9):
+        cases.append(make_polycone([[1, 0, 0], [-1, eta, 0], [0, 1, 1],
+                                    [0.3, 0.2, 1]]).generators)
+    # narrow simplicial cones: every facet's cofactor is about
+    # delta^(d-2), under RANK_REL, though its smallest singular value is
+    # about delta, so the SVD keeps every facet
+    for d, delta in ((6, 1e-3), (10, 0.03)):
+        cases.append(_delta_simplex_cone(d, delta).generators)
     # a ray within 1e-9 of a facet plane, outside it or inside: the
-    # facet's subset has slack far below the screen's 1e-6 margin, so the
-    # SVD's sign test decides it
+    # facet's subset has slack within a few FACET_TOL, so the sign test
+    # decides it
     near = np.random.default_rng(3)
     for off in (1e-9, -1e-9, 3e-10, 1e-12):
         c = cone_about(near.standard_normal(3), 35.0, 6).generators
@@ -402,11 +489,13 @@ def test_both_enumeration_paths_match_per_subset_loop():
     cases = _enumeration_cases()
     for points in cases:
         d = points.shape[0]
-        ref = np.array(_facet_normals_per_subset(points)).reshape(-1, d)
+        found = _facets_per_subset(points)
+        ref = np.array([v for _, v in found]).reshape(-1, d)
         assert np.array_equal(_enumerate_facet_normals(points), ref)
         if d > 1:
             assert np.array_equal(_first_distinct(_subset_facets(points)), ref)
             assert np.array_equal(_first_distinct(_dd_facets(points)), ref)
+        _assert_svd_referee_agrees(points, found)
     # _enumerate_facet_normals took both paths
     sizes = [math.comb(p.shape[1], p.shape[0] - 1) for p in cases]
     assert min(sizes) <= SUBSET_CROSSOVER < max(sizes)
@@ -433,28 +522,122 @@ def test_inspan_hrep_matches_per_subset_loop():
     cone = cone_about([1.0, 2.0, 3.0, 4.0], 30.0, 10)
     assert not solidity(cone)
     B, N = _inspan_hrep(cone)
-    ref = _facet_normals_per_subset(B.T @ cone.generators)
+    found = _facets_per_subset(B.T @ cone.generators)
     assert B.shape == (4, 3)
-    assert np.array_equal(N, np.stack(ref))
+    assert np.array_equal(N, np.stack([v for _, v in found]))
+    _assert_svd_referee_agrees(B.T @ cone.generators, found)
 
 
-def test_enumeration_takes_one_stacked_svd(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    # subset path: all 66 subsets of a 12-ray 3-D cone in one call
+def test_enumeration_takes_svd_only_for_low_volume_subsets(monkeypatch):
+    calls = _counting(monkeypatch, np.linalg, "svd")
+    # subset path: all 66 subsets of a 12-ray 3-D cone, every cofactor over
+    # COFACTOR_MIN
     small = cone_about([0.2, 0.3, 1.0], 30.0, 12).generators
     assert len(_enumerate_facet_normals(small)) == 12
-    assert len(calls) == 1
-    # double description: the 48 simplicial facets' subsets in one call
-    calls.clear()
+    # double description: the 48 simplicial facets' subsets
     assert len(_enumerate_facet_normals(_cap_cone_48().generators)) == 48
+    assert not calls
+    # a narrow cone's subsets span little volume: one stacked SVD
+    narrow = _delta_simplex_cone(6, 1e-3).generators
+    calls.clear()
+    assert len(_enumerate_facet_normals(narrow)) == 6
     assert len(calls) == 1
+
+
+def test_narrow_simplex_cones_keep_their_facets():
+    rng = np.random.default_rng(5)
+    for d, delta in ((6, 1e-3), (10, 0.03)):
+        cone = _delta_simplex_cone(d, delta)
+        assert len(facets(cone).pieces) == d
+        axis = np.eye(d)[0]
+        X = np.vstack([axis, -axis, rng.standard_normal((40, d)),
+                       (cone.generators @ rng.uniform(0, 1, (d, 20))).T])
+        by_nnls = np.array([cone_membership(x, cone) for x in X])
+        assert np.array_equal(contains_batch(cone, X), by_nnls)
+        assert by_nnls[0] and not by_nnls[1]
+        assert strictly_interior(cone, axis) and not strictly_interior(cone, -axis)
+
+
+def _narrow_cone(rng, d, n_rays, cap_deg):
+    """n_rays unit rays in R^d tilted 0.5 to 1 times cap_deg from a random
+    axis, each towards a random lateral direction."""
+    axis = random_unit(rng, d)
+    lateral = rng.standard_normal((n_rays, d))
+    lateral -= np.outer(lateral @ axis, axis)
+    lateral /= np.linalg.norm(lateral, axis=1, keepdims=True)
+    tilt = math.radians(cap_deg) * rng.uniform(0.5, 1.0, (n_rays, 1))
+    return make_polycone(np.cos(tilt) * axis + np.sin(tilt) * lateral)
+
+
+def _random_cones(seed):
+    """Seeded random cones: solid ones in R^2 to R^6, with few rays and
+    with many; non-solid ones (rank d - 1 inside R^d), whose facets are
+    enumerated in their span; and narrow ones, with caps of 0.1 to 2
+    degrees in R^3 to R^10, whose subsets mostly span less volume than
+    COFACTOR_MIN."""
+    rng = np.random.default_rng(seed)
+    cones = []
+    for d in range(2, 7):
+        for n_rays in (d, d + 3, {2: 40, 3: 60}.get(d, d + 8)):
+            cones.append(random_pointed_cone(rng, d, n_rays=n_rays,
+                                             cap_half_angle_deg=float(rng.uniform(20, 70))))
+        if d > 2:
+            flat = random_pointed_cone(rng, d - 1, n_rays=d + 2)
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            cones.append(make_polycone(flat.generators.T @ Q[:, :d - 1].T))
+    for d in (3, 4, 6, 8, 10):
+        cones.append(_narrow_cone(rng, d, d + 2, float(rng.uniform(0.1, 2.0))))
+    return cones
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_cones_match_the_svd_referee_and_nnls(seed):
+    rng = np.random.default_rng(100 + seed)
+    solid_seen = flat_seen = 0
+    for cone in _random_cones(seed):
+        d = cone.dim
+        B, N = _inspan_hrep(cone)
+        points = B.T @ cone.generators
+        found = _facets_per_subset(points)
+        assert np.array_equal(N, np.array([v for _, v in found]).reshape(-1, B.shape[1]))
+        ref = _assert_svd_referee_agrees(points, found) @ B.T
+        solid_seen += solidity(cone)
+        flat_seen += not solidity(cone)
+        # random directions, conic combinations of the rays, each facet's
+        # centroid 1e-6 inside and outside, and (for a flat cone) the
+        # outside ones 2e-6 off its span; membership is compared with NNLS
+        # away from the 1e-7 band about the SVD referee's facets and span
+        on = [cone.generators[:, np.abs(n @ cone.generators) <= 1e-9].mean(axis=1) for n in ref]
+        X = [rng.standard_normal((60, d)), (cone.generators @ rng.uniform(0, 1, (cone.n_rays, 20))).T]
+        X = np.concatenate(X + [np.array(on) + 1e-6 * ref, np.array(on) - 1e-6 * ref])
+        if not solidity(cone):
+            perp = np.linalg.svd(B, full_matrices=True)[0][:, -1]
+            X = np.concatenate([X, X[-len(on):] + 2e-6 * perp])
+        scale = np.maximum(1.0, np.linalg.norm(X, axis=1))
+        margin = (X @ ref.T).min(axis=1) / scale
+        off_span = np.linalg.norm(X - (X @ B) @ B.T, axis=1) / scale
+        clear = (np.abs(margin) > 1e-7) & ((off_span < 1e-12) | (off_span > 1e-7))
+        by_nnls = np.array([cone_membership(x, cone) for x in X[clear]])
+        assert np.array_equal(contains_batch(cone, X[clear]), by_nnls)
+        assert by_nnls.any() and not by_nnls.all()
+        assert clear.mean() > 0.9
+    assert solid_seen == 20 and flat_seen == 4
+
+
+def test_3d_cones_take_subsets_up_to_their_crossover(monkeypatch):
+    # 60 rays around an axis, every one a facet: C(60, 2) = 1770 subsets,
+    # over SUBSET_CROSSOVER, under SUBSET_CROSSOVER_3D
+    points = cone_about([0.3, -0.2, 1.0], 40.0, 60).generators
+    assert SUBSET_CROSSOVER < math.comb(60, 2) <= SUBSET_CROSSOVER_3D
+    by_dd = _first_distinct(_dd_facets(points))
+    assert len(by_dd) == 60
+
+    def no_dd(points):
+        raise AssertionError("double description ran")
+
+    monkeypatch.setattr(geometry, "_dd_tight_sets", no_dd)
+    got = _enumerate_facet_normals(points)
+    assert got.tobytes() == by_dd.tobytes()
 
 
 def test_hrep_membership_agrees_with_nnls_on_facet_heavy_cone():
