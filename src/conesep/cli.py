@@ -144,15 +144,11 @@ def cmd_interpolate(inst: Instance, args) -> tuple[dict, int]:
     return doc, EXIT_SEPARATED
 
 
-def boundary_equivalence_report(C, K, tol: float):
-    """``separation.boundary_equivalence_report``, looked up on its module at
-    each call, so that a wrapper set there (a tracer's span) sees the call."""
-    return separation.boundary_equivalence_report(C, K, tol=tol)
-
-
 def cmd_check(inst: Instance, args) -> tuple[dict, int]:
     name_c, name_k = args.pair
-    report = boundary_equivalence_report(
+    # looked up on its module at each call, so that a wrapper set there (a
+    # tracer's span) sees the call
+    report = separation.boundary_equivalence_report(
         inst.region(name_c), inst.region(name_k), tol=inst.options.tol
     )
     doc = {"report": args.report, "pair": [name_c, name_k], **jsonable(report)}

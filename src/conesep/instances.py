@@ -36,25 +36,29 @@ class InstanceOptions:
     ranges.  A file sets them under "options" and CLI flags of the same
     names override them.  The default's type is the option's type: floats
     must be finite and > 0, ints at least their "min"; bools are neither.
-    Construction checks every value, so ``dataclasses.replace`` checks a
-    flag as it checks a file."""
+    A "min" on a float and a "max" on an int bound them further: the sample
+    options, so that a value whose samples outgrow memory is an input
+    error (CHANGES.md has the measurements).  Construction checks every
+    value, so ``dataclasses.replace`` checks a flag as it checks a file."""
 
     tol: float = 1e-9
-    verify_samples: int = field(default=1000, metadata={"min": 1})
+    verify_samples: int = field(default=1000, metadata={"min": 1, "max": 10**6})
     seed: int = field(default=0, metadata={"min": 0})
-    resolution: float = 0.25
+    resolution: float = field(default=0.25, metadata={"min": 0.1})
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            lo, hi = f.metadata.get("min", 0), f.metadata.get("max", math.inf)
             if isinstance(f.default, float):
-                rule = "a finite number > 0"
-                ok = type(value) in (int, float) and 0 < value <= sys.float_info.max
+                rule = f"a finite number >= {lo}" if lo else "a finite number > 0"
+                ok = (type(value) in (int, float) and 0 < value
+                      and lo <= value <= sys.float_info.max)
                 if ok:
                     object.__setattr__(self, f.name, float(value))
             else:
-                rule = f"an integer >= {f.metadata['min']}"
-                ok = type(value) is int and value >= f.metadata["min"]
+                rule = f"an integer >= {lo}" + (f" and <= {hi}" if hi < math.inf else "")
+                ok = type(value) is int and lo <= value <= hi
             if not ok:
                 raise InstanceError(f"options.{f.name}: expected {rule}, got {value!r}")
 

@@ -385,8 +385,14 @@ def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_pointed_cone(rng: np.random.Generator, dim: int,
                         n_rays: int | None = None,
                         cap_half_angle_deg: float = 60.0) -> PolyCone:
-    """Random pointed cone: rays drawn inside a spherical cap, which keeps a
-    pointedness margin of at least cos(cap half-angle)."""
+    """Random pointed cone: each ray is unit(t axis + (1 - t) v), for
+    t = cos(cap half-angle) and v a random unit vector in the axis's
+    hemisphere.  The cap bounds the spread but does not set it: every ray
+    lies within atan((1 - t) / t) of the axis, reached as v turns
+    orthogonal to it.  That is 12.4 degrees for a 35-degree cap, 45 for a
+    60-degree one, and about cap^2 / 2 rad for a small cap.  So the hull of
+    the rays keeps a pointedness margin of at least t.  With n_rays given,
+    the axis is the first draw from rng."""
     n = n_rays if n_rays is not None else int(rng.integers(2, 6))
     axis = random_unit(rng, dim)
     t = math.cos(math.radians(cap_half_angle_deg))

@@ -66,7 +66,11 @@ class _PieceLeaf(_Leaf):
         return _lmo_piece(self.cone, f)
 
     def contains_unit_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
-        return geometry.contains_batch(self.cone, X, tol)
+        """``geometry.cone_membership`` of each row, NNLS on the generators;
+        a non-finite row is in no cone."""
+        return np.array([bool(np.isfinite(x).all())
+                         and geometry.cone_membership(x, self.cone, tol) for x in X],
+                        dtype=bool)
 
     def anchor_points(self) -> np.ndarray:
         return self.cone.generators.T
@@ -79,9 +83,8 @@ class _ComplementLeaf(_Leaf):
     """The closure of X \\ K with {0}, for a solid K other than the whole
     space.  It keeps only the unit facet normals of K, from the cached
     ``_inspan_hrep``: the LMO's closed form and membership read nothing
-    else, and ``centroid`` K's cached generator mean.  Only
-    ``anchor_points`` builds K's facet cones (``geometry.facets``, cached
-    on K).
+    else, ``anchor_points`` K's generators on them, and ``centroid`` K's
+    cached generator mean.  It is the one test of "strictly inside K".
     """
 
     __slots__ = ("normals",)
@@ -101,11 +104,10 @@ class _ComplementLeaf(_Leaf):
         """Minimum over the closed base, the unit sphere minus int K.
 
         The free minimizer u = -f/|f| wins unless it is strictly interior
-        to K (the test ``geometry.strictly_interior`` makes on a unit
-        vector); then the minimum is the closed form of
-        ``_lmo_across_facet``, one product N @ u for all facets.  A
-        half-space K with inward normal n = u, a ray in R^1 included, has
-        its closed form there too.
+        to K (``contains_unit_batch`` rejects it); then the minimum is the
+        closed form of ``_lmo_across_facet``, one product N @ u for all
+        facets.  A half-space K with inward normal n = u, a ray in R^1
+        included, has its closed form there too.
         """
         N = self.normals
         fn = math.sqrt(float(f @ f))
@@ -121,9 +123,12 @@ class _ComplementLeaf(_Leaf):
         return (X @ N.T).min(axis=1) <= tol * scale
 
     def anchor_points(self) -> np.ndarray:
-        pts = ([p.generators.T for p in geometry.facets(self.cone).pieces]
-               or [-self.normals])
-        return np.concatenate(pts, axis=0)
+        """The generators on each facet, normal by normal: the rows of
+        ``geometry.facets(K).pieces``.  A ray in R^1 has none on its one
+        facet {0}, and its base is the point -n."""
+        G = self.cone.generators
+        pts = np.concatenate([G[:, np.abs(n @ G) <= 1e-9].T for n in self.normals])
+        return pts if len(pts) else -self.normals
 
     def centroid(self) -> np.ndarray:
         return -geometry.generator_mean(self.cone)

@@ -421,10 +421,6 @@ def _pieces_meet_only_at_origin(P: PolyCone, Q: PolyCone, tol: float) -> bool:
     return decide_gap(res, "intersection distance", tol)
 
 
-def _inside_interior(P: PolyCone, cone: PolyCone) -> bool:
-    return all(geometry.strictly_interior(cone, g) for g in P.generators.T)
-
-
 def cones_meet_only_at_origin(C: ConeRegion, K: ConeRegion,
                               tol: float = DEFAULT_TOL) -> bool:
     """Exact triviality test for the intersection of two regions, leaf by
@@ -435,24 +431,25 @@ def cones_meet_only_at_origin(C: ConeRegion, K: ConeRegion,
     beyond the origin exactly when hull(P's generators) touches Q.  A pair
     of non-pointed pieces is decided through their duals instead.  A piece
     meets the closed complement of a solid cone only at the origin exactly
-    when its generators are interior to that cone.  Two closed complements
-    always meet beyond the origin in d >= 2: each excluded cone lies in a
-    half-space a.x >= 0, and some x != 0 has a.x <= 0 and b.x <= 0.  In
-    R^1 they are the rays opposite the excluded ones, and meet only at the
-    origin when those are opposite.
+    when its generators are interior to that cone, that is when the
+    complement leaf's own membership test holds none of them.  Two closed
+    complements always meet beyond the origin in d >= 2: each excluded cone
+    lies in a half-space a.x >= 0, and some x != 0 has a.x <= 0 and
+    b.x <= 0.  In R^1 they are the rays opposite the excluded ones, and
+    meet only at the origin when those are opposite.
     """
     for a in C.leaves:
         for b in K.leaves:
             if not (a.pieces or b.pieces):
                 ok = C.dim == 1 and float(
                     a.cone.generators[0, 0] * b.cone.generators[0, 0]) < 0.0
-            elif not b.pieces:
-                ok = all(_inside_interior(P, b.cone) for P in a.pieces)
-            elif not a.pieces:
-                ok = all(_inside_interior(Q, a.cone) for Q in b.pieces)
-            else:
+            elif a.pieces and b.pieces:
                 ok = all(_pieces_meet_only_at_origin(P, Q, tol)
                          for P in a.pieces for Q in b.pieces)
+            else:
+                piece, hole = (a, b) if a.pieces else (b, a)
+                ok = not hole.contains_unit_batch(piece.cone.generators.T,
+                                                  geometry.MEMBERSHIP_TOL).any()
             if not ok:
                 return False
     return True

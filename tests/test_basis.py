@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conesep.basis import (
     verify_interpolation,
 )
 from conesep.errors import NonPositiveRay, NotNested
+from conesep.instances import jsonable, load_instance
 from conesep.geometry import (
     Norm,
     cone_membership,
@@ -541,3 +543,43 @@ def test_interpolate_between_two_one_dimensional_rays():
 def test_interpolate_rejects_a_complement_as_the_inner_region():
     with pytest.raises(NotNested, match="complement"):
         interpolate(ConeRegion.complement(ORTHANT), ORTHANT)
+
+
+def test_bases_of_pieces_and_unions_enumerate_no_facets(refuse_facets):
+    # the verdicts and witnesses come from the solve and the generators; a
+    # witness pair is (p, -p) exactly when -p is within MEMBERSHIP_TOL of a
+    # piece, which NNLS decides as the pieces' facet half-spaces did
+    rng = np.random.default_rng(5)
+    d10 = load_instance(str(Path(__file__).parent / "data" / "nonpointed_d10.json"))
+    tri = [[math.cos(t), math.sin(t)] for t in (0.0, 2.1, 4.2)]
+    regions = [d10.region("C"), ConeRegion.piece(random_unpointed_cone(rng, 3)),
+               union_of_rays(tri)]
+    regions += [ConeRegion.piece(random_pointed_cone(rng, d)) for d in (2, 4, 6)]
+    for _ in range(12):
+        d, k = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        cones = [random_pointed_cone(rng, d, n_rays=int(rng.integers(d, d + 5)),
+                                     cap_half_angle_deg=35.0) for _ in range(k)]
+        regions.append(ConeRegion.union(*map(ConeRegion.piece, cones)))
+    expected = []
+    for region in regions:
+        wb = is_well_based(region)
+        cb = has_convex_base(region, well_based=wb)
+        pair = None
+        if not wb.well_based:
+            p = wb.witness_points[int(np.argmax(wb.witness_weights))]
+            pair = any(cone_membership(-p, c) for c in region.piece_cones())
+            if region is not regions[0]:
+                # the d = 10 cone's facet description is out of reach
+                assert pair == any(geometry.contains_batch(c, -p)[0]
+                                   for c in region.piece_cones())
+        expected.append((jsonable(wb), jsonable(cb), pair))
+    kinds = [wb["kind"] for wb, _, _ in expected]
+    pairs = [pair for _, _, pair in expected]
+    assert "WellBased" in kinds and True in pairs and False in pairs
+    assert expected[0][2]
+    refuse_facets()
+    for region, (wb_doc, cb_doc, pair) in zip(regions, expected):
+        wb = is_well_based(region)
+        assert jsonable(wb) == wb_doc
+        assert jsonable(has_convex_base(region)) == cb_doc
+        assert (wb.witness_pair is not None) == bool(pair)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +318,8 @@ def test_batch_bad_option_file_exits_3(capsys, tmp_path, rays, identical):
     ["separate", "--pair", "C,K", "--seed", "-3"],
     ["separate", "--pair", "C,K", "--verify-samples", "0"],
     ["oracle", "--pair", "C,K", "--resolution", "0"],
+    ["separate", "--pair", "C,K", "--verify-samples", "100000000000"],
+    ["oracle", "--pair", "C,K", "--resolution", "1e-7"],
 ])
 def test_bad_option_flag_exits_3(capsys, rays, identical, argv):
     code = main([argv[0], rays, identical, *argv[1:]])
@@ -366,6 +369,20 @@ def test_base_on_complement_solves_once(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert doc["well_based"]["kind"] == "NotWellBased"
     assert doc["convex_base"]["kind"] == "NoConvexBase"
+
+
+def test_base_on_a_nonpointed_cone_in_r10_is_not_well_based(capsys):
+    # 28 rays in x0 > 0 and a line in x0 = 0.  Once the solve has certified
+    # "not well based", the witness pair is one NNLS membership test on the
+    # generators; the cone's facet description would hold over MAX_DD_RAYS
+    # rays and raise DimensionTooHigh
+    path = str(Path(__file__).parent / "data" / "nonpointed_d10.json")
+    code, doc = _run(capsys, ["base", path, "--cone", "C"])
+    assert code == 1
+    assert doc["verdict"] == "not_well_based"
+    p, q = doc["well_based"]["witness_pair"]
+    assert np.array_equal(q, -np.asarray(p))
+    assert doc["convex_base"]["witness_pair"] == [p, q]
 
 
 def test_batch_prints_one_line_per_file(capsys, rays, identical):
@@ -460,17 +477,18 @@ def test_check_in_one_dimension_is_an_error(capsys, tmp_path):
                             "whose base is empty")
 
 
-def _failing(monkeypatch, name, **fields):
-    # the real report of cli.<name>, with fields overridden
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *a, **k: dataclasses.replace(
+def _failing(monkeypatch, module, name, **fields):
+    # the real report of module.<name>, with fields overridden, set on the
+    # module the CLI looks the name up on
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: dataclasses.replace(
         real(*a, **k), **fields))
 
 
 @pytest.mark.parametrize("mode", ["nonsym", "sym", "bidir"])
 def test_separate_failed_verification_is_inconclusive(capsys, bidir,
                                                       monkeypatch, mode):
-    _failing(monkeypatch, "verify_certificate", ok=False)
+    _failing(monkeypatch, cli, "verify_certificate", ok=False)
     code, doc = _run(capsys, ["separate", bidir, "--mode", mode,
                               "--pair", "C,K"])
     assert code == 2
@@ -480,7 +498,7 @@ def test_separate_failed_verification_is_inconclusive(capsys, bidir,
 
 def test_interpolate_failed_verification_is_inconclusive(capsys, nest,
                                                          monkeypatch):
-    _failing(monkeypatch, "verify_interpolation", ok=False)
+    _failing(monkeypatch, cli, "verify_interpolation", ok=False)
     code, doc = _run(capsys, ["interpolate", nest, "--inner", "W",
                               "--outer", "H"])
     assert code == 2
@@ -489,7 +507,7 @@ def test_interpolate_failed_verification_is_inconclusive(capsys, nest,
 
 
 def test_check_defect_is_inconclusive(capsys, sector_vs_line_pair, monkeypatch):
-    _failing(monkeypatch, "boundary_equivalence_report",
+    _failing(monkeypatch, separation, "boundary_equivalence_report",
              conditions=(True, True, False, True, True), consistent=False)
     code, doc = _run(capsys, ["check", sector_vs_line_pair, "--report",
                               "bd-equivalence", "--pair", "C,K"])

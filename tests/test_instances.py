@@ -110,12 +110,25 @@ def test_unknown_field_options():
     ("seed", None),
     ("seed", -3),
     ("seed", "1"),
+    ("verify_samples", 10**6 + 1),
+    ("verify_samples", 100000000000),
+    ("resolution", 0.0999),
+    ("resolution", 1e-7),
 ])
 def test_bad_option_values_name_the_option(name, value):
     text = json.dumps({"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0]]}]}},
                        "options": {name: value}})
     with pytest.raises(InstanceError, match=rf"options\.{name}: expected"):
         parse_instance(text)
+
+
+def test_sample_option_bounds_are_inclusive():
+    inst = parse_instance(
+        '{"dim": 2, "cones": {"C": {"pieces": [{"generators": [[1, 0]]}]}},'
+        ' "options": {"resolution": 0.1, "verify_samples": 1000000}}'
+    )
+    assert inst.options.resolution == 0.1
+    assert inst.options.verify_samples == 10**6
 
 
 def test_option_values_are_converted_and_kept():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from conesep.oracle import (
     oracle_support,
     random_pointed_cone,
     random_region,
+    random_unit,
     ray_region,
     sample_norm_base,
     sector_cone_2d,
@@ -405,3 +407,22 @@ def test_resolution_refines_cloud():
     coarse = sample_norm_base(ORTHANT_REGION, resolution=10.0)
     fine = sample_norm_base(ORTHANT_REGION, resolution=1.0)
     assert len(fine.points) > len(coarse.points)
+
+
+@pytest.mark.parametrize("cap", [0.1, 35.0, 60.0])
+def test_random_pointed_cone_rays_lie_within_the_blend_bound(cap):
+    # unit(t axis + (1 - t) v) with v in the axis's hemisphere turns at most
+    # atan((1 - t) / t) from the axis: far less than the cap for small caps
+    t = math.cos(math.radians(cap))
+    bound = math.atan((1.0 - t) / t)
+    for dim in range(2, 7):
+        for seed in range(20):
+            cone = random_pointed_cone(np.random.default_rng(seed), dim,
+                                       n_rays=8, cap_half_angle_deg=cap)
+            axis = random_unit(np.random.default_rng(seed), dim)
+            G = cone.generators.T
+            along = G @ axis
+            across = np.linalg.norm(G - np.outer(along, axis), axis=1)
+            # atan2 keeps its accuracy at angles of 1e-6 rad, where arccos
+            # of the cosine loses it
+            assert np.arctan2(across, along).max() <= bound + 1e-12

@@ -671,3 +671,35 @@ def test_complement_of_the_whole_space_is_refused():
     whole = make_polycone([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     with pytest.raises(TrivialRegion, match="whole space"):
         ConeRegion.complement(whole)
+
+
+def test_complement_anchors_are_its_facet_generators(refuse_facets):
+    # normal by normal, the generators on each facet: the rows of K's facet
+    # cones in their order, or -n for a ray in R^1, read with no facet cone
+    rng = np.random.default_rng(19)
+    cones = [make_polycone([[1.0]]), make_polycone([[-1.0]]), ORTHANT,
+             sector_cone_2d(30.0, 50.0), cone_about([0.2, 0.3, 1.0], 30.0, 12),
+             _half_space(3, rng), _half_space(4, rng)]
+    cones += [random_pointed_cone(rng, d, n_rays=d + 4) for d in (3, 4, 5)]
+    regions = [ConeRegion.complement(cone) for cone in cones]
+    expected = [np.concatenate([p.generators.T for p in facets(cone).pieces]
+                               or [-facet_normals(cone)]) for cone in cones]
+    refuse_facets()
+    for region, want in zip(regions, expected):
+        assert np.array_equal(region.anchor_points(), want)
+
+
+def test_piece_membership_is_nnls_on_the_generators(refuse_facets):
+    rng = np.random.default_rng(29)
+    cones = [ORTHANT, HALF_PLANE, make_polycone([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+             random_unpointed_cone(rng, 4), random_pointed_cone(rng, 5, n_rays=9)]
+    refuse_facets()
+    for cone in cones:
+        X = np.vstack([cone.generators.T, -cone.generators.T,
+                       rng.standard_normal((20, cone.dim)),
+                       np.full(cone.dim, np.nan), np.full(cone.dim, np.inf)])
+        want = [bool(np.isfinite(x).all()) and cone_membership(x, cone, 1e-8)
+                for x in X]
+        got = ConeRegion.piece(cone).contains_unit_batch(X, tol=1e-8)
+        assert got.dtype == bool and got.tolist() == want
+        assert not got[-2:].any()

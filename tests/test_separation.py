@@ -19,8 +19,8 @@ from conesep.errors import (
     NotConvex,
     TrivialRegion,
 )
-from conesep.geometry import make_polycone
-from conesep.instances import load_instance
+from conesep.geometry import make_polycone, strictly_interior
+from conesep.instances import jsonable, load_instance
 from conesep.oracle import (
     cone_about,
     oracle_separation,
@@ -1389,3 +1389,39 @@ def test_boundary_rays_in_closed_form_need_a_planar_proper_cone():
     for x_star, alpha in (([1.0, 0.0], 1.0), ([1.0, 0.0], -2.0), ([0.0, 0.0], 0.0)):
         with pytest.raises(DegenerateCone):
             bp_boundary_rays_2d(x_star, alpha)
+
+
+def _outcome(call, *args):
+    try:
+        return jsonable(call(*args))
+    except Inconclusive as exc:
+        return str(exc)
+
+
+def test_piece_pairs_and_complement_meets_enumerate_no_facets(refuse_facets):
+    # separation of pieces and unions reads their generators alone, and a
+    # piece meets a complement only at the origin exactly when the
+    # complement's membership test, on K's stored normals, holds none of
+    # its generators: where the parent asked strictly_interior of each
+    rng = np.random.default_rng(41)
+    pairs = [(random_region(rng, d), random_region(rng, d))
+             for d in (2, 3, 4, 6) for _ in range(5)]
+    expected = [[_outcome(f, C, K) for f in (separate_nonsym, separate_sym)]
+                for C, K in pairs]
+    assert any(isinstance(out, dict) for got in expected for out in got)
+    assert any(out is None for got in expected for out in got)
+    meets = []
+    for d in (2, 3, 4, 5):
+        K = random_pointed_cone(rng, d, n_rays=2 * d, cap_half_angle_deg=60.0)
+        m = K.generators.mean(axis=1)
+        near = make_polycone(m + 0.01 * rng.standard_normal((3, d)))
+        for P in (near, K, random_pointed_cone(rng, d)):
+            inside = all(strictly_interior(K, g) for g in P.generators.T)
+            meets.append((ConeRegion.piece(P), ConeRegion.complement(K), inside))
+    assert {inside for _, _, inside in meets} == {True, False}
+    refuse_facets()
+    for (C, K), want in zip(pairs, expected):
+        assert [_outcome(f, C, K) for f in (separate_nonsym, separate_sym)] == want
+    for piece, hole, inside in meets:
+        assert cones_meet_only_at_origin(piece, hole) is inside
+        assert cones_meet_only_at_origin(hole, piece) is inside
